@@ -4,9 +4,10 @@
 //! Replays [`flexoffers_workloads::event_stream`] scripts through the
 //! serving tier with journaling **off** (a plain
 //! [`flexoffers_serving::LiveBook`] — the `sequential` section) and
-//! **on** (a [`flexoffers_storage::DurableBook`] appending every mutation
-//! to an fsync-batched journal, with and without periodic snapshots — the
-//! `engine` section), then times **recovery**: rebuilding the book from
+//! **on** (a [`flexoffers_storage::Durable`]`<LiveBook>` appending every
+//! mutation to an fsync-batched journal, with and without periodic
+//! snapshots — the `engine` section), then times **recovery**:
+//! rebuilding the book from
 //! the journal alone (full replay) and from the shutdown snapshot plus an
 //! empty suffix. The headline is the journaling-off / journaling-on
 //! throughput ratio at the largest size — the write-amplification cost of
@@ -30,7 +31,7 @@ use flexoffers_bench::timing::time_best;
 use flexoffers_engine::Engine;
 use flexoffers_measures::all_measures;
 use flexoffers_serving::{DurabilityConfig, Event, EventSink, LiveBook, ServeConfig};
-use flexoffers_storage::{recover, DurableBook};
+use flexoffers_storage::{recover, Durable};
 use flexoffers_workloads::{city_households_for, event_stream};
 use serde::Serialize;
 
@@ -94,13 +95,14 @@ fn durable_config(journal: &Path, snapshot_every: Option<u64>) -> ServeConfig {
     }
 }
 
-/// Replays `events` through a fresh `DurableBook` on a truncated journal.
-fn durable_replay(config: &ServeConfig, events: &[Event]) -> DurableBook {
+/// Replays `events` through a fresh `Durable<LiveBook>` on a truncated
+/// journal.
+fn durable_replay(config: &ServeConfig, events: &[Event]) -> Durable<LiveBook> {
     let journal = &config.durability.as_ref().expect("durable config").journal;
     let _ = std::fs::remove_file(journal);
     let _ = std::fs::remove_file(config.durability.as_ref().unwrap().snapshot_path());
-    let (mut book, _) =
-        DurableBook::open(config.clone(), 1, Engine::sequential()).expect("fresh journal opens");
+    let (mut book, _) = Durable::<LiveBook>::open(config.clone(), 1, Engine::sequential(), ())
+        .expect("fresh journal opens");
     for event in events {
         book.apply(event.clone()).expect("valid stream");
     }
@@ -133,7 +135,7 @@ fn main() {
     let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "bench_journal: event_stream(seed {SEED}, churn {CHURN}) through DurableBook \
+        "bench_journal: event_stream(seed {SEED}, churn {CHURN}) through Durable<LiveBook> \
          (sync_every {SYNC_EVERY}) · sizes {sizes:?} · {host_cpus} host cpu(s)"
     );
 
@@ -255,7 +257,7 @@ fn main() {
     let report = JournalBenchReport {
         schema: "flexoffers-engine-bench/1",
         workload: format!(
-            "workloads::event_stream(seed {SEED}, churn {CHURN}) through DurableBook \
+            "workloads::event_stream(seed {SEED}, churn {CHURN}) through Durable<LiveBook> \
              (sync_every {SYNC_EVERY}; offers_per_sec = events/s; sequential = journaling-off \
              LiveBook replay; engine modes: journal, journal+snapshots, recover-replay \
              [journal-only recovery], recover-snapshot [shutdown snapshot + empty suffix]; \

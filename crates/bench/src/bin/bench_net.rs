@@ -34,7 +34,7 @@ use flexoffers_engine::Engine;
 use flexoffers_measures::all_measures;
 use flexoffers_model::FlexOffer;
 use flexoffers_net::{percentile, NetClient, NetConfig, NetServer};
-use flexoffers_serving::{Event, LiveBook, LiveServer, QueryKind, ServeConfig};
+use flexoffers_serving::{Event, LiveBook, LiveServer, QueryKind, Sequencer, ServeConfig};
 use flexoffers_workloads::city_stream;
 use serde::Serialize;
 
@@ -111,8 +111,8 @@ fn wire_pass(conns: usize, requests_per_conn: u64) -> WireObservation {
         deadline: None,
         record: None,
     };
-    let server =
-        NetServer::bind("127.0.0.1:0", config, handle, Vec::new(), 0).expect("loopback binds");
+    let server = NetServer::bind("127.0.0.1:0", config, handle, Sequencer::default())
+        .expect("loopback binds");
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
     let server_thread = {

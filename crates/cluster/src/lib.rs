@@ -19,10 +19,12 @@
 //!   so the answer comes from the same code as the in-process tier.
 //!   Worker death is repaired by respawn + merged-shard-and-suffix
 //!   replay, invisibly to the answer stream.
-//! * [`durable`] ([`DurableCluster`]) — the journal-before-apply sink
-//!   composing cross-process sharding with the storage tier: recover
-//!   in-process, seed the fleet, journal every mutation before it
-//!   scatters, snapshot from the gathered merged export.
+//! * Durability: [`ClusterBook`] is a storage
+//!   [`Book`](flexoffers_storage::Book), so
+//!   [`Durable`](flexoffers_storage::Durable)`<ClusterBook>` composes
+//!   cross-process sharding with the journal: recover in process, seed
+//!   the fleet, journal every mutation before it scatters, snapshot from
+//!   the gathered merged export.
 //!
 //! # Byte identity
 //!
@@ -36,12 +38,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod durable;
 pub mod supervisor;
 pub mod wire;
 pub mod worker;
 
-pub use durable::{DurableCluster, DurableClusterError};
 pub use supervisor::{ClusterBook, ClusterError, GatherStats, WorkerSpec, RESPAWN_ATTEMPTS};
 pub use wire::{WorkerReply, WorkerRequest, WORKER_PROTOCOL};
 pub use worker::{run_stdio_worker, run_worker};

@@ -43,7 +43,6 @@
 //! Respawn attempts are bounded; exhaustion surfaces as the structured
 //! [`ClusterError::WorkerLost`], never a panic or a hang.
 
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -53,9 +52,10 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use flexoffers_engine::{stable_shard, Budget, Engine};
 use flexoffers_model::FlexOffer;
 use flexoffers_serving::{
-    BookExport, Event, EventSink, ImportError, LiveBook, QueryKind, ServeConfig, ShardExport,
+    BookExport, Checked, Event, EventSink, ImportError, LiveBook, QueryKind, Sequencer,
+    ServeConfig, ShardExport,
 };
-use flexoffers_storage::shard_digest;
+use flexoffers_storage::Book;
 
 use crate::wire::{
     parse_export_payload, parse_reply, write_request_line, ExportPayload, WorkerReply,
@@ -403,11 +403,7 @@ fn empty_shard() -> ShardExport {
 /// digests, duplicate ids, cache shapes — is caught by the merged book's
 /// [`LiveBook::import_shard`].)
 fn own_shard(w: usize, workers: usize, export: BookExport) -> Result<ShardExport, ClusterError> {
-    let fault = |message: String| ClusterError::Worker {
-        worker: w,
-        code: "bad_export".to_owned(),
-        message,
-    };
+    let fault = |message: String| bad_export(w, message);
     if export.shards.len() != workers {
         return Err(fault(format!(
             "export has {} shards, cluster has {workers}",
@@ -424,6 +420,15 @@ fn own_shard(w: usize, workers: usize, export: BookExport) -> Result<ShardExport
     }
     let mut shards = export.shards;
     Ok(shards.swap_remove(w))
+}
+
+/// A worker shipped an export the supervisor cannot use.
+fn bad_export(worker: usize, message: String) -> ClusterError {
+    ClusterError::Worker {
+        worker,
+        code: "bad_export".to_owned(),
+        message,
+    }
 }
 
 /// The supervisor: a live book whose shards are worker processes.
@@ -444,8 +449,7 @@ pub struct ClusterBook {
     /// in-process tier answers with. Doubles as the respawn baseline
     /// store: worker `w` rehydrates from `merged.export_shard(w)`.
     merged: LiveBook,
-    live: BTreeSet<u64>,
-    next_id: u64,
+    ids: Sequencer,
     respawns: u64,
     stats: GatherStats,
 }
@@ -488,8 +492,7 @@ impl ClusterBook {
             spec,
             slots,
             merged,
-            live: BTreeSet::new(),
-            next_id: 0,
+            ids: Sequencer::default(),
             respawns: 0,
             stats: GatherStats::default(),
         })
@@ -502,22 +505,22 @@ impl ClusterBook {
 
     /// The number of live offers.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.ids.len()
     }
 
     /// Whether no offers are live.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.ids.is_empty()
     }
 
     /// Every live id, ascending.
     pub fn live_ids(&self) -> Vec<u64> {
-        self.live.iter().copied().collect()
+        self.ids.live_ids()
     }
 
     /// The next id [`add`](ClusterBook::add) will assign.
     pub fn next_id(&self) -> u64 {
-        self.next_id
+        self.ids.next_id()
     }
 
     /// How many worker respawns the supervisor has performed.
@@ -558,7 +561,7 @@ impl ClusterBook {
                 w,
                 &snapshot,
                 &self.slots[w].suffix,
-                self.next_id,
+                self.ids.next_id(),
             );
             match boot {
                 Ok(conn) => {
@@ -606,38 +609,29 @@ impl ClusterBook {
     /// Inserts an offer under a caller-assigned id (the journal-replay
     /// seeding path); the id must be fresh.
     pub fn add_at(&mut self, id: u64, offer: FlexOffer) -> Result<(), ClusterError> {
-        if self.live.contains(&id) {
+        if self.ids.is_live(id) {
             return Err(ClusterError::IdTaken { id });
         }
         self.route(RoutedOp::Add { id, offer })?;
-        self.live.insert(id);
-        self.next_id = self.next_id.max(id.saturating_add(1));
+        self.ids.commit(Checked::Add(id));
         Ok(())
     }
 
     /// Inserts an offer and returns its assigned id.
     pub fn add(&mut self, offer: FlexOffer) -> Result<u64, ClusterError> {
-        let id = self.next_id;
-        self.add_at(id, offer)?;
+        let id = self.ids.next_id();
+        self.apply(Event::Add(offer))?;
         Ok(id)
     }
 
     /// Replaces the offer with the given id.
     pub fn update(&mut self, id: u64, offer: FlexOffer) -> Result<(), ClusterError> {
-        if !self.live.contains(&id) {
-            return Err(ClusterError::UnknownId { id });
-        }
-        self.route(RoutedOp::Update { id, offer })
+        self.apply(Event::Update { id, offer }).map(|_| ())
     }
 
     /// Removes the offer with the given id.
     pub fn remove(&mut self, id: u64) -> Result<(), ClusterError> {
-        if !self.live.contains(&id) {
-            return Err(ClusterError::UnknownId { id });
-        }
-        self.route(RoutedOp::Remove { id })?;
-        self.live.remove(&id);
-        Ok(())
+        self.apply(Event::Remove { id }).map(|_| ())
     }
 
     /// Collects worker `w`'s export on a connection that just failed:
@@ -657,28 +651,25 @@ impl ClusterBook {
         }
     }
 
-    /// Brings the merged book up to date with every worker: pipeline
-    /// conditional exports, confirm clean shards by digest, import only
-    /// the dirty ones. A gathered worker's slot resets (digest :=
-    /// confirmed value, suffix := empty) — the merged book *is* the
-    /// respawn baseline, so the two advance together here and nowhere
-    /// else. A digest hit is sound because the digest covers the
-    /// canonical shard JSON: equal digest ⇒ equal canonical bytes ⇒ the
-    /// merged book's copy is the worker's exact state, suffix included.
-    fn gather(&mut self) -> Result<(), ClusterError> {
-        let workers = self.slots.len();
-        self.merged.reserve_ids(self.next_id);
-        // Scatter the export requests first so workers refresh their
-        // caches (and hash their shards) in parallel; replies are drained
-        // in shard order.
-        let mut pending: Vec<Option<u64>> = Vec::with_capacity(workers);
-        for slot in &mut self.slots {
-            let request = WorkerRequest::Export {
-                if_digest: slot.digest,
-            };
-            pending.push(slot.conn.send(&request).ok());
-        }
-        let (mut dirty, mut cached, mut dirty_bytes) = (0u64, 0u64, 0u64);
+    /// The gather loop both query paths share: write one export request
+    /// to every worker (conditional on the slot's digest when
+    /// `conditional`) before reading any reply, so workers refresh their
+    /// caches (and hash their shards) in parallel; then hand each reply
+    /// payload to `take` in shard order. A worker whose pipe failed is
+    /// respawned and asked again, unconditionally.
+    fn collect(
+        &mut self,
+        conditional: bool,
+        mut take: impl FnMut(&mut Self, usize, ExportPayload) -> Result<(), ClusterError>,
+    ) -> Result<(), ClusterError> {
+        let pending: Vec<Option<u64>> = self
+            .slots
+            .iter_mut()
+            .map(|slot| {
+                let if_digest = slot.digest.filter(|_| conditional);
+                slot.conn.send(&WorkerRequest::Export { if_digest }).ok()
+            })
+            .collect();
         for (w, request) in pending.into_iter().enumerate() {
             let first = match request {
                 Some(id) => self.slots[w].conn.read_reply(id),
@@ -695,41 +686,52 @@ impl ClusterBook {
                     })
                 }
             };
-            let fault = |message: String| ClusterError::Worker {
-                worker: w,
-                code: "bad_export".to_owned(),
-                message,
-            };
-            match parse_export_payload(&value).map_err(fault)? {
+            let payload = parse_export_payload(&value).map_err(|e| bad_export(w, e))?;
+            take(self, w, payload)?;
+        }
+        Ok(())
+    }
+
+    /// Brings the merged book up to date with every worker: conditional
+    /// exports confirm clean shards by digest, and only the dirty ones
+    /// are imported. A gathered worker's slot resets (digest := confirmed
+    /// value, suffix := empty) — the merged book *is* the respawn
+    /// baseline, so the two advance together here and nowhere else. A
+    /// digest hit is sound because the digest covers the canonical shard
+    /// JSON: equal digest ⇒ equal canonical bytes ⇒ the merged book's
+    /// copy is the worker's exact state, suffix included.
+    fn gather(&mut self) -> Result<(), ClusterError> {
+        let workers = self.slots.len();
+        self.merged.reserve_ids(self.ids.next_id());
+        let (mut dirty, mut cached, mut dirty_bytes) = (0u64, 0u64, 0u64);
+        self.collect(true, |this, w, payload| {
+            let slot = &mut this.slots[w];
+            match payload {
                 ExportPayload::NotModified { digest } => {
-                    if self.slots[w].digest != Some(digest) {
-                        return Err(ClusterError::Worker {
-                            worker: w,
-                            code: "bad_export".to_owned(),
-                            message: format!(
+                    if slot.digest != Some(digest) {
+                        return Err(bad_export(
+                            w,
+                            format!(
                                 "not_modified confirmed digest {digest}, supervisor expected {:?}",
-                                self.slots[w].digest
+                                slot.digest
                             ),
-                        });
+                        ));
                     }
                     cached += 1;
                 }
                 ExportPayload::Full { digest, book } => {
-                    dirty_bytes += self.slots[w].conn.last_reply_len() as u64;
+                    dirty_bytes += slot.conn.last_reply_len() as u64;
                     let shard = own_shard(w, workers, book)?;
-                    // A legacy worker ships no digest; hash the shard
-                    // ourselves so the *next* gather is still conditional
-                    // — any full export is a digest refresh.
-                    let digest = digest.unwrap_or_else(|| shard_digest(&shard));
-                    self.merged
+                    this.merged
                         .import_shard(w, shard)
                         .map_err(ClusterError::Import)?;
-                    self.slots[w].digest = Some(digest);
+                    slot.digest = Some(digest);
                     dirty += 1;
                 }
             }
-            self.slots[w].suffix.clear();
-        }
+            slot.suffix.clear();
+            Ok(())
+        })?;
         self.stats.gathers += 1;
         self.stats.dirty_shards += dirty;
         self.stats.cached_shards += cached;
@@ -751,7 +753,7 @@ impl ClusterBook {
     /// seeding path, where ids past the last live offer (removed tail
     /// ids) must not be reassigned.
     pub fn reserve_ids(&mut self, next_id: u64) {
-        self.next_id = self.next_id.max(next_id);
+        self.ids.reserve(next_id);
     }
 
     /// Answers one query: delta-gather, then answer off the merged book —
@@ -770,45 +772,19 @@ impl ClusterBook {
     /// queries never helps the delta path.
     pub fn answer_full(&mut self, kind: QueryKind) -> Result<String, ClusterError> {
         let workers = self.slots.len();
-        let mut pending: Vec<Option<u64>> = Vec::with_capacity(workers);
-        for slot in &mut self.slots {
-            let request = WorkerRequest::Export { if_digest: None };
-            pending.push(slot.conn.send(&request).ok());
-        }
         let mut shards = Vec::with_capacity(workers);
-        for (w, request) in pending.into_iter().enumerate() {
-            let first = match request {
-                Some(id) => self.slots[w].conn.read_reply(id),
-                None => Err(ConnFailure::Io("export request write failed".to_owned())),
-            };
-            let value = match first {
-                Ok(value) => value,
-                Err(ConnFailure::Io(_)) => self.regather_one(w)?,
-                Err(ConnFailure::Fault { code, message }) => {
-                    return Err(ClusterError::Worker {
-                        worker: w,
-                        code,
-                        message,
-                    })
-                }
-            };
-            let fault = |message: String| ClusterError::Worker {
-                worker: w,
-                code: "bad_export".to_owned(),
-                message,
-            };
-            let book = match parse_export_payload(&value).map_err(fault)? {
-                ExportPayload::Full { book, .. } => book,
-                ExportPayload::NotModified { .. } => {
-                    return Err(fault(
-                        "worker answered not_modified to an unconditional export".to_owned(),
-                    ))
-                }
-            };
-            shards.push(own_shard(w, workers, book)?);
-        }
+        self.collect(false, |_, w, payload| match payload {
+            ExportPayload::Full { book, .. } => {
+                shards.push(own_shard(w, workers, book)?);
+                Ok(())
+            }
+            ExportPayload::NotModified { .. } => Err(bad_export(
+                w,
+                "worker answered not_modified to an unconditional export".to_owned(),
+            )),
+        })?;
         let merged = BookExport {
-            next_id: self.next_id,
+            next_id: self.ids.next_id(),
             shards,
         };
         let mut book = LiveBook::from_export(
@@ -822,23 +798,26 @@ impl ClusterBook {
 
     /// Applies one event — the cluster-side mirror of
     /// [`LiveBook::apply`]: mutations answer `Ok(None)`, queries
-    /// `Ok(Some(answer_line))`.
+    /// `Ok(Some(answer_line))`. An update or remove of an id that is not
+    /// live is [`ClusterError::UnknownId`], checked through the
+    /// supervisor's [`Sequencer`] before anything is routed.
     pub fn apply(&mut self, event: Event) -> Result<Option<String>, ClusterError> {
-        match event {
-            Event::Add(offer) => {
-                self.add(offer)?;
-                Ok(None)
-            }
-            Event::Update { id, offer } => {
-                self.update(id, offer)?;
-                Ok(None)
-            }
-            Event::Remove { id } => {
-                self.remove(id)?;
-                Ok(None)
-            }
-            Event::Query(kind) => Ok(Some(self.answer(kind)?)),
-        }
+        let checked = self
+            .ids
+            .check(&event)
+            .map_err(|unknown| ClusterError::UnknownId { id: unknown.id })?;
+        let op = match event {
+            Event::Add(offer) => RoutedOp::Add {
+                id: self.ids.next_id(),
+                offer,
+            },
+            Event::Update { id, offer } => RoutedOp::Update { id, offer },
+            Event::Remove { id } => RoutedOp::Remove { id },
+            Event::Query(kind) => return self.answer(kind).map(Some),
+        };
+        self.route(op)?;
+        self.ids.commit(checked);
+        Ok(None)
     }
 
     /// Shuts every worker down gracefully (best effort — a worker that is
@@ -862,6 +841,40 @@ impl EventSink for ClusterBook {
     fn finish(&mut self) -> Result<(), ClusterError> {
         self.shutdown();
         Ok(())
+    }
+
+    fn sequencer(&self) -> Sequencer {
+        self.ids.clone()
+    }
+}
+
+/// The cluster is spawned, then seeded with the recovered offers in
+/// ascending id order — the same shard-local orders a compacted
+/// in-process book has, so the seeded cluster answers byte-identically to
+/// the recovered book. The worker count is `shards`.
+impl Book for ClusterBook {
+    type Spawn = WorkerSpec;
+
+    fn from_recovered(
+        recovered: LiveBook,
+        shards: usize,
+        spec: WorkerSpec,
+    ) -> Result<Self, ClusterError> {
+        let config = recovered.config().clone();
+        let mut cluster = ClusterBook::spawn(config, recovered.budget(), shards, spec)?;
+        for (id, offer) in recovered
+            .live_ids()
+            .into_iter()
+            .zip(recovered.to_portfolio())
+        {
+            cluster.add_at(id, offer)?;
+        }
+        cluster.reserve_ids(recovered.next_id());
+        Ok(cluster)
+    }
+
+    fn export(&mut self) -> Result<BookExport, ClusterError> {
+        ClusterBook::export(self)
     }
 }
 

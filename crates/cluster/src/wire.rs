@@ -31,11 +31,9 @@
 //! canonical single-line JSON of its own [`ShardExport`] body
 //! ([`flexoffers_storage::shard_digest`]), which embeds the commutative
 //! `key_digest` — still equals `D`; otherwise the worker ships
-//! `{"digest":D',"book":{…}}`. Compatibility is free in both directions:
-//! a worker that predates `if_digest` ignores the unknown field and
-//! always ships a full export, and a supervisor that receives a bare
-//! `{…"next_id":…}` book (no `digest` wrapper) treats it as a digest
-//! refresh it computes itself.
+//! `{"digest":D',"book":{…}}`. Supervisor and workers are always the
+//! same build, so a bare book (no `digest` wrapper) is a malformed
+//! payload, not an older dialect.
 
 use flexoffers_engine::Kernel;
 use flexoffers_model::FlexOffer;
@@ -318,19 +316,17 @@ pub enum ExportPayload {
         /// The digest the worker confirmed.
         digest: u64,
     },
-    /// A full export. `digest` is the worker's own-shard state digest;
-    /// `None` marks the legacy bare-book shape (a worker that predates
-    /// conditional exports), which the supervisor digests itself.
+    /// A full export with the worker's own-shard state digest.
     Full {
-        /// The shipped shard's state digest, when the worker computed it.
-        digest: Option<u64>,
+        /// The shipped shard's state digest.
+        digest: u64,
         /// The worker's book image.
         book: BookExport,
     },
 }
 
-/// Parses an export reply's `ok` payload: the `not_modified` frame, the
-/// digest-wrapped book, or a legacy bare book (`next_id` at top level).
+/// Parses an export reply's `ok` payload: the `not_modified` frame or the
+/// digest-wrapped book.
 pub fn parse_export_payload(payload: &Value) -> Result<ExportPayload, String> {
     if payload
         .get("not_modified")
@@ -342,17 +338,11 @@ pub fn parse_export_payload(payload: &Value) -> Result<ExportPayload, String> {
     }
     if let Some(book) = payload.get("book") {
         return Ok(ExportPayload::Full {
-            digest: Some(get_u64(payload, "digest")?),
+            digest: get_u64(payload, "digest")?,
             book: value_to_export(book).map_err(|e| format!("`book`: {e}"))?,
         });
     }
-    if payload.get("next_id").is_some() {
-        return Ok(ExportPayload::Full {
-            digest: None,
-            book: value_to_export(payload).map_err(|e| format!("legacy book: {e}"))?,
-        });
-    }
-    Err("export payload is neither `not_modified`, a wrapped `book`, nor a bare book".to_owned())
+    Err("export payload is neither `not_modified` nor a digest-wrapped `book`".to_owned())
 }
 
 /// Renders an error reply line; `id` is `None` when the request line was
@@ -513,18 +503,15 @@ mod tests {
         let ExportPayload::Full { digest: got, book } = parse_export_payload(&miss).unwrap() else {
             panic!("full payload expected")
         };
-        assert_eq!(got, Some(digest));
+        assert_eq!(got, digest);
         assert_eq!(book.next_id, 5);
         assert_eq!(book.shards.len(), 3);
         assert_eq!(book.shards[1], shard);
         assert!(book.shards[0].ids.is_empty() && book.shards[2].ids.is_empty());
 
-        // Legacy: a bare book refreshes with no worker-computed digest.
-        let bare = export_to_value(&book);
-        assert_eq!(
-            parse_export_payload(&bare).unwrap(),
-            ExportPayload::Full { digest: None, book }
-        );
+        // A bare book (no digest wrapper) is a malformed payload.
+        let err = parse_export_payload(&export_to_value(&book)).unwrap_err();
+        assert!(err.contains("digest-wrapped"), "{err}");
 
         // Garbage is a message.
         assert!(parse_export_payload(&Value::Bool(true)).is_err());

@@ -254,10 +254,7 @@ mod tests {
             panic!("export failed: {reply:?}");
         };
         match parse_export_payload(payload).expect("export payload parses") {
-            ExportPayload::Full {
-                digest: Some(digest),
-                book,
-            } => (digest, book),
+            ExportPayload::Full { digest, book } => (digest, book),
             other => panic!("expected a digest-wrapped full export, got {other:?}"),
         }
     }

@@ -11,13 +11,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flexoffers_cluster::{ClusterBook, ClusterError, DurableCluster, WorkerSpec};
+use flexoffers_cluster::{ClusterBook, ClusterError, WorkerSpec};
 use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::{
     DurabilityConfig, Event, EventSink, LiveBook, LiveServer, QueryKind, ServeConfig,
 };
-use flexoffers_storage::DurableBook;
+use flexoffers_storage::Durable;
 use proptest::prelude::*;
 
 /// The standalone worker binary, built by cargo alongside this test.
@@ -309,7 +309,8 @@ fn durable_cluster_recovers_continues_and_writes_adoptable_snapshots() {
     let config = durable_config(&dir.path().join("events.jsonl"), None);
 
     // Phase 1: single-process history, crash (no shutdown snapshot).
-    let (mut durable, _) = DurableBook::open(config.clone(), 3, Engine::sequential()).unwrap();
+    let (mut durable, _) =
+        Durable::<LiveBook>::open(config.clone(), 3, Engine::sequential(), ()).unwrap();
     for i in 0..7 {
         durable.apply(Event::Add(offer(i))).unwrap();
     }
@@ -324,10 +325,11 @@ fn durable_cluster_recovers_continues_and_writes_adoptable_snapshots() {
 
     // Phase 2: the cluster recovers and continues the same history.
     let (mut cluster, report) =
-        DurableCluster::open(config.clone(), Budget::sequential(), 3, worker_spec()).unwrap();
+        Durable::<ClusterBook>::open(config.clone(), 3, Engine::sequential(), worker_spec())
+            .unwrap();
     assert_eq!(report.journal_events, 9);
-    assert_eq!(cluster.cluster().live_ids(), vec![0, 1, 3, 4, 5, 6]);
-    assert_eq!(cluster.cluster().next_id(), 7);
+    assert_eq!(cluster.book().live_ids(), vec![0, 1, 3, 4, 5, 6]);
+    assert_eq!(cluster.book().next_id(), 7);
     cluster.apply(Event::Add(offer(11))).unwrap();
     cluster.apply(Event::Remove { id: 0 }).unwrap();
     let clustered = cluster
@@ -349,7 +351,8 @@ fn durable_cluster_recovers_continues_and_writes_adoptable_snapshots() {
     assert_eq!(clustered, reference.answer(QueryKind::Measure));
 
     // Phase 3: the single-process tier adopts the cluster's files.
-    let (mut adopted, report) = DurableBook::open(config, 3, Engine::sequential()).unwrap();
+    let (mut adopted, report) =
+        Durable::<LiveBook>::open(config, 3, Engine::sequential(), ()).unwrap();
     assert_eq!(report.snapshot_seq, Some(11), "cluster shutdown snapshot");
     assert_eq!(report.replayed, 0);
     for kind in QueryKind::all() {

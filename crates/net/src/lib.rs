@@ -43,10 +43,10 @@
 //! use flexoffers_engine::Engine;
 //! use flexoffers_model::{FlexOffer, Slice};
 //! use flexoffers_net::{NetClient, NetConfig, NetServer, Reply};
-//! use flexoffers_serving::{Event, LiveServer, QueryKind, ServeConfig};
+//! use flexoffers_serving::{Event, LiveServer, QueryKind, Sequencer, ServeConfig};
 //!
 //! let handle = LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential())?;
-//! let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), handle, Vec::new(), 0)?;
+//! let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), handle, Sequencer::default())?;
 //! let addr = server.local_addr();
 //! let stop = Arc::new(AtomicBool::new(false));
 //! let serving = {

@@ -11,12 +11,12 @@
 //! through `flexctl serve --script --batch` reproduces every answered
 //! query byte-for-byte.
 //!
-//! The gate also mirrors `parse_script_from`'s static validation
-//! dynamically: updates/removes of ids that are not live are refused at
-//! the gate (an `unknown_id` error response) instead of reaching the sink,
-//! where they would kill the loop for every connection.
+//! The gate validates ids through the sink's [`Sequencer`] — the same
+//! check `parse_script_from` runs on a script: updates/removes of ids
+//! that are not live are refused at the gate (an `unknown_id` error
+//! response) instead of reaching the sink, where they would kill the loop
+//! for every connection.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-use flexoffers_serving::{Event, LiveHandle, ServeError};
+use flexoffers_serving::{Event, LiveHandle, Sequencer, ServeError};
 
 use crate::conn::{Line, LineReader};
 use crate::frame::{self, ErrorCode};
@@ -41,8 +41,8 @@ const DISPATCH_POLL: Duration = Duration::from_millis(25);
 /// Tunables of a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Fixed worker-pool size; connections beyond it queue until a worker
-    /// frees up (`flexctl serve --max-conns`).
+    /// Fixed worker-pool size, at least 1; connections beyond it queue
+    /// until a worker frees up (`flexctl serve --max-conns`).
     pub max_conns: usize,
     /// Per-query bound on the answer wait (`--deadline-ms`). `None` waits
     /// indefinitely; a zero duration refuses every query immediately — a
@@ -145,8 +145,7 @@ fn bump(counter: &AtomicU64) {
 /// recorded order.
 struct Gate<E, W> {
     handle: LiveHandle<E>,
-    live: BTreeSet<u64>,
-    next_id: u64,
+    ids: Sequencer,
     answers: W,
     record: Option<BufWriter<File>>,
     io_failure: Option<io::Error>,
@@ -174,24 +173,29 @@ pub struct NetServer<E: Send + 'static> {
     addr: SocketAddr,
     config: NetConfig,
     handle: LiveHandle<E>,
-    live: BTreeSet<u64>,
-    next_id: u64,
+    ids: Sequencer,
 }
 
 impl<E: Send + 'static> NetServer<E> {
     /// Binds the listener and wires it to a serving loop's handle.
     ///
-    /// `live_ids` and `next_id` seed server-side id validation with the
-    /// (possibly journal-recovered) book's state — the dynamic mirror of
-    /// [`parse_script_from`](flexoffers_serving::parse_script_from)'s
-    /// seeding.
+    /// `ids` is the sink's id history ([`EventSink::sequencer`], possibly
+    /// journal-recovered) — server-side validation continues it. A
+    /// `max_conns` of 0 is an [`io::ErrorKind::InvalidInput`] error.
+    ///
+    /// [`EventSink::sequencer`]: flexoffers_serving::EventSink::sequencer
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         config: NetConfig,
         handle: LiveHandle<E>,
-        live_ids: Vec<u64>,
-        next_id: u64,
+        ids: Sequencer,
     ) -> io::Result<Self> {
+        if config.max_conns == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "max_conns must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Self {
@@ -199,8 +203,7 @@ impl<E: Send + 'static> NetServer<E> {
             addr,
             config,
             handle,
-            live: live_ids.into_iter().collect(),
-            next_id,
+            ids,
         })
     }
 
@@ -225,8 +228,7 @@ impl<E: Send + 'static> NetServer<E> {
             addr: _,
             config,
             handle,
-            live,
-            next_id,
+            ids,
         } = self;
         let record = match &config.record {
             Some(path) => Some(BufWriter::new(File::create(path).map_err(NetError::Io)?)),
@@ -236,8 +238,7 @@ impl<E: Send + 'static> NetServer<E> {
         let deadline = config.deadline;
         let gate = Mutex::new(Gate {
             handle,
-            live,
-            next_id,
+            ids,
             answers,
             record,
             io_failure: None,
@@ -247,7 +248,7 @@ impl<E: Send + 'static> NetServer<E> {
         let conn_rx = Mutex::new(conn_rx);
 
         let accept_error = std::thread::scope(|scope| {
-            for _ in 0..config.max_conns.max(1) {
+            for _ in 0..config.max_conns {
                 scope.spawn(|| worker(&conn_rx, &gate, &counters, stop, deadline));
             }
             let mut accept_error = None;
@@ -463,87 +464,31 @@ fn process<E, W: Write>(
                 }
             }
         }
-        Event::Add(offer) => {
-            let event = Event::Add(offer);
-            let line = event.to_json_line();
-            match gate.handle.send(event) {
-                Ok(_) => {
-                    let assigned = gate.next_id;
-                    gate.live.insert(assigned);
-                    gate.next_id += 1;
-                    if let Err(e) = gate.record_line(&line) {
-                        gate.io_failure = Some(e);
-                        stop.store(true, Ordering::SeqCst);
-                        return fail(
-                            ErrorCode::ServerError,
-                            "recording the mutation failed; the server is halting",
-                        );
-                    }
-                    bump(&counters.mutations);
-                    (frame::ok_assigned(request_id, assigned), None)
-                }
-                Err(err) => {
-                    stop.store(true, Ordering::SeqCst);
-                    fail(ErrorCode::ServerError, &err.to_string())
-                }
+        mutation => {
+            let checked = match gate.ids.check(&mutation) {
+                Ok(checked) => checked,
+                Err(unknown) => return fail(ErrorCode::UnknownId, &unknown.to_string()),
+            };
+            let line = mutation.to_json_line();
+            if let Err(err) = gate.handle.send(mutation) {
+                stop.store(true, Ordering::SeqCst);
+                return fail(ErrorCode::ServerError, &err.to_string());
             }
-        }
-        Event::Update { id, offer } => {
-            if !gate.live.contains(&id) {
+            let assigned = gate.ids.commit(checked);
+            if let Err(e) = gate.record_line(&line) {
+                gate.io_failure = Some(e);
+                stop.store(true, Ordering::SeqCst);
                 return fail(
-                    ErrorCode::UnknownId,
-                    &format!("update of unknown offer id {id}"),
+                    ErrorCode::ServerError,
+                    "recording the mutation failed; the server is halting",
                 );
             }
-            let event = Event::Update { id, offer };
-            let line = event.to_json_line();
-            match gate.handle.send(event) {
-                Ok(_) => {
-                    if let Err(e) = gate.record_line(&line) {
-                        gate.io_failure = Some(e);
-                        stop.store(true, Ordering::SeqCst);
-                        return fail(
-                            ErrorCode::ServerError,
-                            "recording the mutation failed; the server is halting",
-                        );
-                    }
-                    bump(&counters.mutations);
-                    (frame::ok_true(request_id), None)
-                }
-                Err(err) => {
-                    stop.store(true, Ordering::SeqCst);
-                    fail(ErrorCode::ServerError, &err.to_string())
-                }
-            }
-        }
-        Event::Remove { id } => {
-            if !gate.live.contains(&id) {
-                return fail(
-                    ErrorCode::UnknownId,
-                    &format!("remove of unknown offer id {id}"),
-                );
-            }
-            let event = Event::Remove { id };
-            let line = event.to_json_line();
-            match gate.handle.send(event) {
-                Ok(_) => {
-                    gate.live.remove(&id);
-                    if let Err(e) = gate.record_line(&line) {
-                        gate.io_failure = Some(e);
-                        stop.store(true, Ordering::SeqCst);
-                        return fail(
-                            ErrorCode::ServerError,
-                            "recording the mutation failed; the server is halting",
-                        );
-                    }
-                    bump(&counters.mutations);
-                    (frame::ok_true(request_id), None)
-                }
-                Err(err) => {
-                    stop.store(true, Ordering::SeqCst);
-                    fail(ErrorCode::ServerError, &err.to_string())
-                }
-            }
+            bump(&counters.mutations);
+            let reply = match assigned {
+                Some(id) => frame::ok_assigned(request_id, id),
+                None => frame::ok_true(request_id),
+            };
+            (reply, None)
         }
     }
 }
@@ -573,7 +518,8 @@ mod tests {
         fn start(config: NetConfig) -> Self {
             let handle =
                 LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential()).unwrap();
-            let server = NetServer::bind("127.0.0.1:0", config, handle, Vec::new(), 0).unwrap();
+            let server =
+                NetServer::bind("127.0.0.1:0", config, handle, Sequencer::default()).unwrap();
             let addr = server.local_addr();
             let stop = Arc::new(AtomicBool::new(false));
             let run_stop = Arc::clone(&stop);
@@ -598,6 +544,19 @@ mod tests {
                 let _ = thread.join();
             }
         }
+    }
+
+    #[test]
+    fn a_pool_of_zero_connections_is_refused_at_bind() {
+        let handle = LiveServer::spawn(ServeConfig::default(), 1, Engine::sequential()).unwrap();
+        let config = NetConfig {
+            max_conns: 0,
+            ..NetConfig::default()
+        };
+        let err = NetServer::bind("127.0.0.1:0", config, handle, Sequencer::default())
+            .err()
+            .expect("zero connection slots");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -710,6 +669,9 @@ mod tests {
         struct SlowSink;
         impl flexoffers_serving::EventSink for SlowSink {
             type Error = flexoffers_serving::LiveError;
+            fn sequencer(&self) -> Sequencer {
+                Sequencer::default()
+            }
             fn apply(
                 &mut self,
                 event: Event,
@@ -730,7 +692,7 @@ mod tests {
             deadline: Some(Duration::from_millis(1)),
             record: None,
         };
-        let server = NetServer::bind("127.0.0.1:0", config, handle, Vec::new(), 0).unwrap();
+        let server = NetServer::bind("127.0.0.1:0", config, handle, Sequencer::default()).unwrap();
         let addr = server.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
         let run_stop = Arc::clone(&stop);
@@ -793,7 +755,7 @@ mod tests {
 
     #[test]
     fn seeded_validation_continues_a_recovered_history() {
-        // Ids 0 and 2 live, next add owns 3 — the state a recovered
+        // Ids 0 and 2 live, next add owns 4 — the state a recovered
         // journal would hand over.
         let handle = LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential()).unwrap();
         for tes in 0..4 {
@@ -801,8 +763,8 @@ mod tests {
         }
         handle.remove(1).unwrap();
         handle.remove(3).unwrap();
-        let server =
-            NetServer::bind("127.0.0.1:0", NetConfig::default(), handle, vec![0, 2], 4).unwrap();
+        let ids = Sequencer::seeded([0, 2], 4);
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), handle, ids).unwrap();
         let addr = server.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
         let run_stop = Arc::clone(&stop);

@@ -30,6 +30,8 @@ use serde::{Serialize, Value};
 use flexoffers_model::FlexOffer;
 use flexoffers_workloads::OfferEvent;
 
+use crate::sequencer::Sequencer;
+
 /// Which query a [`Event::Query`] asks — the serving counterparts of the
 /// engine's batch entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,21 +242,15 @@ impl Error for ScriptError {}
 /// one. Returns the events in script order, or the first offending line.
 /// The script format is specified normatively in `docs/PROTOCOL.md`.
 pub fn parse_script(text: &str) -> Result<Vec<Event>, ScriptError> {
-    parse_script_from(text, Vec::new(), 0)
+    parse_script_from(text, Sequencer::default())
 }
 
-/// [`parse_script`] seeded with a book's current state — the validation a
+/// [`parse_script`] seeded with a book's id history — the validation a
 /// script that *continues* an existing history (a journaled serve being
 /// resumed) must pass: updates and removes may name ids the prior run
-/// added, and the first add of the new script owns `next_id`, not 0.
-pub fn parse_script_from(
-    text: &str,
-    live_ids: Vec<u64>,
-    start_id: u64,
-) -> Result<Vec<Event>, ScriptError> {
+/// added, and the first add of the new script owns the seeded next id.
+pub fn parse_script_from(text: &str, mut ids: Sequencer) -> Result<Vec<Event>, ScriptError> {
     let mut events = Vec::new();
-    let mut next_id: u64 = start_id;
-    let mut live: std::collections::BTreeSet<u64> = live_ids.into_iter().collect();
     for (at, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -264,23 +260,8 @@ pub fn parse_script_from(
             message,
         };
         let event = Event::from_json_line(line).map_err(fail)?;
-        match &event {
-            Event::Add(_) => {
-                live.insert(next_id);
-                next_id += 1;
-            }
-            Event::Update { id, .. } => {
-                if !live.contains(id) {
-                    return Err(fail(format!("update of unknown offer id {id}")));
-                }
-            }
-            Event::Remove { id } => {
-                if !live.remove(id) {
-                    return Err(fail(format!("remove of unknown offer id {id}")));
-                }
-            }
-            Event::Query(_) => {}
-        }
+        let checked = ids.check(&event).map_err(|e| fail(e.to_string()))?;
+        ids.commit(checked);
         events.push(event);
     }
     if events.is_empty() {
@@ -380,14 +361,17 @@ mod tests {
             Event::Add(offer()).to_json_line(),
             Event::Remove { id: 3 }.to_json_line(), // the add above owns 3
         );
-        let events = parse_script_from(&script, vec![0, 2], 3).unwrap();
+        let events = parse_script_from(&script, Sequencer::seeded([0, 2], 3)).unwrap();
         assert_eq!(events.len(), 3);
         // The same script from a cold start fails on the first line.
         let err = parse_script(&script).unwrap_err();
         assert!(matches!(err, ScriptError::Line { line: 1, .. }), "{err}");
         // The hole (removed id 1) stays dead in the seeded parse too.
-        let err =
-            parse_script_from("{\"event\":\"remove\",\"id\":1}\n", vec![0, 2], 3).unwrap_err();
+        let err = parse_script_from(
+            "{\"event\":\"remove\",\"id\":1}\n",
+            Sequencer::seeded([0, 2], 3),
+        )
+        .unwrap_err();
         assert!(
             err.to_string().contains("remove of unknown offer id 1"),
             "{err}"

@@ -30,6 +30,9 @@
 //! * [`Event`] / script parsing ([`parse_script`]) — the JSONL wire format
 //!   `flexctl serve --script` replays, statically validated (line-numbered
 //!   errors, unknown-id references, empty scripts).
+//! * [`Sequencer`] — the one live-id check: script parsing, the TCP
+//!   front and the cluster supervisor all decide through it which ids an
+//!   update or remove may name and which id an add owns.
 //! * [`batch`] — the from-scratch oracle: the same queries answered by
 //!   rebuilding the portfolio and running the flat engine.
 //!
@@ -68,6 +71,7 @@ pub mod config;
 pub mod event;
 pub mod live;
 pub mod report;
+pub mod sequencer;
 pub mod server;
 
 pub use config::{DurabilityConfig, ServeConfig};
@@ -76,4 +80,5 @@ pub use live::{
     BookExport, ImportError, LiveBook, LiveError, MeasureRow, ShardCacheExport, ShardExport,
 };
 pub use report::{AggregateReportJson, AggregateSummaryJson};
+pub use sequencer::{Checked, Sequencer, UnknownId};
 pub use server::{EventSink, LiveHandle, LiveServer, ServeError};

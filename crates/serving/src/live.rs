@@ -48,7 +48,7 @@ use std::time::Instant;
 use flexoffers_aggregation::{aggregate, Aggregate, KeyIndex};
 use flexoffers_engine::scenario::{flatten_rows, ScenarioError};
 use flexoffers_engine::{
-    parallel_map, reduce_measure_rows, splitmix64, stable_shard, Engine, EngineError,
+    parallel_map, reduce_measure_rows, splitmix64, stable_shard, Budget, Engine, EngineError,
     PortfolioReport, ScenarioKind,
 };
 use flexoffers_market::baseline_load;
@@ -339,6 +339,11 @@ impl LiveBook {
         &self.config
     }
 
+    /// The evaluation budget queries run under.
+    pub fn budget(&self) -> Budget {
+        self.engine.budget()
+    }
+
     /// How many times each shard's measure pass has run — the observable
     /// the incremental contract is asserted on: after a warm query, a
     /// single-offer update followed by another query bumps exactly one
@@ -370,9 +375,10 @@ impl LiveBook {
         self.owners.keys().copied().collect()
     }
 
-    /// The id the next add will receive. Together with [`live_ids`]
-    /// this is the state [`parse_script_from`](crate::parse_script_from)
-    /// needs to validate a script that *continues* this book's history.
+    /// The id the next add will receive. Together with
+    /// [`live_ids`](Self::live_ids) this is the book's
+    /// [`Sequencer`](crate::Sequencer) — what a script that *continues*
+    /// this book's history is validated against.
     pub fn next_id(&self) -> u64 {
         self.next_id
     }

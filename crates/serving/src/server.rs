@@ -29,6 +29,7 @@ use flexoffers_model::FlexOffer;
 use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
 use crate::live::{LiveBook, LiveError};
+use crate::sequencer::Sequencer;
 
 /// Why a handle could not deliver an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,8 +64,8 @@ impl Error for ServeError {}
 
 /// A consumer of serving events — what the loop thread owns and drives.
 ///
-/// [`LiveBook`] is the memory-only sink; the storage crate's durable book
-/// journals each mutation before delegating to an inner `LiveBook`, which
+/// [`LiveBook`] is the memory-only sink; the storage crate's `Durable`
+/// journals each mutation before delegating to the book it wraps, which
 /// is how "journal before apply" rides the unchanged serving loop.
 pub trait EventSink: Send + 'static {
     /// What stops the loop (surfaced by [`LiveHandle::shutdown`]).
@@ -79,6 +80,10 @@ pub trait EventSink: Send + 'static {
     fn finish(&mut self) -> Result<(), Self::Error> {
         Ok(())
     }
+
+    /// The sink's id history — what a front validates mutations against
+    /// before they reach the loop.
+    fn sequencer(&self) -> Sequencer;
 }
 
 impl EventSink for LiveBook {
@@ -86,6 +91,10 @@ impl EventSink for LiveBook {
 
     fn apply(&mut self, event: Event) -> Result<Option<String>, LiveError> {
         LiveBook::apply(self, event)
+    }
+
+    fn sequencer(&self) -> Sequencer {
+        Sequencer::seeded(self.live_ids(), self.next_id())
     }
 }
 
@@ -334,6 +343,9 @@ mod tests {
         struct RecorderError;
         impl EventSink for Recorder {
             type Error = RecorderError;
+            fn sequencer(&self) -> Sequencer {
+                Sequencer::default()
+            }
             fn apply(&mut self, event: Event) -> Result<Option<String>, RecorderError> {
                 if matches!(event, Event::Remove { .. }) && self.fail_on_remove {
                     return Err(RecorderError);
@@ -394,6 +406,9 @@ mod tests {
         struct SlowSink;
         impl EventSink for SlowSink {
             type Error = LiveError;
+            fn sequencer(&self) -> Sequencer {
+                Sequencer::default()
+            }
             fn apply(&mut self, event: Event) -> Result<Option<String>, LiveError> {
                 Ok(match event {
                     Event::Query(_) => {
@@ -445,6 +460,9 @@ mod tests {
         struct SlowSink;
         impl EventSink for SlowSink {
             type Error = LiveError;
+            fn sequencer(&self) -> Sequencer {
+                Sequencer::default()
+            }
             fn apply(&mut self, event: Event) -> Result<Option<String>, LiveError> {
                 Ok(match event {
                     Event::Query(_) => {

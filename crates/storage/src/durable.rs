@@ -1,59 +1,147 @@
-//! The durable book: a [`LiveBook`] behind a journal-before-apply
+//! The durable sink: any [`Book`] behind a journal-before-apply
 //! [`EventSink`].
 //!
-//! [`DurableBook::open`] recovers (or starts empty), resumes the journal
-//! past any torn tail, and hands back a sink [`LiveServer::spawn_sink`]
-//! drives exactly like a memory-only book — same loop, same ordering, same
-//! answers. Each mutation is journaled *before* it touches the book, so a
-//! crash at any instant loses at most un-fsynced suffix events, never
+//! [`Durable::open`] recovers the book **in process** (empty files on
+//! first boot), resumes the journal past any torn tail, and builds the
+//! sink from the recovered [`LiveBook`] ([`Book::from_recovered`]): the
+//! book itself in process, a spawned and seeded worker fleet for a
+//! cluster. [`LiveServer::spawn_sink`] drives the result exactly like a
+//! memory-only book — same loop, same ordering, same answers. Each
+//! mutation is journaled *before* it touches the book, so a crash at any
+//! instant loses at most un-fsynced suffix events, never
 //! applied-but-unjournaled ones; queries are not journaled (they carry no
-//! state). Snapshots are written every `snapshot_every` mutations (journal
-//! synced first, so a snapshot never points past durable bytes) and at
-//! clean shutdown.
+//! state). Snapshots are cut from the book's export every
+//! `snapshot_every` mutations (journal synced first, so a snapshot never
+//! points past durable bytes) and at clean shutdown. Every book writes
+//! the same snapshot format, so the tiers adopt each other's files.
 //!
 //! [`LiveServer::spawn_sink`]: flexoffers_serving::LiveServer::spawn_sink
 
+use std::error::Error;
+use std::fmt;
 use std::path::PathBuf;
 
 use flexoffers_engine::Engine;
-use flexoffers_serving::{Event, EventSink, LiveBook, ServeConfig};
+use flexoffers_serving::{
+    BookExport, Event, EventSink, LiveBook, LiveError, Sequencer, ServeConfig,
+};
 
 use crate::error::StorageError;
 use crate::journal::Journal;
 use crate::recover::{recover, RecoveryReport};
 use crate::snapshot::{save_snapshot, Snapshot};
 
-/// A live book whose mutations are journaled before they apply.
+/// A book [`Durable`] can journal in front of.
+pub trait Book: EventSink + Sized {
+    /// What building the book takes besides the recovered state: `()` in
+    /// process, the shard-worker program for a cluster.
+    type Spawn;
+
+    /// Builds the book holding exactly `recovered`'s offers under their
+    /// ids. `shards` is the shard count [`Durable::open`] was given.
+    fn from_recovered(
+        recovered: LiveBook,
+        shards: usize,
+        spawn: Self::Spawn,
+    ) -> Result<Self, Self::Error>;
+
+    /// The book's current state, as a snapshot persists it.
+    fn export(&mut self) -> Result<BookExport, Self::Error>;
+}
+
+/// The in-process book keeps the recovered layout (a snapshot carries its
+/// own shard count; answers are shard-invariant).
+impl Book for LiveBook {
+    type Spawn = ();
+
+    fn from_recovered(recovered: LiveBook, _shards: usize, (): ()) -> Result<Self, LiveError> {
+        Ok(recovered)
+    }
+
+    fn export(&mut self) -> Result<BookExport, LiveError> {
+        Ok(LiveBook::export(self))
+    }
+}
+
+/// What a durable sink can fail with: the storage tier (journal,
+/// snapshot, recovery) or the book behind it.
 #[derive(Debug)]
-pub struct DurableBook {
-    book: LiveBook,
+pub enum DurableError<E> {
+    /// The journal, a snapshot, or recovery failed.
+    Storage(StorageError),
+    /// The book refused a journaled mutation.
+    Apply {
+        /// 1-based journal sequence number of the failing mutation.
+        seq: u64,
+        /// The book's rejection.
+        source: E,
+    },
+    /// The book failed outside a mutation (build, query, export,
+    /// finish).
+    Book(E),
+}
+
+impl<E: fmt::Display> fmt::Display for DurableError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DurableError::Storage(e) => write!(f, "{e}"),
+            DurableError::Apply { seq, source } => {
+                write!(f, "journal event {seq} failed to apply: {source}")
+            }
+            DurableError::Book(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl<E: Error + 'static> Error for DurableError<E> {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            DurableError::Storage(e) => Some(e),
+            DurableError::Apply { source, .. } | DurableError::Book(source) => Some(source),
+        }
+    }
+}
+
+impl<E> From<StorageError> for DurableError<E> {
+    fn from(e: StorageError) -> Self {
+        DurableError::Storage(e)
+    }
+}
+
+/// A book whose mutations are journaled before they apply.
+#[derive(Debug)]
+pub struct Durable<B> {
+    book: B,
     journal: Journal,
     snapshot_path: PathBuf,
     snapshot_every: Option<u64>,
     last_snapshot_seq: u64,
 }
 
-impl DurableBook {
-    /// Recovers from `config.durability`'s journal + snapshot (empty files
-    /// on first boot), truncates any torn journal tail, and opens the
-    /// journal for appending. Returns the book alongside what recovery
-    /// found.
+impl<B: Book> Durable<B> {
+    /// Recovers from `config.durability`'s journal + snapshot with
+    /// `shards` shards and `engine` (used when recovery starts from the
+    /// empty book), truncates any torn journal tail, opens the journal for
+    /// appending, and builds the book from the recovered state. Returns
+    /// the sink alongside what recovery found.
     pub fn open(
         config: ServeConfig,
         shards: usize,
         engine: Engine,
-    ) -> Result<(Self, RecoveryReport), StorageError> {
+        spawn: B::Spawn,
+    ) -> Result<(Self, RecoveryReport), DurableError<B::Error>> {
         let durability = config
             .durability
             .clone()
             .ok_or(StorageError::MissingDurability)?;
-        let (book, report) = recover(&config, shards, engine)?;
+        let (recovered, report) = recover(&config, shards, engine)?;
         let journal = Journal::resume(
             &durability.journal,
             durability.sync_every,
             report.committed_bytes,
             report.journal_events,
         )?;
+        let book = B::from_recovered(recovered, shards, spawn).map_err(DurableError::Book)?;
         Ok((
             Self {
                 book,
@@ -66,13 +154,13 @@ impl DurableBook {
         ))
     }
 
-    /// The wrapped live book.
-    pub fn book(&self) -> &LiveBook {
+    /// The wrapped book.
+    pub fn book(&self) -> &B {
         &self.book
     }
 
     /// Mutable access to the wrapped book (answers queries off-loop).
-    pub fn book_mut(&mut self) -> &mut LiveBook {
+    pub fn book_mut(&mut self) -> &mut B {
         &mut self.book
     }
 
@@ -84,18 +172,18 @@ impl DurableBook {
     /// Syncs the journal and writes a snapshot at the current sequence,
     /// returning that sequence. The journal sync comes first so the
     /// snapshot's `seq` never points past durable journal bytes.
-    pub fn snapshot_now(&mut self) -> Result<u64, StorageError> {
+    pub fn snapshot_now(&mut self) -> Result<u64, DurableError<B::Error>> {
         self.journal.sync()?;
         let snapshot = Snapshot {
             seq: self.journal.seq(),
-            export: self.book.export(),
+            export: self.book.export().map_err(DurableError::Book)?,
         };
         save_snapshot(&self.snapshot_path, &snapshot)?;
         self.last_snapshot_seq = snapshot.seq;
         Ok(snapshot.seq)
     }
 
-    fn maybe_snapshot(&mut self) -> Result<(), StorageError> {
+    fn maybe_snapshot(&mut self) -> Result<(), DurableError<B::Error>> {
         if let Some(every) = self.snapshot_every {
             if self.journal.seq() - self.last_snapshot_seq >= every.max(1) {
                 self.snapshot_now()?;
@@ -105,17 +193,21 @@ impl DurableBook {
     }
 }
 
-impl EventSink for DurableBook {
-    type Error = StorageError;
+impl<B: Book> EventSink for Durable<B> {
+    type Error = DurableError<B::Error>;
 
-    fn apply(&mut self, event: Event) -> Result<Option<String>, StorageError> {
+    fn apply(&mut self, event: Event) -> Result<Option<String>, Self::Error> {
         let mutation = !matches!(event, Event::Query(_));
         if mutation {
             self.journal.append(&event)?;
         }
-        let answer = self.book.apply(event).map_err(|e| StorageError::Apply {
-            seq: self.journal.seq(),
-            source: e,
+        let seq = self.journal.seq();
+        let answer = self.book.apply(event).map_err(|source| {
+            if mutation {
+                DurableError::Apply { seq, source }
+            } else {
+                DurableError::Book(source)
+            }
         })?;
         if mutation {
             self.maybe_snapshot()?;
@@ -123,9 +215,15 @@ impl EventSink for DurableBook {
         Ok(answer)
     }
 
-    fn finish(&mut self) -> Result<(), StorageError> {
-        self.journal.sync()?;
-        self.snapshot_now().map(|_| ())
+    /// The shutdown snapshot (which syncs the journal first), then the
+    /// book's own finish.
+    fn finish(&mut self) -> Result<(), Self::Error> {
+        self.snapshot_now()?;
+        self.book.finish().map_err(DurableError::Book)
+    }
+
+    fn sequencer(&self) -> Sequencer {
+        self.book.sequencer()
     }
 }
 
@@ -158,7 +256,8 @@ mod tests {
         let config = config_for(&dir.path().join("events.jsonl"), None);
         let journal_path = config.durability.as_ref().unwrap().journal.clone();
 
-        let (mut durable, report) = DurableBook::open(config, 2, Engine::sequential()).unwrap();
+        let (mut durable, report) =
+            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
         assert_eq!(report.journal_events, 0);
         durable.apply(Event::Add(offer(0))).unwrap();
         durable.apply(Event::Add(offer(1))).unwrap();
@@ -181,7 +280,8 @@ mod tests {
         let config = config_for(&dir.path().join("events.jsonl"), Some(4));
         let snapshot_path = config.durability.as_ref().unwrap().snapshot_path();
 
-        let (mut durable, _) = DurableBook::open(config, 3, Engine::sequential()).unwrap();
+        let (mut durable, _) =
+            Durable::<LiveBook>::open(config, 3, Engine::sequential(), ()).unwrap();
         for i in 0..6 {
             durable.apply(Event::Add(offer(i))).unwrap();
         }
@@ -198,7 +298,8 @@ mod tests {
         let dir = scratch_dir("durable_reopen");
         let config = config_for(&dir.path().join("events.jsonl"), Some(3));
 
-        let (mut durable, _) = DurableBook::open(config.clone(), 2, Engine::sequential()).unwrap();
+        let (mut durable, _) =
+            Durable::<LiveBook>::open(config.clone(), 2, Engine::sequential(), ()).unwrap();
         for i in 0..5 {
             durable.apply(Event::Add(offer(i))).unwrap();
         }
@@ -206,7 +307,8 @@ mod tests {
         let before = durable.book_mut().answer(QueryKind::Aggregate);
         drop(durable);
 
-        let (mut reopened, report) = DurableBook::open(config, 2, Engine::sequential()).unwrap();
+        let (mut reopened, report) =
+            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
         assert_eq!(report.journal_events, 5);
         assert_eq!(report.snapshot_seq, Some(5), "shutdown snapshot used");
         assert_eq!(report.replayed, 0);
@@ -224,7 +326,8 @@ mod tests {
         let config = config_for(&dir.path().join("events.jsonl"), Some(8));
         let journal_path = config.durability.as_ref().unwrap().journal.clone();
 
-        let (durable, _) = DurableBook::open(config.clone(), 2, Engine::sequential()).unwrap();
+        let (durable, _) =
+            Durable::<LiveBook>::open(config.clone(), 2, Engine::sequential(), ()).unwrap();
         let mut handle = LiveServer::spawn_sink(durable);
         handle.add(offer(0)).unwrap();
         handle.add(offer(1)).unwrap();
@@ -238,7 +341,8 @@ mod tests {
 
         // Recover and re-ask: byte-identical to the live answer's shape
         // at the same point (re-run the query pre-remove via a fresh book).
-        let (mut replayed, _) = DurableBook::open(config, 2, Engine::sequential()).unwrap();
+        let (mut replayed, _) =
+            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
         assert_eq!(replayed.book().len(), 1);
         let mut check = LiveBook::new(ServeConfig::default(), 2, Engine::sequential()).unwrap();
         check.add(offer(0));
@@ -251,9 +355,10 @@ mod tests {
     fn apply_errors_carry_their_sequence() {
         let dir = scratch_dir("durable_apply_err");
         let config = config_for(&dir.path().join("events.jsonl"), None);
-        let (mut durable, _) = DurableBook::open(config, 2, Engine::sequential()).unwrap();
+        let (mut durable, _) =
+            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
         durable.apply(Event::Add(offer(0))).unwrap();
         let err = durable.apply(Event::Remove { id: 42 }).unwrap_err();
-        assert!(matches!(err, StorageError::Apply { seq: 2, .. }), "{err}");
+        assert!(matches!(err, DurableError::Apply { seq: 2, .. }), "{err}");
     }
 }

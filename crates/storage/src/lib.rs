@@ -18,8 +18,9 @@
 //!   torn-tail truncation: an unterminated final journal line is
 //!   discarded, never an error. Corrupt files (a bad checksum, terminated
 //!   garbage) are named [`StorageError`] variants, never panics.
-//! * [`DurableBook`] — the journal-before-apply
-//!   [`EventSink`](flexoffers_serving::EventSink):
+//! * [`Durable`] — the journal-before-apply
+//!   [`EventSink`](flexoffers_serving::EventSink) over any [`Book`] (the
+//!   in-process `LiveBook`, or the cluster supervisor):
 //!   [`LiveServer::spawn_sink`](flexoffers_serving::LiveServer::spawn_sink)
 //!   drives it through the unchanged serving loop, so durability changes
 //!   where bytes live, never what bytes a query answers.
@@ -44,7 +45,7 @@ pub mod snapshot;
 #[cfg(test)]
 mod testutil;
 
-pub use durable::DurableBook;
+pub use durable::{Book, Durable, DurableError};
 pub use error::StorageError;
 pub use journal::{read_journal, Journal, JournalContents};
 pub use recover::{recover, RecoveryReport};

@@ -23,7 +23,7 @@ use crate::journal::read_journal;
 use crate::snapshot::load_snapshot;
 
 /// What recovery found and did — printed by `flexctl recover` and used by
-/// [`DurableBook::open`](crate::DurableBook::open) to resume the journal.
+/// [`Durable::open`](crate::Durable::open) to resume the journal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Committed events in the journal (torn tail excluded).
@@ -41,7 +41,7 @@ pub struct RecoveryReport {
 
 /// Recovers a [`LiveBook`] from `config.durability`'s journal + snapshot.
 /// Read-only: the journal file is not truncated (resuming appends is
-/// [`DurableBook::open`](crate::DurableBook::open)'s business).
+/// [`Durable::open`](crate::Durable::open)'s business).
 ///
 /// `shards` is used only when recovery starts from the empty book; a
 /// snapshot carries its own shard count (answers are shard-invariant, so

@@ -141,8 +141,8 @@ pub fn shard_to_value(shard: &ShardExport) -> Value {
 /// Because the body embeds the offers, the cached rows/baseline, *and*
 /// the commutative `key_digest`, two shards with equal digests answer
 /// every query identically (up to the 2⁻⁶⁴ collision odds any content
-/// hash accepts). Both sides of the pipe can compute it: the worker from
-/// its own shard, the supervisor from a cached or legacy full export.
+/// hash accepts). The worker ships it with every full export of its own
+/// shard; the supervisor caches what the worker confirmed.
 pub fn shard_digest(shard: &ShardExport) -> u64 {
     let body = serde_json::to_string(&shard_to_value(shard)).expect("shard values serialize");
     fnv1a64(body.as_bytes())

@@ -15,7 +15,7 @@ use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::batch;
 use flexoffers_serving::{DurabilityConfig, Event, EventSink, LiveBook, QueryKind, ServeConfig};
-use flexoffers_storage::{recover, save_snapshot, DurableBook, Snapshot, StorageError};
+use flexoffers_storage::{recover, save_snapshot, Durable, Snapshot, StorageError};
 use proptest::prelude::*;
 
 /// Scratch dir under the system temp dir (no tempfile crate in the tree),
@@ -159,7 +159,7 @@ proptest! {
         let config = durable_config(&dir.path().join("events.jsonl"), snapshot_every, 1);
 
         let (mut durable, _) =
-            DurableBook::open(config.clone(), serve_shards, Engine::sequential()).unwrap();
+            Durable::<LiveBook>::open(config.clone(), serve_shards, Engine::sequential(), ()).unwrap();
         for event in &events[..cut] {
             durable.apply(event.clone()).expect("resolved events are valid");
         }
@@ -218,7 +218,7 @@ proptest! {
         // a random point so truncation can land before, at, or after it.
         let snapshot_at = mutations.len() * snapshot_at_frac / 100;
         let (mut durable, _) =
-            DurableBook::open(config.clone(), 3, Engine::sequential()).unwrap();
+            Durable::<LiveBook>::open(config.clone(), 3, Engine::sequential(), ()).unwrap();
         for (i, event) in mutations.iter().enumerate() {
             durable.apply(event.clone()).expect("valid");
             if i + 1 == snapshot_at {
@@ -293,7 +293,8 @@ fn recovery_with_periodic_snapshots_matches_uninterrupted_run() {
         offer: offers[0].clone(),
     });
 
-    let (mut durable, _) = DurableBook::open(config.clone(), 4, Engine::sequential()).unwrap();
+    let (mut durable, _) =
+        Durable::<LiveBook>::open(config.clone(), 4, Engine::sequential(), ()).unwrap();
     for event in &events {
         durable.apply(event.clone()).unwrap();
     }
@@ -322,7 +323,8 @@ fn zero_replay_recovery_from_an_exact_snapshot() {
     let config = durable_config(&journal_path, None, 1);
     let durability = config.durability.clone().unwrap();
 
-    let (mut durable, _) = DurableBook::open(config.clone(), 2, Engine::sequential()).unwrap();
+    let (mut durable, _) =
+        Durable::<LiveBook>::open(config.clone(), 2, Engine::sequential(), ()).unwrap();
     for i in 0..9 {
         durable
             .apply(Event::Add(

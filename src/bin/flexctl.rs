@@ -97,27 +97,28 @@
 //! queries print to stdout exactly as `--script` would, and `--record
 //! PATH` writes the serialized history as a canonical script — replaying
 //! that record through `serve --script --batch` reproduces the answers
-//! byte-for-byte, which CI asserts. `--max-conns` sizes the worker pool,
-//! `--deadline-ms` bounds each query's answer wait (expiries return a
-//! structured `deadline` error), and SIGTERM/ctrl-c drains in-flight
-//! requests before the durable sink's final sync + snapshot. `flexctl
-//! bomb` is the matching load generator: `--conns` concurrent connections
-//! each sending `--events` add/update/remove/query requests, reporting
-//! throughput and latency percentiles.
+//! byte-for-byte, which CI asserts. `--max-conns` (at least 1) sizes the
+//! worker pool, `--deadline-ms` bounds each query's answer wait (expiries
+//! return a structured `deadline` error), and SIGTERM/ctrl-c drains
+//! in-flight requests before the durable sink's final sync + snapshot.
+//! `flexctl bomb` is the matching load generator: `--conns` concurrent
+//! connections each sending `--events` add/update/remove/query requests,
+//! reporting throughput and latency percentiles.
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use flexoffers::area::{render_flexoffer, render_union};
-use flexoffers::cluster::{ClusterBook, DurableCluster, WorkerSpec};
+use flexoffers::cluster::{ClusterBook, WorkerSpec};
 use flexoffers::engine::{Budget, Engine, Kernel};
 use flexoffers::measures::{all_measures, available_names, measure_by_name, Measure};
 use flexoffers::net::{percentile, signal, NetClient, NetConfig, NetServer, Reply};
 use flexoffers::serving::batch::BatchBook;
 use flexoffers::serving::{
-    parse_script, parse_script_from, DurabilityConfig, Event, LiveServer, QueryKind, ServeConfig,
+    parse_script, parse_script_from, DurabilityConfig, Event, EventSink, LiveBook, LiveHandle,
+    LiveServer, QueryKind, Sequencer, ServeConfig,
 };
-use flexoffers::storage::{recover as recover_book, DurableBook, RecoveryReport};
+use flexoffers::storage::{recover as recover_book, Durable, RecoveryReport};
 use flexoffers::workloads::{city_stream, district, event_stream, event_stream_len, EvCharger};
 use flexoffers::{
     FlexOffer, Partitioner, Portfolio, Scenario, ScenarioKind, SchedulerChoice, ShardedBook,
@@ -170,7 +171,8 @@ exactly one. --batch applies only to --script (the from-scratch oracle);
 it excludes --journal (nothing durable to resume), --shards (the oracle
 is deliberately the flat engine) and --workers. --record, --max-conns and
 --deadline-ms apply only to --listen. --journal composes with --script
-and --listen alike; --snapshot-every/--sync-every need --journal, and
+and --listen alike; --max-conns N (N >= 1, default 4) sizes the --listen
+connection worker pool; --snapshot-every/--sync-every need --journal, and
 both take N >= 1 (--sync-every N fsyncs every Nth mutation, 1 = every
 mutation; --snapshot-every N snapshots every Nth mutation — omit it for
 shutdown-only snapshots). --workers W (W >= 1) runs the book as W shard
@@ -743,6 +745,12 @@ fn serve(rest: &[String]) -> ExitCode {
         eprintln!("error: --workers must be at least 1 (each worker is one shard process)");
         return ExitCode::FAILURE;
     }
+    if max_conns == Some(0) {
+        eprintln!(
+            "error: --max-conns must be at least 1 (each connection slot is one worker thread)"
+        );
+        return ExitCode::FAILURE;
+    }
     if sync_every == Some(0) {
         eprintln!("error: --sync-every must be at least 1 (1 fsyncs every mutation)");
         return ExitCode::FAILURE;
@@ -779,204 +787,112 @@ fn serve(rest: &[String]) -> ExitCode {
     }
     let engine = Engine::new(budget);
 
-    if let Some(addr) = listen {
-        let net_config = NetConfig {
-            max_conns: max_conns.unwrap_or(4).max(1),
-            deadline: deadline_ms.map(std::time::Duration::from_millis),
-            record: record.map(std::path::PathBuf::from),
-        };
-        if let Some(workers) = workers {
-            let spec = match shard_worker_spec() {
-                Ok(spec) => spec,
+    let front = match (listen, script) {
+        (Some(addr), _) => Front::Listen(
+            addr,
+            NetConfig {
+                max_conns: max_conns.unwrap_or(4),
+                deadline: deadline_ms.map(std::time::Duration::from_millis),
+                record: record.map(std::path::PathBuf::from),
+            },
+        ),
+        (None, script) => {
+            let text = match read_input(&script.expect("checked above")) {
+                Ok(text) => text,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if config.durability.is_some() {
-                let (durable, report) = match DurableCluster::open(config, budget, workers, spec) {
-                    Ok(opened) => opened,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                report_resume(&report);
-                let live_ids = durable.cluster().live_ids();
-                let next_id = durable.cluster().next_id();
-                return listen_serve(
-                    &addr,
-                    net_config,
-                    LiveServer::spawn_sink(durable),
-                    live_ids,
-                    next_id,
-                );
+            if batch {
+                return serve_batch(&text, BatchBook::new(config, engine));
             }
-            let cluster = match ClusterBook::spawn(config, budget, workers, spec) {
-                Ok(cluster) => cluster,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            return listen_serve(
-                &addr,
-                net_config,
-                LiveServer::spawn_sink(cluster),
-                Vec::new(),
-                0,
-            );
-        }
-        if config.durability.is_some() {
-            let (durable, report) = match DurableBook::open(config, shards, engine) {
-                Ok(opened) => opened,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            report_resume(&report);
-            let live_ids = durable.book().live_ids();
-            let next_id = durable.book().next_id();
-            return listen_serve(
-                &addr,
-                net_config,
-                LiveServer::spawn_sink(durable),
-                live_ids,
-                next_id,
-            );
-        }
-        let handle = match LiveServer::spawn(config, shards, engine) {
-            Ok(handle) => handle,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return listen_serve(&addr, net_config, handle, Vec::new(), 0);
-    }
-
-    let script = script.expect("checked above");
-    let text = match read_input(&script) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            Front::Script(text)
         }
     };
 
-    if batch {
-        let events = match parse_script(&text) {
-            Ok(events) => events,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+    // Build the sink — in process or a worker fleet, memory-only or
+    // journaled — then drive it through the front. A journaled sink
+    // recovers first, so the front continues the recovered id history.
+    let durable = config.durability.is_some();
+    let served = match workers {
+        None if durable => Durable::<LiveBook>::open(config, shards, engine, ())
+            .map(|opened| serve_sink(resumed(opened), front))
+            .map_err(|e| e.to_string()),
+        None => LiveBook::new(config, shards, engine)
+            .map(|book| serve_sink(book, front))
+            .map_err(|e| e.to_string()),
+        Some(workers) => shard_worker_spec().and_then(|spec| {
+            if durable {
+                Durable::<ClusterBook>::open(config, workers, engine, spec)
+                    .map(|opened| serve_sink(resumed(opened), front))
+                    .map_err(|e| e.to_string())
+            } else {
+                ClusterBook::spawn(config, budget, workers, spec)
+                    .map(|cluster| serve_sink(cluster, front))
+                    .map_err(|e| e.to_string())
             }
-        };
-        let mut book = BatchBook::new(config, engine);
-        for event in events {
-            match book.apply(event) {
-                Ok(Some(line)) => println!("{line}"),
-                Ok(None) => {}
-                Err(e) => {
-                    // Unreachable for a validated script; kept as a guard.
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
+        }),
+    };
+    served.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
 
-    // The cluster paths mirror the in-process ones below: same serving
-    // loop, same script validation against recovered state — the sink is a
-    // supervisor over worker processes instead of a book in this process.
-    if let Some(workers) = workers {
-        let spec = match shard_worker_spec() {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if config.durability.is_some() {
-            let (durable, report) = match DurableCluster::open(config, budget, workers, spec) {
-                Ok(opened) => opened,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            report_resume(&report);
-            let events = match parse_script_from(
-                &text,
-                durable.cluster().live_ids(),
-                durable.cluster().next_id(),
-            ) {
-                Ok(events) => events,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            return drive(LiveServer::spawn_sink(durable), events);
-        }
-        let events = match parse_script(&text) {
-            Ok(events) => events,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let cluster = match ClusterBook::spawn(config, budget, workers, spec) {
-            Ok(cluster) => cluster,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return drive(LiveServer::spawn_sink(cluster), events);
-    }
+/// Where `serve` takes its events from.
+enum Front {
+    /// A script's text (`--script`), validated against the sink's ids.
+    Script(String),
+    /// The TCP front (`--listen ADDR`).
+    Listen(String, NetConfig),
+}
 
-    // The durable and memory-only paths ride the same serving loop; the
-    // only difference is which sink the loop drives — and that a durable
-    // script is validated against the *recovered* state, so a resumed
-    // journal accepts updates of ids the prior run added.
-    if config.durability.is_some() {
-        let (durable, report) = match DurableBook::open(config, shards, engine) {
-            Ok(opened) => opened,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        report_resume(&report);
-        let events =
-            match parse_script_from(&text, durable.book().live_ids(), durable.book().next_id()) {
-                Ok(events) => events,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        return drive(LiveServer::spawn_sink(durable), events);
-    }
-
-    let events = match parse_script(&text) {
+/// `serve --script --batch`: the from-scratch oracle, one answer line per
+/// query.
+fn serve_batch(text: &str, mut book: BatchBook) -> ExitCode {
+    let events = match parse_script(text) {
         Ok(events) => events,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let handle = match LiveServer::spawn(config, shards, engine) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    for event in events {
+        match book.apply(event) {
+            Ok(Some(line)) => println!("{line}"),
+            Ok(None) => {}
+            Err(e) => {
+                // Unreachable for a validated script; kept as a guard.
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-    };
-    drive(handle, events)
+    }
+    ExitCode::SUCCESS
+}
+
+/// Drives a built sink through `front` on the serving loop. Both fronts
+/// validate ids against the sink's own [`Sequencer`]. A script that fails
+/// validation drops the sink unserved (a fleet's workers are killed and
+/// reaped with it).
+fn serve_sink<S: EventSink>(sink: S, front: Front) -> ExitCode
+where
+    S::Error: std::fmt::Debug + std::fmt::Display,
+{
+    let ids = sink.sequencer();
+    match front {
+        Front::Script(text) => match parse_script_from(&text, ids) {
+            Ok(events) => drive(LiveServer::spawn_sink(sink), events),
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        Front::Listen(addr, config) => {
+            listen_serve(&addr, config, LiveServer::spawn_sink(sink), ids)
+        }
+    }
 }
 
 /// The spec `serve --workers` spawns shard workers from: this same
@@ -988,9 +904,9 @@ fn shard_worker_spec() -> Result<WorkerSpec, String> {
     Ok(WorkerSpec::new(exe).arg("shard-worker"))
 }
 
-/// Announces a resumed journal on stderr (silent for a fresh one) — shared
-/// by every durable serve path, in-process and cluster alike.
-fn report_resume(report: &RecoveryReport) {
+/// Announces a resumed journal on stderr (silent for a fresh one) and
+/// hands back the opened sink.
+fn resumed<S>((sink, report): (S, RecoveryReport)) -> S {
     if report.journal_events > 0 {
         eprintln!(
             "resumed journal at seq {} ({} replayed on top of {})",
@@ -1002,14 +918,12 @@ fn report_resume(report: &RecoveryReport) {
             }
         );
     }
+    sink
 }
 
 /// Feeds a parsed script through a spawned serving loop, printing one line
 /// per query, and reports how the loop shut down.
-fn drive<E: std::fmt::Display>(
-    mut handle: flexoffers::serving::LiveHandle<E>,
-    events: Vec<Event>,
-) -> ExitCode {
+fn drive<E: std::fmt::Display>(mut handle: LiveHandle<E>, events: Vec<Event>) -> ExitCode {
     for event in events {
         match handle.send(event) {
             Ok(Some(line)) => println!("{line}"),
@@ -1034,11 +948,10 @@ fn drive<E: std::fmt::Display>(
 fn listen_serve<E: std::fmt::Debug + std::fmt::Display + Send + 'static>(
     addr: &str,
     config: NetConfig,
-    handle: flexoffers::serving::LiveHandle<E>,
-    live_ids: Vec<u64>,
-    next_id: u64,
+    handle: LiveHandle<E>,
+    ids: Sequencer,
 ) -> ExitCode {
-    let server = match NetServer::bind(addr, config, handle, live_ids, next_id) {
+    let server = match NetServer::bind(addr, config, handle, ids) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: cannot listen on {addr}: {e}");

@@ -80,10 +80,13 @@ fn path_str(path: &Path) -> &str {
     path.to_str().expect("scratch paths are UTF-8")
 }
 
-/// A `flexctl serve --listen` child plus the address it bound.
+/// A `flexctl serve --listen` child plus the address it bound. Dropping
+/// it unterminated (a failed assertion) kills the child.
 struct Server {
-    child: Child,
+    child: Option<Child>,
     stderr: BufReader<ChildStderr>,
+    /// Stderr lines before `listening on` (worker starts, journal resumes).
+    preamble: String,
     addr: String,
 }
 
@@ -98,35 +101,41 @@ impl Server {
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
         let mut child = cmd.spawn().expect("flexctl serve --listen spawns");
-        let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-        let mut line = String::new();
-        stderr
-            .read_line(&mut line)
-            .expect("server announces its address");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected first stderr line: {line:?}"))
-            .to_owned();
-        Server {
-            child,
+        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let mut server = Server {
+            child: Some(child),
             stderr,
-            addr,
+            preamble: String::new(),
+            addr: String::new(),
+        };
+        loop {
+            let mut line = String::new();
+            let n = server
+                .stderr
+                .read_line(&mut line)
+                .expect("server announces its address");
+            assert!(n > 0, "server exited before listening: {}", server.preamble);
+            if let Some(addr) = line.trim().strip_prefix("listening on ") {
+                server.addr = addr.to_owned();
+                return server;
+            }
+            server.preamble.push_str(&line);
         }
     }
 
-    /// SIGTERMs the child and returns (stdout, remaining stderr); asserts
-    /// a clean exit.
+    /// SIGTERMs the child and returns (stdout, stderr minus the
+    /// `listening on` line); asserts a clean exit.
     fn terminate(mut self) -> (String, String) {
-        let pid = self.child.id().to_string();
+        let child = self.child.take().expect("terminated once");
+        let pid = child.id().to_string();
         // Child::kill is SIGKILL; graceful drain needs a real SIGTERM.
         let status = Command::new("kill")
             .args(["-TERM", &pid])
             .status()
             .expect("kill runs");
         assert!(status.success(), "kill -TERM {pid}");
-        let out = self.child.wait_with_output().expect("server exits");
-        let mut rest = String::new();
+        let out = child.wait_with_output().expect("server exits");
+        let mut rest = std::mem::take(&mut self.preamble);
         self.stderr
             .read_to_string(&mut rest)
             .expect("stderr drains");
@@ -138,6 +147,15 @@ impl Server {
             String::from_utf8(out.stdout).expect("answers are UTF-8"),
             rest,
         )
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 }
 
@@ -330,8 +348,66 @@ fn serve_flag_conflicts_are_named_errors() {
         "{err}"
     );
 
+    // A pool of zero connection slots would accept and never serve.
+    let err = stderr_of_failure(
+        &["serve", "--listen", "127.0.0.1:0", "--max-conns", "0"],
+        None,
+    );
+    assert!(err.contains("--max-conns must be at least 1"), "{err}");
+
     let err = stderr_of_failure(&["bomb"], None);
     assert!(err.contains("bomb needs --addr"), "{err}");
+}
+
+/// A `--listen --journal` server continues the id history an earlier run
+/// left, in process and across shard workers alike: the id run 1 removed
+/// stays dead, and the next add continues the sequence.
+#[test]
+fn a_resumed_listen_journal_continues_the_id_history() {
+    let offers: Vec<_> = city_stream(11, 4).take(4).collect();
+    assert_eq!(offers.len(), 4, "the city has four offers to add");
+    for tier in [&[][..], &["--workers", "2"][..]] {
+        let dir = scratch_dir("resume");
+        let journal = dir.join("events.journal");
+        let mut args = vec!["--journal", path_str(&journal)];
+        args.extend_from_slice(tier);
+
+        // Run 1: three adds over TCP, remove id 1, SIGTERM.
+        let server = Server::spawn(&args);
+        let mut client = NetClient::connect(server.addr.as_str()).expect("client connects");
+        for (id, offer) in offers[..3].iter().enumerate() {
+            let reply = client.send_event(&Event::Add(offer.clone())).expect("add");
+            assert_eq!(reply.assigned_id(), Some(id as u64), "{tier:?}: {reply:?}");
+        }
+        let reply = client.send_event(&Event::Remove { id: 1 }).expect("remove");
+        expect_ok(reply, "remove");
+        drop(client);
+        server.terminate();
+
+        // Run 2 on the same journal.
+        let server = Server::spawn(&args);
+        let mut client = NetClient::connect(server.addr.as_str()).expect("client connects");
+        let update = Event::Update {
+            id: 1,
+            offer: offers[0].clone(),
+        };
+        let reply = client.send_event(&update).expect("update sends");
+        assert_eq!(
+            error_code(&reply),
+            Some("unknown_id"),
+            "{tier:?}: {reply:?}"
+        );
+        let reply = client
+            .send_event(&Event::Add(offers[3].clone()))
+            .expect("add");
+        assert_eq!(reply.assigned_id(), Some(3), "{tier:?}: {reply:?}");
+        drop(client);
+        let (_, stderr) = server.terminate();
+        assert!(
+            stderr.contains("resumed journal at seq 4"),
+            "{tier:?}: {stderr}"
+        );
+    }
 }
 
 /// `flexctl bomb` drives a live server end to end and reports latency
