@@ -534,23 +534,4 @@ mod tests {
         );
         assert!(number("dirty_bytes") > 0.0, "dirty shards still ship bytes");
     }
-
-    #[test]
-    fn committed_sharded_baseline_feeds_the_same_gate() {
-        // BENCH_sharded.json reuses the engine-bench schema (each run
-        // carries an extra `shards` field this mirror ignores), so the one
-        // bench_check binary gates both baselines. This pins that the
-        // committed sharded report keeps parsing and self-checking.
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_sharded.json"
-        ))
-        .expect("committed sharded baseline exists");
-        let baseline: EngineBenchReport = serde_json::from_str(&text).expect("baseline parses");
-        assert_eq!(baseline.schema, ENGINE_BENCH_SCHEMA);
-        assert!(!baseline.engine.is_empty());
-        assert!(!baseline.sequential.is_empty());
-        let verdict = check_regression(&baseline, &baseline, DEFAULT_MIN_RATIO).unwrap();
-        assert!(verdict.passed());
-    }
 }

@@ -13,9 +13,11 @@ pub enum EngineError {
     /// A chunk size of zero was requested; chunks must hold at least one
     /// offer.
     ZeroChunkSize,
-    /// A shard count of zero was requested; a sharded book always needs at
-    /// least one shard. (Without this guard the hash partitioner's
+    /// A shard count of zero was requested; a sharded live book always
+    /// needs at least one shard. (Without this guard [`stable_shard`]'s
     /// `id % shards` would panic with a divide-by-zero.)
+    ///
+    /// [`stable_shard`]: crate::stable_shard
     ZeroShards,
 }
 
@@ -174,11 +176,8 @@ impl Budget {
     /// `threads / shards` is zero whenever the shard count exceeds the
     /// thread budget (the degenerate-shard regime), and a zero-thread
     /// budget is a constructor error — every knob combination must degrade
-    /// to a sequential worker instead. Public so the serving tier's live
-    /// book splits its budget exactly the way [`ShardedBook`]'s pipelines
-    /// do.
-    ///
-    /// [`ShardedBook`]: crate::ShardedBook
+    /// to a sequential worker instead. Used by the serving tier's live
+    /// book, which re-evaluates its dirty shards side by side.
     pub fn per_shard(&self, shards: usize) -> Budget {
         Budget {
             threads: (self.threads / shards.max(1)).max(1),

@@ -247,10 +247,9 @@ impl Engine {
     /// reduced problem on the calling thread, realize every aggregate's
     /// plan at member level in parallel, and scatter the member
     /// assignments back to input positions. One implementation behind
-    /// [`Engine::schedule_portfolio`], the sharded
-    /// [`Engine::schedule_book`](crate::shard), and the serving tier's
-    /// incremental schedule query — so the pipeline's stages cannot drift
-    /// between the flat, sharded, and live paths.
+    /// [`Engine::schedule_portfolio`] and the serving tier's incremental
+    /// schedule query — so the pipeline's stages cannot drift between the
+    /// batch and live paths.
     pub fn schedule_aggregates(
         &self,
         aggregates: &[Aggregate],
@@ -345,14 +344,13 @@ impl Engine {
     }
 }
 
-/// The deterministic merge behind [`Engine::measure_portfolio`] and the
-/// sharded book's merge tier: rows arrive in portfolio order, and each
-/// measure's reduction walks offers in that order, mirroring its
-/// [`Measure::of_set`] semantics (short-circuit on the first error; sum,
-/// or average for relative area). Keeping the reduction in one function is
-/// what makes flat, sharded, and *incrementally cached* measurement
-/// (the serving tier feeds it rows gathered from per-shard caches)
-/// bitwise identical by construction.
+/// The deterministic merge behind [`Engine::measure_portfolio`]: rows
+/// arrive in portfolio order, and each measure's reduction walks offers in
+/// that order, mirroring its [`Measure::of_set`] semantics (short-circuit
+/// on the first error; sum, or average for relative area). Keeping the
+/// reduction in one function is what makes batch and *incrementally
+/// cached* measurement (the serving tier feeds it rows gathered from
+/// per-shard caches) bitwise identical by construction.
 pub fn reduce_measure_rows(
     measures: &[Box<dyn Measure>],
     rows: &[Vec<Result<f64, MeasureError>>],

@@ -22,16 +22,12 @@
 //! * [`Engine::simulate`] — a [`Scenario`] (workload seed, tolerance and
 //!   market knobs, scheduler choice) run end to end into a
 //!   [`ScenarioReport`] with text/JSON rendering —
-//!   [`Engine::simulate_portfolio`] / [`Engine::simulate_book`] run the
-//!   same pipelines over a caller-supplied portfolio or book (the seam the
-//!   live serving tier and the CLI's batch replay share);
-//! * [`ShardedBook`] — the portfolio partitioned into K shards
-//!   (hash-by-offer-id or tolerance-group-aware), with per-shard workers
-//!   and a merge tier behind [`Engine::measure_book`],
-//!   [`Engine::aggregate_book`], [`Engine::schedule_book`],
-//!   [`Engine::trade_book`] and [`Engine::simulate_sharded`] — every one
-//!   bitwise identical to its flat counterpart (see the [`shard`] module
-//!   docs);
+//!   [`Engine::simulate_portfolio`] runs the same pipelines over a
+//!   caller-supplied portfolio (the seam the serving tier's batch oracle
+//!   and the CLI share);
+//! * [`stable_shard`] — the one stable hash placement the serving tier's
+//!   live book and the cluster route offers by (a batch portfolio has one
+//!   path: flat, parallel by the [`Budget`]'s thread count);
 //! * [`parallel_map`] — the shared deterministic fan-out helper the engine
 //!   and the experiment binaries use, so thread logic lives in one place.
 //!
@@ -88,4 +84,4 @@ pub use engine::{reduce_measure_rows, Engine, TradeOutcome};
 pub use report::{MeasureSummary, PortfolioReport};
 pub use scenario::{Scenario, ScenarioError, ScenarioKind, SchedulerChoice};
 pub use scenario_report::{CorrelationSummary, MarketSummary, ScenarioReport, ScheduleSummary};
-pub use shard::{splitmix64, stable_shard, Partitioner, Shard, ShardedBook};
+pub use shard::{splitmix64, stable_shard};

@@ -1,80 +1,11 @@
-//! Sharded portfolio books: partition a multi-million-offer portfolio into
-//! K shards, run the engine's pipelines per shard, and merge
-//! deterministically.
+//! Stable shard placement — the one hash every sharded tier routes by.
 //!
-//! The flat [`Engine`](crate::Engine) walks one contiguous `Portfolio`;
-//! that is the bottleneck the ROADMAP's million-offer north star hits
-//! first — one giant allocation, one chunked loop. A [`ShardedBook`]
-//! splits the book into per-shard buffers (built eagerly from a slice or
-//! lazily from an offer stream), per-shard workers run the existing
-//! measure/baseline passes independently, and a merge tier reduces shard
-//! results in a fixed global order. Aggregation-based pipelines
-//! (schedule, trade) keep their parallel unit — the tolerance group —
-//! computed *globally* from 16-byte `(tes, tf)` keys
-//! ([`flexoffers_aggregation::group_keys`]), because shard-local grouping
-//! would change group boundaries and with them the results.
-//!
-//! # Determinism
-//!
-//! Every book pipeline is **bitwise identical** to its flat counterpart at
-//! any (shards × threads × chunk) combination and under either
-//! [`Partitioner`]:
-//!
-//! * measurement scatters per-offer rows back to global portfolio order
-//!   and reduces them with the exact code path
-//!   [`Engine::measure_portfolio`] uses;
-//! * grouping is a pure function of the global `(tes, tf)` keys, never of
-//!   the partition, so aggregates come out in the flat engine's group
-//!   order with the flat engine's contents;
-//! * the baseline load is summed per shard — integer series addition is
-//!   exact and order-insensitive;
-//! * scheduling and settlement folds run on the merge tier in the same
-//!   order the flat pipelines use.
-//!
-//! The property suite in `tests/props.rs` pins flat/sharded agreement
-//! across random portfolios, shard counts, budgets, and both partitioners.
-
-use flexoffers_aggregation::{aggregate, group_keys, Aggregate, GroupingParams};
-use flexoffers_market::{Aggregator, LotDecision, SpotMarket};
-use flexoffers_measures::{all_measures, Measure, MeasureError};
-use flexoffers_model::{FlexOffer, Portfolio};
-use flexoffers_scheduling::{PipelineOutcome, Scheduler, SchedulingError};
-use flexoffers_timeseries::ops::sum_series;
-use flexoffers_timeseries::Series;
-use std::time::Instant;
-
-use crate::budget::EngineError;
-use crate::chunk::parallel_map;
-use crate::engine::{reduce_measure_rows, Engine, TradeOutcome};
-use crate::report::PortfolioReport;
-
-/// How offers are assigned to shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Partitioner {
-    /// Shard by a stable 64-bit mix of the offer's id (its position in the
-    /// logical portfolio): `splitmix64(id) % shards`. Spreads any arrival
-    /// order evenly and supports streaming construction
-    /// ([`ShardedBook::collect_hashed`]), but tolerance groups may straddle
-    /// shards — group-level work then gathers members across shards.
-    HashById,
-    /// Shard whole tolerance groups: the global grouping under the given
-    /// [`GroupingParams`] is computed first, then each group lands on the
-    /// currently least-loaded shard (ties to the lowest shard index). A
-    /// group never straddles shards, so group-level pipelines touch only
-    /// shard-local offers. Requires the whole portfolio up front.
-    GroupAware(GroupingParams),
-}
-
-impl Partitioner {
-    /// A short human-readable label (reports, bench rows).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Partitioner::HashById => "hash-by-id",
-            Partitioner::GroupAware(_) => "group-aware",
-        }
-    }
-}
+//! The serving tier's live book, the cross-process cluster supervisor and
+//! the benchmark harness all place an offer with logical id `id` on shard
+//! `stable_shard(id, shards)`. The placement never changes an answer
+//! (every merge is partition-independent); it only spreads load, and it
+//! must stay reproducible across toolchains so journals, snapshots and
+//! committed baselines keep meaning the same thing.
 
 /// `splitmix64` — a stable, platform-independent 64-bit mix. The standard
 /// library's `DefaultHasher` is explicitly not stable across releases, and
@@ -88,565 +19,32 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The [`Partitioner::HashById`] placement function: which of `shards`
-/// shards owns the offer with logical id `id` (`splitmix64(id) % shards`).
-/// Exposed so the serving tier's live book routes streamed adds to the
-/// exact shard a batch [`ShardedBook::collect_hashed`] build would pick.
+/// Which of `shards` shards owns the offer with logical id `id`
+/// (`splitmix64(id) % shards`).
 ///
 /// # Panics
 ///
 /// Panics if `shards` is zero — callers guard with
-/// [`EngineError::ZeroShards`] first, exactly as the book constructors do.
+/// [`EngineError::ZeroShards`](crate::EngineError::ZeroShards) first.
 pub fn stable_shard(id: u64, shards: usize) -> usize {
     assert!(shards > 0, "shard count must be at least 1");
     (splitmix64(id) % shards as u64) as usize
 }
 
-/// One shard of a [`ShardedBook`]: its offers plus the global (logical
-/// portfolio) index of each.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Shard {
-    offers: Vec<FlexOffer>,
-    global: Vec<usize>,
-}
-
-impl Shard {
-    /// The shard's offers, in shard-local order.
-    pub fn offers(&self) -> &[FlexOffer] {
-        &self.offers
-    }
-
-    /// `global_indices()[i]` is the logical-portfolio position of
-    /// `offers()[i]`.
-    pub fn global_indices(&self) -> &[usize] {
-        &self.global
-    }
-
-    /// Number of offers in this shard.
-    pub fn len(&self) -> usize {
-        self.offers.len()
-    }
-
-    /// `true` when the shard holds no offers (legal: more shards than
-    /// offers simply leaves some shards empty).
-    pub fn is_empty(&self) -> bool {
-        self.offers.is_empty()
-    }
-}
-
-/// A portfolio partitioned into K shards, plus the owner table mapping
-/// every logical index back to its shard — the data layer under the
-/// engine's `*_book` pipelines.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardedBook {
-    shards: Vec<Shard>,
-    /// `owners[g] = (shard, local)` for logical offer `g`.
-    owners: Vec<(usize, usize)>,
-}
-
-impl ShardedBook {
-    /// Partitions a borrowed offer slice (offers are cloned into shards).
-    pub fn partition(
-        offers: &[FlexOffer],
-        shards: usize,
-        partitioner: &Partitioner,
-    ) -> Result<Self, EngineError> {
-        Self::from_offers(offers.to_vec(), shards, partitioner)
-    }
-
-    /// Partitions an owned portfolio without cloning the offers.
-    pub fn from_portfolio(
-        portfolio: Portfolio,
-        shards: usize,
-        partitioner: &Partitioner,
-    ) -> Result<Self, EngineError> {
-        Self::from_offers(portfolio.into_offers(), shards, partitioner)
-    }
-
-    /// Partitions an owned offer vector without cloning the offers.
-    pub fn from_offers(
-        offers: Vec<FlexOffer>,
-        shards: usize,
-        partitioner: &Partitioner,
-    ) -> Result<Self, EngineError> {
-        match partitioner {
-            Partitioner::HashById => Self::collect_hashed(offers, shards),
-            Partitioner::GroupAware(params) => Self::group_aware(offers, shards, params),
-        }
-    }
-
-    /// Builds a hash-partitioned book straight from an offer stream — the
-    /// million-offer construction path: each offer goes to
-    /// `splitmix64(id) % shards` as it arrives, so peak memory is the
-    /// shards themselves, never one full-portfolio `Vec`
-    /// (pair with [`flexoffers_workloads::city_stream`]).
-    pub fn collect_hashed(
-        offers: impl IntoIterator<Item = FlexOffer>,
-        shards: usize,
-    ) -> Result<Self, EngineError> {
-        if shards == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let mut book = Self {
-            shards: vec![Shard::default(); shards],
-            owners: Vec::new(),
-        };
-        for (id, fo) in offers.into_iter().enumerate() {
-            let s = stable_shard(id as u64, shards);
-            book.owners.push((s, book.shards[s].len()));
-            book.shards[s].offers.push(fo);
-            book.shards[s].global.push(id);
-        }
-        Ok(book)
-    }
-
-    fn group_aware(
-        offers: Vec<FlexOffer>,
-        shards: usize,
-        params: &GroupingParams,
-    ) -> Result<Self, EngineError> {
-        if shards == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let keys: Vec<(i64, i64)> = offers
-            .iter()
-            .map(|fo| (fo.earliest_start(), fo.time_flexibility()))
-            .collect();
-        let groups = group_keys(&keys, params);
-
-        let mut slots: Vec<Option<FlexOffer>> = offers.into_iter().map(Some).collect();
-        let mut book = Self {
-            shards: vec![Shard::default(); shards],
-            owners: vec![(0, 0); slots.len()],
-        };
-        for group in groups {
-            // Least-loaded shard, ties to the lowest index: deterministic
-            // and balanced without ever splitting a group.
-            let s = (0..shards)
-                .min_by_key(|&s| book.shards[s].len())
-                .expect("at least one shard");
-            for g in group {
-                let fo = slots[g].take().expect("groups partition the offers");
-                book.owners[g] = (s, book.shards[s].len());
-                book.shards[s].offers.push(fo);
-                book.shards[s].global.push(g);
-            }
-        }
-        Ok(book)
-    }
-
-    /// Number of offers across all shards.
-    pub fn len(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// `true` when the book holds no offers.
-    pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
-    }
-
-    /// Number of shards (including empty ones).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, in shard order.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// Per-shard offer counts, in shard order.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::len).collect()
-    }
-
-    /// The offer at logical-portfolio position `global`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global >= self.len()`.
-    pub fn offer(&self, global: usize) -> &FlexOffer {
-        let (s, local) = self.owners[global];
-        &self.shards[s].offers[local]
-    }
-
-    /// The `(earliest_start, time_flexibility)` grouping keys in logical
-    /// order — what the merge tier groups on without flattening the book.
-    pub(crate) fn grouping_keys(&self) -> Vec<(i64, i64)> {
-        let mut keys = vec![(0i64, 0i64); self.len()];
-        for shard in &self.shards {
-            for (fo, &g) in shard.offers.iter().zip(&shard.global) {
-                keys[g] = (fo.earliest_start(), fo.time_flexibility());
-            }
-        }
-        keys
-    }
-
-    /// The global tolerance grouping — identical to
-    /// [`flexoffers_aggregation::group_indices`] over the logical
-    /// portfolio, with indices in logical order.
-    pub fn global_groups(&self, params: &GroupingParams) -> Vec<Vec<usize>> {
-        group_keys(&self.grouping_keys(), params)
-    }
-
-    /// Reassembles the logical portfolio (clones every offer) — for tests
-    /// and for callers that need the flat view back.
-    pub fn to_portfolio(&self) -> Portfolio {
-        (0..self.len()).map(|g| self.offer(g).clone()).collect()
-    }
-
-    /// The merge tier's scatter: per-shard worker results
-    /// (`per_shard[s][i]` for `shards()[s].offers()[i]`) reassembled into
-    /// logical portfolio order. One implementation for every `*_book`
-    /// pipeline, so a scatter fix can never miss a pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_shard` does not mirror the book's shard shape.
-    pub(crate) fn scatter<T>(&self, per_shard: Vec<Vec<T>>) -> Vec<T> {
-        let mut out: Vec<Option<T>> = (0..self.len()).map(|_| None).collect();
-        for (shard, results) in self.shards.iter().zip(per_shard) {
-            assert_eq!(shard.len(), results.len(), "one result per shard offer");
-            for (&g, r) in shard.global.iter().zip(results) {
-                out[g] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("shards partition the book"))
-            .collect()
-    }
-}
-
-impl Engine {
-    /// [`Engine::measure_portfolio`] over a sharded book: per-shard
-    /// workers run the existing per-offer row pass (each with a
-    /// [`Budget`](crate::Budget) split share of this engine's threads),
-    /// and the merge tier scatters the rows back to logical order and
-    /// reduces them with the flat engine's own reduction — the report's
-    /// summaries are **bitwise identical** to measuring the flat
-    /// portfolio, for any shard count and either partitioner.
-    pub fn measure_book(
-        &self,
-        book: &ShardedBook,
-        measures: &[Box<dyn Measure>],
-    ) -> PortfolioReport {
-        let started = Instant::now();
-        let rows = self.book_rows(book, measures);
-        let summaries = reduce_measure_rows(measures, &rows);
-        PortfolioReport {
-            offers: book.len(),
-            threads: self.budget().threads(),
-            chunk_size: self.budget().chunk_size_for(book.len()),
-            elapsed: started.elapsed(),
-            summaries,
-        }
-    }
-
-    /// [`Engine::measure_book`] over the paper's eight measures.
-    pub fn measure_book_all(&self, book: &ShardedBook) -> PortfolioReport {
-        self.measure_book(book, &all_measures())
-    }
-
-    /// Per-offer measure rows in logical portfolio order, computed by
-    /// per-shard workers and scattered back through the owner table.
-    pub(crate) fn book_rows(
-        &self,
-        book: &ShardedBook,
-        measures: &[Box<dyn Measure>],
-    ) -> Vec<Vec<Result<f64, MeasureError>>> {
-        type Row = Vec<Result<f64, MeasureError>>;
-        let worker = Engine::new(self.budget().per_shard(book.shard_count()));
-        let per_shard: Vec<Vec<Row>> =
-            parallel_map(book.shards(), self.budget().threads(), |shard| {
-                worker.per_offer_rows(shard.offers(), measures)
-            });
-        book.scatter(per_shard)
-    }
-
-    /// [`Engine::aggregate_portfolio`] over a sharded book: groups come
-    /// from the global `(tes, tf)` keys, members are gathered through the
-    /// owner table (shard-local reads for a group-aware partition), and
-    /// each group aggregates on a worker thread. Output order and content
-    /// are identical to the flat engine and to the sequential
-    /// [`flexoffers_aggregation::aggregate_portfolio`].
-    pub fn aggregate_book(&self, book: &ShardedBook, params: &GroupingParams) -> Vec<Aggregate> {
-        let groups = book.global_groups(params);
-        self.aggregate_groups(book, &groups)
-    }
-
-    fn aggregate_groups(&self, book: &ShardedBook, groups: &[Vec<usize>]) -> Vec<Aggregate> {
-        parallel_map(groups, self.budget().threads(), |indices| {
-            let members: Vec<FlexOffer> = indices.iter().map(|&g| book.offer(g).clone()).collect();
-            aggregate(&members).expect("grouping never yields empty groups")
-        })
-    }
-
-    /// [`Engine::schedule_portfolio`] over a sharded book — the Scenario 1
-    /// pipeline with globally computed groups, parallel per-group
-    /// aggregation and realization, and the scheduling of the reduced
-    /// problem on the merge tier. Bitwise identical to the flat pipeline
-    /// (and therefore to the sequential
-    /// [`flexoffers_scheduling::schedule_via_aggregation`]).
-    pub fn schedule_book(
-        &self,
-        book: &ShardedBook,
-        target: &Series<i64>,
-        params: &GroupingParams,
-        scheduler: &dyn Scheduler,
-    ) -> Result<PipelineOutcome, SchedulingError> {
-        let groups = book.global_groups(params);
-        let aggregates = self.aggregate_groups(book, &groups);
-        self.schedule_aggregates(&aggregates, &groups, book.len(), target, scheduler)
-    }
-
-    /// [`Engine::trade_portfolio`] over a sharded book — the Scenario 2
-    /// pipeline with globally computed groups, parallel per-aggregate
-    /// market evaluation, per-shard baseline summation, and the settlement
-    /// fold on the merge tier in aggregate order. Bitwise identical to the
-    /// flat pipeline (and therefore to the sequential
-    /// [`Aggregator::run`]).
-    pub fn trade_book(
-        &self,
-        book: &ShardedBook,
-        aggregator: &Aggregator,
-        market: &SpotMarket,
-    ) -> TradeOutcome {
-        let aggregates = self.aggregate_book(book, &aggregator.grouping);
-        let decisions: Vec<LotDecision> =
-            parallel_map(&aggregates, self.budget().threads(), |agg| {
-                aggregator.evaluate(agg, market)
-            });
-        let baseline_cost = market.cost_of(&self.baseline_load_book(book));
-        TradeOutcome {
-            outcome: Aggregator::settle(decisions, baseline_cost, market),
-            aggregates: aggregates.len(),
-        }
-    }
-
-    /// The book's no-flexibility baseline load: per-shard workers sum
-    /// their own offers, the merge tier folds the partials in shard
-    /// order. Integer series addition is exact and order-insensitive, so
-    /// this equals the flat [`Engine::baseline_load_parallel`] bit for
-    /// bit under any partition.
-    pub(crate) fn baseline_load_book(&self, book: &ShardedBook) -> Series<i64> {
-        let worker = Engine::new(self.budget().per_shard(book.shard_count()));
-        let partials = parallel_map(book.shards(), self.budget().threads(), |shard| {
-            worker.baseline_load_parallel(shard.offers())
-        });
-        sum_series(partials.iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
-    use flexoffers_aggregation::group_indices;
-    use flexoffers_model::Slice;
-    use flexoffers_scheduling::{GreedyScheduler, SchedulingProblem};
-
-    fn offers(n: usize) -> Vec<FlexOffer> {
-        (0..n)
-            .map(|i| {
-                let tes = (i % 5) as i64;
-                let window = (i % 3) as i64;
-                let lo = (i % 4) as i64 - 1;
-                FlexOffer::new(tes, tes + window, vec![Slice::new(lo, lo + 2).unwrap()]).unwrap()
-            })
-            .collect()
-    }
-
-    fn both_partitioners() -> [Partitioner; 2] {
-        [
-            Partitioner::HashById,
-            Partitioner::GroupAware(GroupingParams::with_tolerances(2, 1)),
-        ]
-    }
-
-    #[test]
-    fn every_offer_lands_in_exactly_one_shard() {
-        let fos = offers(23);
-        for partitioner in both_partitioners() {
-            for shards in [1, 2, 3, 8] {
-                let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-                assert_eq!(book.len(), fos.len());
-                assert_eq!(book.shard_count(), shards);
-                assert_eq!(book.shard_sizes().iter().sum::<usize>(), fos.len());
-                let mut seen: Vec<usize> = book
-                    .shards()
-                    .iter()
-                    .flat_map(|s| s.global_indices().iter().copied())
-                    .collect();
-                seen.sort_unstable();
-                assert_eq!(seen, (0..fos.len()).collect::<Vec<_>>(), "{partitioner:?}");
-                // The owner table agrees with the shard contents.
-                for (g, fo) in fos.iter().enumerate() {
-                    assert_eq!(book.offer(g), fo);
-                }
-                assert_eq!(book.to_portfolio().as_slice(), &fos[..]);
-            }
-        }
-    }
-
-    #[test]
-    fn group_aware_partitioning_never_splits_a_group() {
-        let fos = offers(37);
-        for params in [
-            GroupingParams::strict(),
-            GroupingParams::single_group(),
-            GroupingParams::with_tolerances(2, 1),
-        ] {
-            let book = ShardedBook::partition(&fos, 4, &Partitioner::GroupAware(params)).unwrap();
-            for group in group_indices(&fos, &params) {
-                let shard_of = |g: usize| book.owners[g].0;
-                let first = shard_of(group[0]);
-                assert!(
-                    group.iter().all(|&g| shard_of(g) == first),
-                    "group {group:?} straddles shards under {params:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_singleton_and_single_group_portfolios_round_trip() {
-        for partitioner in both_partitioners() {
-            // Empty: every shard exists and is empty.
-            let empty = ShardedBook::partition(&[], 3, &partitioner).unwrap();
-            assert!(empty.is_empty());
-            assert_eq!(empty.shard_sizes(), vec![0, 0, 0]);
-            assert!(empty.to_portfolio().is_empty());
-
-            // Singleton: exactly one shard holds the offer.
-            let one = offers(1);
-            let book = ShardedBook::partition(&one, 4, &partitioner).unwrap();
-            assert_eq!(book.len(), 1);
-            assert_eq!(book.shard_sizes().iter().sum::<usize>(), 1);
-            assert_eq!(book.offer(0), &one[0]);
-        }
-
-        // All-one-group under a group-aware partition: one shard takes the
-        // whole portfolio, the rest stay empty.
-        let fos = offers(9);
-        let book = ShardedBook::partition(
-            &fos,
-            3,
-            &Partitioner::GroupAware(GroupingParams::single_group()),
-        )
-        .unwrap();
-        let mut sizes = book.shard_sizes();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![0, 0, 9]);
-        assert_eq!(book.to_portfolio().as_slice(), &fos[..]);
-    }
-
-    #[test]
-    fn more_shards_than_offers_degrades_gracefully() {
-        let fos = offers(3);
-        for partitioner in both_partitioners() {
-            let book = ShardedBook::partition(&fos, 16, &partitioner).unwrap();
-            assert_eq!(book.shard_count(), 16);
-            assert_eq!(book.len(), 3);
-            assert!(book.shards().iter().filter(|s| !s.is_empty()).count() <= 3);
-            // Pipelines still run — including with thread/chunk budgets far
-            // beyond every shard's size (the degenerate-shard regime).
-            let budget = Budget::with_threads(64)
-                .unwrap()
-                .with_chunk_size(4096)
-                .unwrap();
-            let engine = Engine::new(budget);
-            let report = engine.measure_book_all(&book);
-            assert_eq!(report.offers, 3);
-            let flat = engine.measure_portfolio_all(&fos);
-            assert_eq!(report.summaries, flat.summaries);
-        }
-    }
-
-    #[test]
-    fn zero_shards_is_the_documented_error_not_a_panic() {
-        let fos = offers(2);
-        for partitioner in both_partitioners() {
-            assert_eq!(
-                ShardedBook::partition(&fos, 0, &partitioner).unwrap_err(),
-                EngineError::ZeroShards
-            );
-        }
-        assert_eq!(
-            ShardedBook::collect_hashed(offers(2), 0).unwrap_err(),
-            EngineError::ZeroShards
-        );
-    }
-
-    #[test]
-    fn collect_hashed_matches_eager_hash_partition() {
-        let fos = offers(19);
-        let eager = ShardedBook::partition(&fos, 5, &Partitioner::HashById).unwrap();
-        let streamed = ShardedBook::collect_hashed(fos, 5).unwrap();
-        assert_eq!(eager, streamed);
-    }
-
-    #[test]
-    fn zero_offer_shards_survive_every_pipeline_with_oversized_knobs() {
-        // Regression: degenerate (empty) shards plus budgets larger than
-        // any shard must not panic anywhere in the four pipelines.
-        let fos = offers(4);
-        let budget = Budget::with_threads(64)
-            .unwrap()
-            .with_chunk_size(4096)
-            .unwrap();
-        let engine = Engine::new(budget);
-        let params = GroupingParams::with_tolerances(2, 2);
-        for partitioner in [Partitioner::HashById, Partitioner::GroupAware(params)] {
-            let book = ShardedBook::partition(&fos, 32, &partitioner).unwrap();
-            assert!(book.shards().iter().any(Shard::is_empty));
-
-            let flat = engine.measure_portfolio_all(&fos);
-            assert_eq!(engine.measure_book_all(&book).summaries, flat.summaries);
-
-            assert_eq!(
-                engine.aggregate_book(&book, &params),
-                engine.aggregate_portfolio(&fos, &params)
-            );
-
-            let target = Series::new(0, vec![4, 3, 2, 1]);
-            let problem = SchedulingProblem::new(fos.clone(), target.clone());
-            let sharded = engine
-                .schedule_book(&book, &target, &params, &GreedyScheduler::new())
-                .unwrap();
-            let flat = engine
-                .schedule_portfolio(&problem, &params, &GreedyScheduler::new())
-                .unwrap();
-            assert_eq!(sharded, flat);
-
-            let market = SpotMarket::new(Series::new(0, vec![2.0, 5.0, 3.0, 1.5]), 2.0).unwrap();
-            let aggregator = Aggregator::new(params, 2);
-            let portfolio = Portfolio::from_offers(fos.clone());
-            let sharded = engine.trade_book(&book, &aggregator, &market);
-            let flat = engine.trade_portfolio(&portfolio, &aggregator, &market);
-            assert_eq!(sharded.outcome, flat.outcome);
-            assert_eq!(sharded.aggregates, flat.aggregates);
-        }
-    }
 
     #[test]
     fn hash_placement_is_stable() {
-        // splitmix64 placement is part of the book's contract (committed
-        // bench baselines and CI smokes rely on reproducible shards).
-        let fos = offers(8);
-        let book = ShardedBook::partition(&fos, 3, &Partitioner::HashById).unwrap();
-        let placement: Vec<usize> = (0..fos.len()).map(|g| book.owners[g].0).collect();
-        let again = ShardedBook::partition(&fos, 3, &Partitioner::HashById).unwrap();
-        let placement_again: Vec<usize> = (0..fos.len()).map(|g| again.owners[g].0).collect();
-        assert_eq!(placement, placement_again);
+        // splitmix64 placement is part of the serving contract (journals,
+        // snapshots and committed bench baselines rely on reproducible
+        // shards), so pin concrete outputs, not just self-agreement.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        let placement: Vec<usize> = (0..8).map(|id| stable_shard(id, 3)).collect();
+        let again: Vec<usize> = (0..8).map(|id| stable_shard(id, 3)).collect();
+        assert_eq!(placement, again);
         assert!(placement.iter().all(|&s| s < 3));
-    }
-
-    #[test]
-    fn partitioner_names() {
-        assert_eq!(Partitioner::HashById.name(), "hash-by-id");
-        assert_eq!(
-            Partitioner::GroupAware(GroupingParams::strict()).name(),
-            "group-aware"
-        );
+        assert_eq!(stable_shard(12_345, 1), 0);
     }
 }

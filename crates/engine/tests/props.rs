@@ -7,7 +7,7 @@
 //! the error paths get exercised) through every comparison.
 
 use flexoffers_aggregation::{aggregate_portfolio, GroupingParams};
-use flexoffers_engine::{Budget, Engine, Kernel, Partitioner, ShardedBook};
+use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_market::{Aggregator, SpotMarket};
 use flexoffers_measures::all_measures;
 use flexoffers_model::{FlexOffer, Portfolio, Slice};
@@ -47,19 +47,6 @@ fn arb_target() -> impl Strategy<Value = Series<i64>> {
 fn arb_market() -> impl Strategy<Value = SpotMarket> {
     (prop::collection::vec(0.5f64..20.0, 1..10), 1.0f64..4.0)
         .prop_map(|(prices, penalty)| SpotMarket::new(Series::new(0, prices), penalty).unwrap())
-}
-
-/// Either partitioner, with group-aware tolerances drawn independently of
-/// the pipeline's own grouping parameters (partitioning must not have to
-/// match the query to stay exact).
-fn arb_partitioner() -> impl Strategy<Value = Partitioner> {
-    (0usize..2, 0i64..6, 0i64..6).prop_map(|(which, est, tft)| {
-        if which == 0 {
-            Partitioner::HashById
-        } else {
-            Partitioner::GroupAware(GroupingParams::with_tolerances(est, tft))
-        }
-    })
 }
 
 /// A realistic seeded workload (not just the proptest shapes): regenerating
@@ -191,24 +178,21 @@ proptest! {
         }
     }
 
-    /// The sharded book's merge tier is kernel-blind too: a columnar
-    /// sharded measurement reproduces the flat scalar engine bit for bit.
+    /// The columnar fast path's measure-major fold is kernel-blind: a
+    /// columnar measurement reproduces the scalar engine bit for bit at
+    /// any threads × chunk budget.
     #[test]
-    fn sharded_columnar_measure_matches_flat_scalar(
+    fn columnar_measure_matches_flat_scalar(
         fos in arb_portfolio(),
-        shards in 1usize..6,
-        partitioner in arb_partitioner(),
         threads in 1usize..5,
+        chunk in 1usize..17,
     ) {
-        let flat = Engine::new(Budget::with_threads(threads).unwrap().with_kernel(Kernel::Scalar))
-            .measure_portfolio_all(&fos);
-        let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-        let sharded = Engine::new(
-            Budget::with_threads(threads).unwrap().with_kernel(Kernel::Columnar),
-        )
-        .measure_book_all(&book);
-        prop_assert_eq!(sharded.summaries, flat.summaries);
-        prop_assert_eq!(sharded.offers, fos.len());
+        let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
+        let scalar = Engine::new(budget.with_kernel(Kernel::Scalar)).measure_portfolio_all(&fos);
+        let columnar =
+            Engine::new(budget.with_kernel(Kernel::Columnar)).measure_portfolio_all(&fos);
+        prop_assert_eq!(columnar.summaries, scalar.summaries);
+        prop_assert_eq!(columnar.offers, fos.len());
     }
 
     /// Parallel grouping + aggregation reproduces the sequential
@@ -274,123 +258,6 @@ proptest! {
         .unwrap();
         prop_assert_eq!(&one, &many);
         prop_assert_eq!(&one, &pinned);
-    }
-
-    /// Sharding is invisible to measurement: any shard count, either
-    /// partitioner, any thread/chunk budget — the sharded book's report
-    /// carries bitwise-identical summaries (values, errors, counts,
-    /// min/max) to the flat engine's.
-    #[test]
-    fn sharded_measure_matches_flat_engine(
-        fos in arb_portfolio(),
-        shards in 1usize..9,
-        partitioner in arb_partitioner(),
-        threads in 1usize..9,
-        chunk in 1usize..17,
-    ) {
-        let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
-        let engine = Engine::new(budget);
-        let flat = engine.measure_portfolio_all(&fos);
-        let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-        let sharded = engine.measure_book_all(&book);
-        prop_assert_eq!(sharded.summaries, flat.summaries);
-        prop_assert_eq!(sharded.offers, fos.len());
-    }
-
-    /// Sharded aggregation reproduces the flat engine (and therefore the
-    /// sequential `aggregate_portfolio`) exactly, group order included,
-    /// under either partitioner — including a group-aware partition whose
-    /// tolerances differ from the aggregation's own.
-    #[test]
-    fn sharded_aggregation_matches_flat_engine(
-        fos in arb_portfolio(),
-        shards in 1usize..9,
-        partitioner in arb_partitioner(),
-        est in 0i64..6,
-        tft in 0i64..6,
-        threads in 1usize..9,
-    ) {
-        let params = GroupingParams::with_tolerances(est, tft);
-        let engine = Engine::new(Budget::with_threads(threads).unwrap());
-        let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-        let sharded = engine.aggregate_book(&book, &params);
-        prop_assert_eq!(&sharded, &engine.aggregate_portfolio(&fos, &params));
-        prop_assert_eq!(sharded, aggregate_portfolio(&fos, &params));
-    }
-
-    /// The sharded Scenario 1 pipeline reproduces the flat engine (and the
-    /// sequential `schedule_via_aggregation`) exactly at any shard count,
-    /// partitioner, and budget.
-    #[test]
-    fn sharded_schedule_matches_flat_engine(
-        fos in arb_portfolio(),
-        target in arb_target(),
-        shards in 1usize..9,
-        partitioner in arb_partitioner(),
-        est in 0i64..6,
-        tft in 0i64..6,
-        threads in 1usize..9,
-        chunk in 1usize..17,
-    ) {
-        let params = GroupingParams::with_tolerances(est, tft);
-        let scheduler = GreedyScheduler::new();
-        let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
-        let engine = Engine::new(budget);
-        let problem = SchedulingProblem::new(fos.clone(), target.clone());
-        let flat = engine.schedule_portfolio(&problem, &params, &scheduler).unwrap();
-        let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-        let sharded = engine.schedule_book(&book, &target, &params, &scheduler).unwrap();
-        prop_assert_eq!(&sharded, &flat);
-        prop_assert_eq!(
-            &sharded,
-            &schedule_via_aggregation(&problem, &params, &scheduler).unwrap()
-        );
-        prop_assert!(problem.is_feasible(&sharded.schedule));
-    }
-
-    /// The sharded Scenario 2 pipeline reproduces the flat engine (and the
-    /// sequential `Aggregator::run`) exactly at any shard count,
-    /// partitioner, and budget.
-    #[test]
-    fn sharded_trade_matches_flat_engine(
-        fos in arb_portfolio(),
-        market in arb_market(),
-        shards in 1usize..9,
-        partitioner in arb_partitioner(),
-        est in 0i64..6,
-        tft in 0i64..6,
-        min_lot in 0i64..8,
-        threads in 1usize..9,
-        chunk in 1usize..17,
-    ) {
-        let aggregator = Aggregator::new(GroupingParams::with_tolerances(est, tft), min_lot);
-        let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
-        let engine = Engine::new(budget);
-        let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-        let portfolio = Portfolio::from_offers(fos);
-        let flat = engine.trade_portfolio(&portfolio, &aggregator, &market);
-        let sharded = engine.trade_book(&book, &aggregator, &market);
-        prop_assert_eq!(&sharded.outcome, &flat.outcome);
-        prop_assert_eq!(sharded.aggregates, flat.aggregates);
-        prop_assert_eq!(&sharded.outcome, &aggregator.run(&portfolio, &market));
-    }
-
-    /// Partitioning is lossless: the book reassembles to the exact input
-    /// portfolio, and every shard's owner bookkeeping is consistent.
-    #[test]
-    fn sharded_book_round_trips_the_portfolio(
-        fos in arb_portfolio(),
-        shards in 1usize..9,
-        partitioner in arb_partitioner(),
-    ) {
-        let book = ShardedBook::partition(&fos, shards, &partitioner).unwrap();
-        prop_assert_eq!(book.len(), fos.len());
-        prop_assert_eq!(book.shard_count(), shards);
-        let reassembled = book.to_portfolio();
-        prop_assert_eq!(reassembled.as_slice(), &fos[..]);
-        for (g, fo) in fos.iter().enumerate() {
-            prop_assert_eq!(book.offer(g), fo);
-        }
     }
 
     /// The parallel Scenario 2 pipeline reproduces the sequential

@@ -174,10 +174,13 @@ pub struct NetServer<E: Send + 'static> {
     config: NetConfig,
     handle: LiveHandle<E>,
     ids: Sequencer,
+    record: Option<BufWriter<File>>,
 }
 
 impl<E: Send + 'static> NetServer<E> {
-    /// Binds the listener and wires it to a serving loop's handle.
+    /// Creates the record file (if any), then binds the listener and wires
+    /// it to a serving loop's handle — so a record path that cannot be
+    /// created fails here, before the server has an address to announce.
     ///
     /// `ids` is the sink's id history ([`EventSink::sequencer`], possibly
     /// journal-recovered) — server-side validation continues it. A
@@ -196,6 +199,15 @@ impl<E: Send + 'static> NetServer<E> {
                 "max_conns must be at least 1",
             ));
         }
+        let record = match &config.record {
+            Some(path) => Some(BufWriter::new(File::create(path).map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!("creating record file {}: {e}", path.display()),
+                )
+            })?)),
+            None => None,
+        };
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Self {
@@ -204,6 +216,7 @@ impl<E: Send + 'static> NetServer<E> {
             config,
             handle,
             ids,
+            record,
         })
     }
 
@@ -229,11 +242,8 @@ impl<E: Send + 'static> NetServer<E> {
             config,
             handle,
             ids,
+            record,
         } = self;
-        let record = match &config.record {
-            Some(path) => Some(BufWriter::new(File::create(path).map_err(NetError::Io)?)),
-            None => None,
-        };
         listener.set_nonblocking(true).map_err(NetError::Io)?;
         let deadline = config.deadline;
         let gate = Mutex::new(Gate {

@@ -1,22 +1,18 @@
-//! `flexoffers_serving` — the live serving tier on top of the sharded
-//! engine.
+//! `flexoffers_serving` — the live serving tier on top of the engine.
 //!
 //! The paper's measures are defined over a portfolio *snapshot*; a
 //! production flexibility platform receives a continuous stream of
 //! flex-offers (adds, revisions, withdrawals) and must answer
-//! measure/schedule/trade queries *between* updates. Rebuilding a
-//! [`ShardedBook`](flexoffers_engine::ShardedBook) and restarting the batch
-//! pipelines on every query throws away almost all of the previous
-//! evaluation: a single-offer update invalidates one shard's rows, not the
-//! book's.
+//! measure/schedule/trade queries *between* updates. Rebuilding the
+//! portfolio and restarting the batch pipelines on every query throws away
+//! almost all of the previous evaluation: a single-offer update
+//! invalidates one shard's rows, not the book's.
 //!
 //! This crate keeps exactly that incremental state:
 //!
-//! * [`LiveBook`] — the event-driven book. Adds route through the same
-//!   stable hash placement a batch
-//!   [`collect_hashed`](flexoffers_engine::ShardedBook::collect_hashed)
-//!   build uses ([`stable_shard`](flexoffers_engine::stable_shard)); each
-//!   shard caches its **prepared-offer measure rows** and its **baseline
+//! * [`LiveBook`] — the event-driven book. Adds route to a shard by the
+//!   stable hash placement
+//!   ([`stable_shard`](flexoffers_engine::stable_shard)); each shard caches its **prepared-offer measure rows** and its **baseline
 //!   partial**, guarded by a dirty bit, so a query re-runs the measure pass
 //!   on dirtied shards only and re-merges cached partials from the rest. A
 //!   per-shard **group-key digest** spots updates that leave the `(tes,

@@ -1,9 +1,8 @@
 //! The live book: incremental per-shard state between queries.
 //!
-//! A [`LiveBook`] is the event-driven counterpart of a batch
-//! [`ShardedBook`](flexoffers_engine::ShardedBook). Offers carry stable
-//! logical ids (a monotone counter, never reused); adds route through the
-//! batch book's own hash placement
+//! A [`LiveBook`] is the event-driven counterpart of a batch portfolio
+//! evaluation. Offers carry stable logical ids (a monotone counter, never
+//! reused); adds route through the stable hash placement
 //! ([`stable_shard`](flexoffers_engine::stable_shard)), and the *logical
 //! portfolio* at any instant is the live offers in id order — exactly the
 //! portfolio a from-scratch build would hold, which is what every query
@@ -621,10 +620,8 @@ impl LiveBook {
     }
 
     /// Adds an offer, assigning and returning the next logical id. Routes
-    /// to `stable_shard(id, shards)` — the same placement a batch
-    /// [`collect_hashed`](flexoffers_engine::ShardedBook::collect_hashed)
-    /// build computes from logical positions; the placement is irrelevant
-    /// to answers (the merge is partition-independent), it only spreads
+    /// to `stable_shard(id, shards)`; the placement is irrelevant to
+    /// answers (the merge is partition-independent), it only spreads
     /// load.
     pub fn add(&mut self, offer: FlexOffer) -> u64 {
         let id = self.next_id;
@@ -753,7 +750,7 @@ impl LiveBook {
 
         // The Scenario 1 pipeline over incrementally grouped state — the
         // engine's own back half, so the stages cannot drift from the
-        // flat and sharded paths.
+        // batch path.
         let aggregates = self.aggregate_groups(groups);
         let scheduler = scenario.scheduler.build();
         let outcome = match self.engine.schedule_aggregates(

@@ -2,16 +2,15 @@
 //!
 //! After *any* interleaving of Add/Update/Remove/Query events, every query
 //! answer out of a [`LiveBook`] must byte-match (a) a from-scratch flat
-//! engine evaluation of the same logical portfolio, (b) a freshly
-//! partitioned [`ShardedBook`] run through the engine's book pipelines,
-//! and (c) any *other* `LiveBook` driven by the same events under a
-//! different shards × threads × chunk budget. The incremental caches
+//! engine evaluation of the same logical portfolio and (b) any *other*
+//! `LiveBook` driven by the same events under a different shards ×
+//! threads × chunk budget. The incremental caches
 //! (per-shard rows, baseline partials, key digests, grouping cache) must
 //! be invisible in the answers.
 
 use flexoffers_engine::{Budget, Engine};
 use flexoffers_model::{FlexOffer, Slice};
-use flexoffers_serving::batch::{answer, answer_sharded, BatchBook};
+use flexoffers_serving::batch::BatchBook;
 use flexoffers_serving::{Event, LiveBook, QueryKind, ServeConfig};
 use proptest::prelude::*;
 
@@ -134,35 +133,6 @@ proptest! {
             let lhs = one.apply(event.clone()).expect("valid");
             let rhs = many.apply(event).expect("valid");
             prop_assert_eq!(lhs, rhs, "1-shard and {}-shard books diverged", shards);
-        }
-    }
-
-    /// The final state also byte-matches a *freshly partitioned*
-    /// ShardedBook run through the engine's book pipelines — the book the
-    /// live tier replaces.
-    #[test]
-    fn final_state_matches_a_fresh_sharded_book_build(
-        ops in arb_ops(),
-        live_shards in 1usize..6,
-        fresh_shards in 1usize..6,
-        threads in 1usize..5,
-    ) {
-        let budget = Budget::with_threads(threads).unwrap();
-        let engine = Engine::new(budget);
-        let mut live = LiveBook::new(ServeConfig::default(), live_shards, engine).unwrap();
-        for event in resolve(ops) {
-            live.apply(event).expect("valid");
-        }
-        let logical = live.to_portfolio();
-        let config = ServeConfig::default();
-        for kind in QueryKind::all() {
-            let served = live.answer(kind);
-            let flat = answer(&engine, &config, logical.as_slice(), kind);
-            prop_assert_eq!(&served, &flat, "{} diverged from the flat engine", kind);
-            let sharded =
-                answer_sharded(&engine, &config, logical.as_slice(), fresh_shards, kind)
-                    .expect("non-zero shard count");
-            prop_assert_eq!(&served, &sharded, "{} diverged from a fresh book", kind);
         }
     }
 

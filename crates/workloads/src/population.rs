@@ -119,9 +119,10 @@ impl PopulationBuilder {
     /// Generates the population lazily, one flex-offer at a time, in
     /// exactly the order (and with exactly the RNG stream) [`build`] uses —
     /// `builder.stream().collect::<Portfolio>() == builder.build()` bit for
-    /// bit. This is the allocation-frugal entry point for shard-scale
-    /// consumers: a million-offer city can be drained straight into
-    /// per-shard buffers without one giant `Vec` materialised up front.
+    /// bit. This is the allocation-frugal entry point for streaming
+    /// consumers: a million-offer city can be drained event by event (or
+    /// straight into a live book) without one giant `Vec` materialised up
+    /// front.
     ///
     /// [`build`]: PopulationBuilder::build
     pub fn stream(&self) -> PopulationStream {
@@ -222,7 +223,7 @@ pub fn city(seed: u64, households: usize) -> Portfolio {
 
 /// The [`city`] preset as a lazy stream: the exact same offers in the exact
 /// same order, generated one at a time — million-offer cities can be drained
-/// straight into shard buffers without a single full-portfolio `Vec`.
+/// into an event stream or a live book without a full-portfolio `Vec`.
 pub fn city_stream(seed: u64, households: usize) -> PopulationStream {
     city_builder(seed, households).stream()
 }

@@ -20,9 +20,8 @@
 //! * [`engine`] — batched, multi-threaded portfolio-scale evaluation of
 //!   the measures, aggregation, and the two end-to-end scenario pipelines
 //!   (schedule toward a target, trade on the balancing market), with
-//!   deterministic merge order — including sharded multi-million-offer
-//!   books ([`ShardedBook`]) whose per-shard workers and merge tier stay
-//!   bitwise identical to the flat engine;
+//!   deterministic merge order — bitwise identical at any thread count,
+//!   up to million-offer portfolios;
 //! * [`serving`] — the live tier on top: an event-driven
 //!   [`LiveBook`](serving::LiveBook) over per-shard incremental state
 //!   (cached measure rows, baseline partials, group-key digests) answering
@@ -86,8 +85,7 @@ pub use flexoffers_workloads as workloads;
 
 pub use flexoffers_aggregation::{aggregate, Aggregate, GroupingParams};
 pub use flexoffers_engine::{
-    Budget, Engine, Partitioner, PortfolioReport, Scenario, ScenarioKind, ScenarioReport,
-    SchedulerChoice, ShardedBook,
+    Budget, Engine, PortfolioReport, Scenario, ScenarioKind, ScenarioReport, SchedulerChoice,
 };
 pub use flexoffers_measures::{all_measures, Measure, MeasureError, Norm};
 pub use flexoffers_model::{

@@ -93,7 +93,7 @@ fn kernel_choice_never_changes_a_measure_output_byte_at_10k_offers() {
 }
 
 #[test]
-fn kernel_choice_composes_with_shards_and_threads() {
+fn kernel_choice_composes_with_threads() {
     let scalar = stdout_of(
         &[
             "measure",
@@ -106,7 +106,7 @@ fn kernel_choice_composes_with_shards_and_threads() {
         ],
         None,
     );
-    let columnar_sharded = stdout_of(
+    let columnar_threaded = stdout_of(
         &[
             "measure",
             "--portfolio",
@@ -114,15 +114,13 @@ fn kernel_choice_composes_with_shards_and_threads() {
             CITY_10K,
             "--kernel",
             "columnar",
-            "--shards",
-            "4",
             "--threads",
             "2",
             "--json",
         ],
         None,
     );
-    assert_eq!(scalar, columnar_sharded);
+    assert_eq!(scalar, columnar_threaded);
 }
 
 #[test]

@@ -359,6 +359,31 @@ fn serve_flag_conflicts_are_named_errors() {
     assert!(err.contains("bomb needs --addr"), "{err}");
 }
 
+/// A `--record` path that cannot be created fails the server before it
+/// binds: a harness that scrapes `listening on` must never see a server
+/// that is about to die.
+#[test]
+fn an_uncreatable_record_path_fails_before_listening() {
+    let dir = scratch_dir("bad_record");
+    let record = dir.join("no_such_dir").join("session.jsonl");
+    let err = stderr_of_failure(
+        &[
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--record",
+            path_str(&record),
+        ],
+        None,
+    );
+    assert!(!err.contains("listening on"), "{err}");
+    assert!(
+        err.contains(path_str(&record)),
+        "stderr names the path: {err}"
+    );
+    assert!(!record.exists());
+}
+
 /// A `--listen --journal` server continues the id history an earlier run
 /// left, in process and across shard workers alike: the id run 1 removed
 /// stays dead, and the next add continues the sequence.

@@ -1,7 +1,7 @@
 //! Smoke test for the `flexctl` binary: the documented
 //! `flexctl template | flexctl measure -` pipeline works end to end and
-//! reports every one of the paper's eight measures, and `flexctl render -`
-//! draws the figure.
+//! reports every one of the paper's eight measures, `flexctl render -`
+//! draws the figure, and `flexctl --help` prints the usage.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -112,4 +112,24 @@ fn count_reports_both_assignment_space_sizes() {
     let stdout = String::from_utf8(out.stdout).expect("count output is UTF-8");
     assert!(stdout.contains("unconstrained assignments"));
     assert!(stdout.contains("valid assignments"));
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_succeeds() {
+    for flag in ["--help", "-h", "help"] {
+        let out = flexctl(&[flag], None);
+        assert!(out.status.success(), "flexctl {flag} exits 0");
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8");
+        assert!(stdout.starts_with("usage:"), "flexctl {flag}:\n{stdout}");
+        assert!(
+            stdout.contains("flexctl serve"),
+            "flexctl {flag}:\n{stdout}"
+        );
+        assert!(out.stderr.is_empty(), "flexctl {flag} writes no error");
+    }
+    // An unknown command keeps its error.
+    let out = flexctl(&["--frobnicate"], None);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command --frobnicate"), "{stderr}");
 }
