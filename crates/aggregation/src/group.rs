@@ -121,9 +121,9 @@ fn sweep_grouping<T>(
 /// [`group_keys`] pays an `O(n log n)` sort on every call; a serving tier
 /// that re-groups after every single-offer update cannot afford that. A
 /// `KeyIndex` keeps a sorted main run plus an O(1)-append pending buffer:
-/// inserts land in the buffer, and [`group_ids`] settles it (sort the
-/// *buffer only*, one linear merge) before its linear sweep — the exact
-/// sweep `group_keys` runs after sorting. Bulk loads stay linearithmic in
+/// inserts land in the buffer, and [`group_ids`](KeyIndex::group_ids)
+/// settles it (sort the *buffer only*, one linear merge) before its
+/// linear sweep — the exact sweep `group_keys` runs after sorting. Bulk loads stay linearithmic in
 /// the *batch* size, and the steady-state single-offer update re-groups
 /// with one `O(n)` merge pass and **no sort of the book's keys**.
 ///

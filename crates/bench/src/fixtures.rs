@@ -1,5 +1,4 @@
-//! The paper's flex-offers, exactly as printed, plus parameterised
-//! flex-offers for scaling benchmarks.
+//! The paper's flex-offers, exactly as printed.
 
 use flexoffers_model::{Assignment, FlexOffer, Slice};
 
@@ -79,13 +78,6 @@ pub fn large_fy() -> FlexOffer {
     fo(1, 3, &[(101, 105)])
 }
 
-/// A parameterised consumption flex-offer for scaling benchmarks:
-/// `slices` slices of range `[0, width]`, time flexibility `tf`.
-pub fn scaling_flexoffer(slices: usize, width: i64, tf: i64) -> FlexOffer {
-    FlexOffer::new(0, tf, vec![Slice::new(0, width).expect("ordered"); slices])
-        .expect("scaling parameters are well-formed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +91,5 @@ mod tests {
         assert_eq!(f6().unconstrained_assignment_count(), Some(240));
         assert_eq!(f6().total_min(), -8);
         assert_eq!(f6().total_max(), 2);
-    }
-
-    #[test]
-    fn scaling_flexoffer_dimensions() {
-        let f = scaling_flexoffer(16, 8, 4);
-        assert_eq!(f.slice_count(), 16);
-        assert_eq!(f.time_flexibility(), 4);
-        assert_eq!(f.energy_flexibility(), 16 * 8);
     }
 }

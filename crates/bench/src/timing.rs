@@ -1,6 +1,6 @@
-//! Wall-clock timing policy shared by the baseline-writing bench binaries
-//! (`bench_report`, `bench_scenarios`), so the two committed baselines
-//! stay comparable: changing the policy here changes both.
+//! The wall-clock timing policy every `flexbench` layer uses, so the
+//! committed baselines stay comparable: changing the policy here changes
+//! them all.
 
 use std::time::Instant;
 

@@ -4,7 +4,7 @@
 //! A [`ClusterBook`] owns one OS process per shard. Each worker holds a
 //! full K-shard [`LiveBook`] in which only its own shard is populated, so
 //! the supervisor's routing — the same
-//! [`stable_shard`](flexoffers_engine::stable_shard) placement the
+//! [`flexoffers_engine::stable_shard`] placement the
 //! in-process book uses — keeps worker `w`'s shard `w` byte-equal to
 //! shard `w` of an in-process K-shard book fed the same serialized
 //! mutation stream.

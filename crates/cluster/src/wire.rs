@@ -28,7 +28,8 @@
 //!
 //! A conditional export is answered `{"not_modified":true,"digest":D}`
 //! when the worker's shard **state digest** — FNV-1a 64 over the
-//! canonical single-line JSON of its own [`ShardExport`] body
+//! canonical single-line JSON of its own
+//! [`ShardExport`](flexoffers_serving::ShardExport) body
 //! ([`flexoffers_storage::shard_digest`]), which embeds the commutative
 //! `key_digest` — still equals `D`; otherwise the worker ships
 //! `{"digest":D',"book":{…}}`. Supervisor and workers are always the

@@ -8,7 +8,7 @@
 //! shape. [`Scenario`] bundles the knobs, [`Engine::simulate`] runs the
 //! selected pipeline through the parallel engine
 //! ([`Engine::schedule_portfolio`] / [`Engine::trade_portfolio`]) and
-//! returns a [`ScenarioReport`](crate::ScenarioReport).
+//! returns a [`ScenarioReport`].
 //!
 //! Everything is deterministic: the portfolio, target and price traces are
 //! pure functions of the scenario's seed, and the engine's pipelines are

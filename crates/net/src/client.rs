@@ -1,5 +1,5 @@
-//! A small blocking client for the framed TCP tier — what `flexctl bomb`,
-//! `bench_net`, and the integration suite speak.
+//! A small blocking client for the framed TCP tier — what `flexctl bomb`
+//! and the integration suite speak.
 
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};

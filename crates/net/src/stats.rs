@@ -1,4 +1,4 @@
-//! Tiny sample statistics shared by `flexctl bomb` and `bench_net`.
+//! Tiny sample statistics shared by `flexctl bomb` and loadbench.
 
 /// Nearest-rank percentile (`p` in `[0, 100]`) over unsorted samples;
 /// `None` on an empty slice or when `p` is outside `[0, 100]` (including

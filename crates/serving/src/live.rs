@@ -3,7 +3,7 @@
 //! A [`LiveBook`] is the event-driven counterpart of a batch portfolio
 //! evaluation. Offers carry stable logical ids (a monotone counter, never
 //! reused); adds route through the stable hash placement
-//! ([`stable_shard`](flexoffers_engine::stable_shard)), and the *logical
+//! ([`flexoffers_engine::stable_shard`]), and the *logical
 //! portfolio* at any instant is the live offers in id order — exactly the
 //! portfolio a from-scratch build would hold, which is what every query
 //! answer is pinned against.
@@ -22,7 +22,7 @@
 //!   shard; integer series addition is exact, so folding partials equals
 //!   the flat [`Engine::baseline_load_parallel`] bit for bit.
 //! * **Group-key state** — a sorted
-//!   [`KeyIndex`](flexoffers_aggregation::KeyIndex) maintained per event
+//!   [`flexoffers_aggregation::KeyIndex`] maintained per event
 //!   (no per-query sort), a cached position grouping, and per-shard
 //!   **key digests** (a commutative multiset hash of the shard's
 //!   `(tes, tf)` keys, maintained in O(1) per mutation). An update that

@@ -1,7 +1,7 @@
 //! The append-only event journal.
 //!
 //! One [`Event::to_json_line`] per line — the journal *is* a replayable
-//! [`parse_script`](flexoffers_serving::parse_script) script, byte for
+//! [`flexoffers_serving::parse_script`] script, byte for
 //! byte. The sequence number of a mutation is implicit: line `k` (1-based,
 //! counting committed lines) is sequence `k`, which is what snapshots
 //! record. The writer always terminates a line before counting it

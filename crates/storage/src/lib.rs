@@ -14,7 +14,7 @@
 //!   offers, key digests, cached measure rows as `f64::to_bits`, baseline
 //!   partials) serialized at a recorded journal sequence, written
 //!   atomically (temp file + fsync + rename) under a checksummed header.
-//! * [`recover`] — latest valid snapshot + journal suffix replay, with
+//! * [`recover()`] — latest valid snapshot + journal suffix replay, with
 //!   torn-tail truncation: an unterminated final journal line is
 //!   discarded, never an error. Corrupt files (a bad checksum, terminated
 //!   garbage) are named [`StorageError`] variants, never panics.

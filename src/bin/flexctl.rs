@@ -183,33 +183,22 @@ count) and composes with every other serve flag. --shards, --threads,
 
 fn run(cmd: &str, rest: &[String]) -> ExitCode {
     match cmd {
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        "names" => {
-            for name in available_names() {
-                println!("{name}");
-            }
-            ExitCode::SUCCESS
-        }
+        "help" | "--help" | "-h" => with_stdout(|out| writeln!(out, "{USAGE}")),
+        "names" => with_stdout(|out| {
+            available_names()
+                .iter()
+                .try_for_each(|name| writeln!(out, "{name}"))
+        }),
         "template" => {
-            if rest.iter().any(|a| a == "--portfolio") {
+            let json = if rest.iter().any(|a| a == "--portfolio") {
                 // A small deterministic district: enough device variety to
                 // exercise every measure, small enough to read.
-                let portfolio = district(7, 2);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&portfolio).expect("model types serialize")
-                );
+                serde_json::to_string_pretty(&district(7, 2))
             } else {
-                let ev = EvCharger::paper_use_case();
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&ev).expect("model types serialize")
-                );
-            }
-            ExitCode::SUCCESS
+                serde_json::to_string_pretty(&EvCharger::paper_use_case())
+            };
+            let json = json.expect("model types serialize");
+            with_stdout(|out| writeln!(out, "{json}"))
         }
         // Internal (not in USAGE): the shard-worker loop `serve --workers`
         // spawns via the current executable. Speaks the supervisor wire
@@ -242,9 +231,7 @@ fn run(cmd: &str, rest: &[String]) -> ExitCode {
             match cmd {
                 "measure" => measure(&fo, &rest[1..]),
                 "render" => {
-                    print!("{}", render_flexoffer(&fo));
-                    print!("{}", render_union(&fo));
-                    ExitCode::SUCCESS
+                    with_stdout(|out| write!(out, "{}{}", render_flexoffer(&fo), render_union(&fo)))
                 }
                 _ => count(&fo),
             }
@@ -429,16 +416,12 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
         Ok(portfolio) => portfolio,
     };
     let report = engine.measure_portfolio(portfolio.as_slice(), &measures);
-
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report.json()).expect("report serializes")
-        );
+    let text = if json {
+        serde_json::to_string_pretty(&report.json()).expect("report serializes") + "\n"
     } else {
-        print!("{}", report.render());
-    }
-    ExitCode::SUCCESS
+        report.render()
+    };
+    with_stdout(|out| out.write_all(text.as_bytes()))
 }
 
 /// The `simulate` path: parse flags, run the scenario over its generated
@@ -541,15 +524,12 @@ fn simulate(rest: &[String]) -> ExitCode {
     scenario.scheduler = scheduler;
     match Engine::new(budget).simulate(&scenario) {
         Ok(report) => {
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report.json()).expect("report serializes")
-                );
+            let text = if json {
+                serde_json::to_string_pretty(&report.json()).expect("report serializes") + "\n"
             } else {
-                print!("{}", report.render());
-            }
-            ExitCode::SUCCESS
+                report.render()
+            };
+            with_stdout(|out| out.write_all(text.as_bytes()))
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -1039,18 +1019,22 @@ fn bomb(rest: &[String]) -> ExitCode {
     } else {
         0.0
     };
-    println!(
-        "bomb: {conns} conns x {events_per_conn} events -> {requests} requests in {elapsed:.3}s ({rate:.0} req/s), {errors} error replies"
-    );
-    for (label, p) in [("p50", 50.0), ("p99", 99.0), ("p999", 99.9)] {
-        if let Some(ms) = percentile(&latencies, p) {
-            println!("  {label} {ms:.3} ms");
+    let printed = with_stdout(|out| {
+        writeln!(
+            out,
+            "bomb: {conns} conns x {events_per_conn} events -> {requests} requests in {elapsed:.3}s ({rate:.0} req/s), {errors} error replies"
+        )?;
+        for (label, p) in [("p50", 50.0), ("p99", 99.0), ("p999", 99.9)] {
+            if let Some(ms) = percentile(&latencies, p) {
+                writeln!(out, "  {label} {ms:.3} ms")?;
+            }
         }
-    }
+        Ok(())
+    });
     if failed || errors > 0 {
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    printed
 }
 
 /// One bomb connection: adds dominate; every 8th request updates and
@@ -1189,10 +1173,11 @@ fn recover(rest: &[String]) -> ExitCode {
         },
         report.replayed,
     );
-    for kind in QueryKind::all() {
-        println!("{}", book.answer(kind));
-    }
-    ExitCode::SUCCESS
+    with_stdout(|out| {
+        QueryKind::all()
+            .into_iter()
+            .try_for_each(|kind| writeln!(out, "{}", book.answer(kind)))
+    })
 }
 
 /// The `events` path: generate a deterministic JSONL event script from
@@ -1256,39 +1241,26 @@ fn events(rest: &[String]) -> ExitCode {
     } else {
         total.div_ceil(queries).max(1)
     };
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut emitted_queries = 0usize;
-    // A closed pipe (`flexctl events ... | head`) is a normal way to
-    // consume a large stream generator: stop emitting, exit cleanly.
-    let mut write = |line: String| writeln!(out, "{line}").is_ok();
-    'emit: {
+    with_stdout(|out| {
+        let mut emitted_queries = 0usize;
         for (i, event) in event_stream(seed, households, churn).enumerate() {
-            if !write(Event::from(event).to_json_line()) {
-                break 'emit;
-            }
+            writeln!(out, "{}", Event::from(event).to_json_line())?;
             if (i + 1) % stride == 0 && emitted_queries < queries {
                 let kind = QueryKind::all()[emitted_queries % 4];
-                if !write(Event::Query(kind).to_json_line()) {
-                    break 'emit;
-                }
+                writeln!(out, "{}", Event::Query(kind).to_json_line())?;
                 emitted_queries += 1;
             }
         }
         while emitted_queries < queries {
             let kind = QueryKind::all()[emitted_queries % 4];
-            if !write(Event::Query(kind).to_json_line()) {
-                break 'emit;
-            }
+            writeln!(out, "{}", Event::Query(kind).to_json_line())?;
             emitted_queries += 1;
         }
-    }
-    let _ = out.flush();
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn measure(fo: &FlexOffer, names: &[String]) -> ExitCode {
-    println!("flex-offer: {fo}");
     let measures = match resolve_measures(names) {
         Ok(m) => m,
         Err(e) => {
@@ -1296,29 +1268,53 @@ fn measure(fo: &FlexOffer, names: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for m in measures {
-        match m.of(fo) {
-            Ok(v) => println!("{:<14} {v:.6}", m.short_name()),
-            Err(e) => println!("{:<14} n/a ({e})", m.short_name()),
+    with_stdout(|out| {
+        writeln!(out, "flex-offer: {fo}")?;
+        for m in measures {
+            match m.of(fo) {
+                Ok(v) => writeln!(out, "{:<14} {v:.6}", m.short_name())?,
+                Err(e) => writeln!(out, "{:<14} n/a ({e})", m.short_name())?,
+            }
         }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn count(fo: &FlexOffer) -> ExitCode {
-    match fo.unconstrained_assignment_count() {
-        Some(n) => println!("unconstrained assignments (Def. 8): {n}"),
-        None => println!(
-            "unconstrained assignments (Def. 8): 2^{:.1} (overflows u128)",
-            fo.log2_assignment_count()
-        ),
+    with_stdout(|out| {
+        match fo.unconstrained_assignment_count() {
+            Some(n) => writeln!(out, "unconstrained assignments (Def. 8): {n}")?,
+            None => writeln!(
+                out,
+                "unconstrained assignments (Def. 8): 2^{:.1} (overflows u128)",
+                fo.log2_assignment_count()
+            )?,
+        }
+        match fo.constrained_assignment_count() {
+            Some(n) => writeln!(out, "valid assignments |L(f)|:           {n}"),
+            None => writeln!(
+                out,
+                "valid assignments |L(f)|:           ~{:.3e}",
+                fo.constrained_assignment_count_f64()
+            ),
+        }
+    })
+}
+
+/// Runs `write` against a buffered stdout and flushes it. A reader that
+/// closes early (`flexctl names | head -1`, `flexctl events ... | head`)
+/// is a normal way to stop consuming output, so `BrokenPipe` ends the
+/// command cleanly instead of panicking the way `println!` does; any
+/// other write error is reported and fails the command.
+fn with_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> ExitCode {
+    let stdout = std::io::stdout();
+    let mut out = std::io::BufWriter::new(stdout.lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
-    match fo.constrained_assignment_count() {
-        Some(n) => println!("valid assignments |L(f)|:           {n}"),
-        None => println!(
-            "valid assignments |L(f)|:           ~{:.3e}",
-            fo.constrained_assignment_count_f64()
-        ),
-    }
-    ExitCode::SUCCESS
 }

@@ -30,7 +30,7 @@
 //! * [`storage`] — durability for the serving tier: an append-only event
 //!   journal (itself a replayable event script), checksummed atomic
 //!   per-shard snapshots of the live cache export, and crash recovery
-//!   ([`storage::recover`]) that truncates torn journal tails and
+//!   ([`storage::recover()`]) that truncates torn journal tails and
 //!   preserves byte-identity at any crash point;
 //! * [`net`] — the TCP front of the serving tier: request-id framed JSONL
 //!   over a fixed worker pool ([`net::NetServer`]), per-query deadlines,

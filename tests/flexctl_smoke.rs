@@ -133,3 +133,35 @@ fn help_prints_usage_to_stdout_and_succeeds() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command --frobnicate"), "{stderr}");
 }
+
+#[test]
+fn a_closed_stdout_ends_output_commands_cleanly() {
+    // `flexctl names | head -1`: a reader that goes away early is a normal
+    // way to stop consuming output. With the read end closed before the
+    // child starts, its first write fails with EPIPE every time.
+    let template = template_json();
+    for (args, stdin) in [
+        (&["names"][..], None),
+        (&["help"][..], None),
+        (&["template", "--portfolio"][..], None),
+        (&["measure", "-"][..], Some(template.as_str())),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_flexctl"));
+        cmd.args(args).stdout(writer).stderr(Stdio::piped());
+        if stdin.is_some() {
+            cmd.stdin(Stdio::piped());
+        }
+        let mut child = cmd.spawn().expect("flexctl spawns");
+        if let Some(input) = stdin {
+            let mut pipe = child.stdin.take().expect("stdin piped");
+            pipe.write_all(input.as_bytes())
+                .expect("stdin accepts input");
+        }
+        let out = child.wait_with_output().expect("flexctl terminates");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "flexctl {args:?} exits 0: {stderr}");
+        assert!(!stderr.contains("panicked"), "flexctl {args:?}: {stderr}");
+    }
+}
