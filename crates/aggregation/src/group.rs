@@ -7,6 +7,8 @@
 //! times and time flexibilities stay within configured tolerances — the
 //! knobs the flexibility-loss experiment sweeps.
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 
 use flexoffers_model::FlexOffer;
@@ -114,18 +116,16 @@ fn sweep_grouping<T>(
     groups
 }
 
-/// An incrementally maintained sorted multiset of `(tes, tf)` grouping keys,
-/// tagged with caller-chosen `u64` ids — the aggregation layer's piece of a
-/// *live* portfolio book.
+/// An ordered set of `(tes, tf)` grouping keys, tagged with caller-chosen
+/// `u64` ids — the aggregation layer's piece of a *live* portfolio book.
 ///
 /// [`group_keys`] pays an `O(n log n)` sort on every call; a serving tier
 /// that re-groups after every single-offer update cannot afford that. A
-/// `KeyIndex` keeps a sorted main run plus an O(1)-append pending buffer:
-/// inserts land in the buffer, and [`group_ids`](KeyIndex::group_ids)
-/// settles it (sort the *buffer only*, one linear merge) before its
-/// linear sweep — the exact sweep `group_keys` runs after sorting. Bulk loads stay linearithmic in
-/// the *batch* size, and the steady-state single-offer update re-groups
-/// with one `O(n)` merge pass and **no sort of the book's keys**.
+/// `KeyIndex` keeps its entries in a `BTreeSet` ordered by `(key, id)`:
+/// inserts and removes cost `O(log n)` whatever the book's size, and
+/// [`group_ids`](KeyIndex::group_ids) feeds the set's in-order iterator to
+/// the exact sweep `group_keys` runs after sorting — no sort of the book's
+/// keys on the query path.
 ///
 /// # Equivalence
 ///
@@ -136,13 +136,10 @@ fn sweep_grouping<T>(
 /// [`group_keys`] produces over that portfolio's key slice, with ids in
 /// place of positions: `group_keys`'s stable sort of distinct positions by
 /// key *is* the `(key, position)` order. The round-trip test below and the
-/// serving crate's proptests pin this.
+/// property suites pin this.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyIndex {
-    /// Sorted by `(key, id)`; ids are unique across both runs.
-    sorted: Vec<((i64, i64), u64)>,
-    /// Not-yet-merged inserts, in arrival order.
-    pending: Vec<((i64, i64), u64)>,
+    entries: BTreeSet<((i64, i64), u64)>,
 }
 
 impl KeyIndex {
@@ -153,95 +150,40 @@ impl KeyIndex {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.pending.len()
+        self.entries.len()
     }
 
     /// `true` when no entries are live.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty() && self.pending.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Inserts `id` with `key` (amortised O(1) — the entry waits in the
-    /// pending buffer until the next settle). A million-offer bulk load is
-    /// a million O(1) pushes plus *one* sort-and-merge at the first query.
+    /// Inserts `id` with `key` in `O(log n)`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already present under `key` in the settled run
-    /// (debug builds also scan the pending buffer) — an id must be
+    /// Panics if `id` is already present under `key` — an id must be
     /// [`remove`](KeyIndex::remove)d (with its old key) before it can be
     /// re-inserted, or the index would silently hold duplicates.
     pub fn insert(&mut self, id: u64, key: (i64, i64)) {
-        let entry = (key, id);
         assert!(
-            self.sorted.binary_search(&entry).is_err(),
+            self.entries.insert((key, id)),
             "key index already holds id {id} under {key:?}"
         );
-        // The pending scan is linear; keeping it out of release builds is
-        // what makes bulk loads O(1) per insert.
-        debug_assert!(
-            !self.pending.contains(&entry),
-            "key index already holds id {id} under {key:?}"
-        );
-        self.pending.push(entry);
     }
 
     /// Removes `id`, which the caller knows is stored under `key` (the
-    /// serving book holds the offer and therefore its old key). Returns
-    /// `false` when no such entry exists.
+    /// serving book holds the offer and therefore its old key), in
+    /// `O(log n)`. Returns `false` when no such entry exists.
     pub fn remove(&mut self, id: u64, key: (i64, i64)) -> bool {
-        // A large pending buffer would make the fallback scan below the
-        // hot cost (removals right after a bulk load); settle first so
-        // removal is a binary search plus one bounded scan.
-        if self.pending.len() > 64 {
-            self.settle();
-        }
-        let entry = (key, id);
-        if let Ok(at) = self.sorted.binary_search(&entry) {
-            self.sorted.remove(at);
-            return true;
-        }
-        if let Some(at) = self.pending.iter().position(|e| *e == entry) {
-            self.pending.swap_remove(at);
-            return true;
-        }
-        false
-    }
-
-    /// Merges the pending buffer into the sorted run: sort the buffer
-    /// (only), then one linear two-run merge.
-    fn settle(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending.sort_unstable();
-        let mut merged = Vec::with_capacity(self.len());
-        let mut a = std::mem::take(&mut self.sorted).into_iter().peekable();
-        let mut b = std::mem::take(&mut self.pending).into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x <= y {
-                        merged.push(a.next().expect("peeked"));
-                    } else {
-                        merged.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => merged.push(a.next().expect("peeked")),
-                (None, Some(_)) => merged.push(b.next().expect("peeked")),
-                (None, None) => break,
-            }
-        }
-        self.sorted = merged;
+        self.entries.remove(&(key, id))
     }
 
     /// The tolerance grouping over the live entries: identical to
     /// [`group_keys`] over the same key multiset (see the type docs for the
-    /// id/position correspondence), with no sort of the book's keys on the
-    /// query path (only a fresh pending buffer, if any, gets sorted).
-    pub fn group_ids(&mut self, params: &GroupingParams) -> Vec<Vec<u64>> {
-        self.settle();
-        sweep_grouping(self.sorted.iter().map(|&(key, id)| (key, id)), params)
+    /// id/position correspondence), swept in the set's `(key, id)` order.
+    pub fn group_ids(&self, params: &GroupingParams) -> Vec<Vec<u64>> {
+        sweep_grouping(self.entries.iter().copied(), params)
     }
 }
 
@@ -407,30 +349,9 @@ mod tests {
 
     #[test]
     fn empty_key_index_groups_to_nothing() {
-        let mut index = KeyIndex::new();
+        let index = KeyIndex::new();
         assert!(index.group_ids(&GroupingParams::strict()).is_empty());
         assert!(index.is_empty());
-    }
-
-    #[test]
-    fn pending_entries_are_visible_before_and_after_settling() {
-        // Entries removed while still pending, and groupings interleaved
-        // with inserts, behave exactly as if every insert merged eagerly.
-        let mut index = KeyIndex::new();
-        index.insert(0, (5, 5));
-        index.insert(1, (0, 0));
-        assert_eq!(index.len(), 2);
-        assert!(index.remove(0, (5, 5)), "remove out of the pending buffer");
-        assert_eq!(
-            index.group_ids(&GroupingParams::single_group()),
-            vec![vec![1]]
-        );
-        index.insert(2, (0, 0));
-        assert!(index.remove(1, (0, 0)), "remove out of the sorted run");
-        assert_eq!(
-            index.group_ids(&GroupingParams::single_group()),
-            vec![vec![2]]
-        );
     }
 
     #[test]

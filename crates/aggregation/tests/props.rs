@@ -1,6 +1,9 @@
-//! Property tests: aggregation invariants and disaggregation round-trips.
+//! Property tests: aggregation invariants, disaggregation round-trips,
+//! and the live key index against the from-scratch grouping.
 
-use flexoffers_aggregation::{aggregate, group_indices, GroupingParams};
+use std::collections::BTreeMap;
+
+use flexoffers_aggregation::{aggregate, group_indices, group_keys, GroupingParams, KeyIndex};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_timeseries::ops::sum_series;
 use proptest::prelude::*;
@@ -30,8 +33,121 @@ fn arb_group() -> impl Strategy<Value = Vec<FlexOffer>> {
     prop::collection::vec(arb_flexoffer(), 1..4)
 }
 
+/// One edit of a [`KeyIndex`], interpreted against the ids live at apply
+/// time so any generated sequence is valid.
+#[derive(Clone, Copy, Debug)]
+enum KeyOp {
+    /// Insert the next fresh id (a monotone counter) under a key.
+    Insert((i64, i64)),
+    /// Move the `pick`-th live id (wrapping) to a new key.
+    ReKey(usize, (i64, i64)),
+    /// Remove the `pick`-th live id (wrapping) under its own key.
+    RemoveLive(usize),
+    /// Remove an id under a key, whether or not that entry is live.
+    Remove(u64, (i64, i64)),
+}
+
+fn arb_key_ops() -> impl Strategy<Value = Vec<KeyOp>> {
+    // Keys from a 3×3 grid, so most entries tie with another.
+    let op = (0usize..4, 0usize..64, 0i64..3, 0i64..3).prop_map(|(sel, pick, tes, tf)| {
+        let key = (tes, tf);
+        match sel {
+            0 => KeyOp::Insert(key),
+            1 => KeyOp::ReKey(pick, key),
+            2 => KeyOp::RemoveLive(pick),
+            _ => KeyOp::Remove(pick as u64, key),
+        }
+    });
+    prop::collection::vec(op, 0..40)
+}
+
+/// Applies `ops` to a [`KeyIndex`] and to an id-ordered key map, and after
+/// every step requires `group_ids` to equal `group_keys` over the map's
+/// keys (ids standing in for positions) under strict, single-group,
+/// tolerance and size-capped params.
+fn replay_key_ops(ops: &[KeyOp]) -> Result<(), TestCaseError> {
+    let params = [
+        GroupingParams::strict(),
+        GroupingParams::single_group(),
+        GroupingParams::with_tolerances(1, 1),
+        GroupingParams {
+            est_tolerance: 2,
+            tf_tolerance: 2,
+            max_group_size: Some(2),
+        },
+    ];
+    let mut index = KeyIndex::new();
+    let mut live: BTreeMap<u64, (i64, i64)> = BTreeMap::new();
+    let mut next_id = 0u64;
+    for &op in ops {
+        let nth_live = |pick: usize| live.keys().nth(pick % live.len().max(1)).copied();
+        match op {
+            KeyOp::Insert(key) => {
+                index.insert(next_id, key);
+                live.insert(next_id, key);
+                next_id += 1;
+            }
+            KeyOp::ReKey(pick, key) => {
+                if let Some(id) = nth_live(pick) {
+                    prop_assert!(index.remove(id, live[&id]), "re-key of live id {}", id);
+                    index.insert(id, key);
+                    live.insert(id, key);
+                }
+            }
+            KeyOp::RemoveLive(pick) => {
+                if let Some(id) = nth_live(pick) {
+                    prop_assert!(index.remove(id, live[&id]), "remove of live id {}", id);
+                    live.remove(&id);
+                }
+            }
+            KeyOp::Remove(id, key) => {
+                let present = live.get(&id) == Some(&key);
+                prop_assert_eq!(index.remove(id, key), present, "{:?}", op);
+                if present {
+                    live.remove(&id);
+                }
+            }
+        }
+        prop_assert_eq!(index.len(), live.len());
+        prop_assert_eq!(index.is_empty(), live.is_empty());
+        let ids: Vec<u64> = live.keys().copied().collect();
+        let keys: Vec<(i64, i64)> = live.values().copied().collect();
+        for params in &params {
+            let expected: Vec<Vec<u64>> = group_keys(&keys, params)
+                .into_iter()
+                .map(|group| group.into_iter().map(|pos| ids[pos]).collect())
+                .collect();
+            let grouped = index.group_ids(params);
+            prop_assert_eq!(grouped, expected, "{:?} after {:?}", params, op);
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn key_index_removes_and_regroups_between_inserts() {
+    // Removes of the newest and of an older entry, absent entries (dead
+    // id, wrong key, never-used id), and groupings between inserts.
+    replay_key_ops(&[
+        KeyOp::Insert((5, 5)),
+        KeyOp::Insert((0, 0)),
+        KeyOp::Remove(0, (5, 5)),
+        KeyOp::Insert((0, 0)),
+        KeyOp::Remove(1, (0, 0)),
+        KeyOp::Remove(1, (0, 0)),
+        KeyOp::Remove(2, (5, 5)),
+        KeyOp::Remove(99, (0, 0)),
+    ])
+    .unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn key_index_matches_group_keys_under_random_edits(ops in arb_key_ops()) {
+        replay_key_ops(&ops)?;
+    }
 
     #[test]
     fn aggregate_structure_invariants(group in arb_group()) {

@@ -157,14 +157,13 @@ impl Bench {
         self.report.runs.push(Run { secs, rate, ..run });
     }
 
-    /// Seconds of the recorded run of `path` at `offers` and `threads`.
-    fn secs(&self, path: &str, offers: usize, threads: usize) -> f64 {
+    /// The recorded run of `path` at `offers` and `threads`.
+    fn recorded(&self, path: &str, offers: usize, threads: usize) -> &Run {
         self.report
             .runs
             .iter()
             .find(|r| r.path == path && r.offers == offers && r.threads == threads)
             .unwrap_or_else(|| panic!("{path} at {offers} offers, {threads} thread(s) was run"))
-            .secs
     }
 
     fn ratio(&mut self, name: &str, value: f64, about: String) {
@@ -179,7 +178,8 @@ impl Bench {
     /// Records `slow`'s seconds over `fast`'s, each at `offers` and
     /// `(path, threads)`.
     fn speedup(&mut self, name: &str, offers: usize, slow: (&str, usize), fast: (&str, usize)) {
-        let value = self.secs(slow.0, offers, slow.1) / self.secs(fast.0, offers, fast.1);
+        let value =
+            self.recorded(slow.0, offers, slow.1).secs / self.recorded(fast.0, offers, fast.1).secs;
         let about = format!(
             "{} at {} thread(s) over {} at {} thread(s), seconds, {offers} offers",
             slow.0, slow.1, fast.0, fast.1
@@ -379,7 +379,9 @@ fn scenarios(host_cpus: usize, quick: bool) -> Bench {
 /// each shard count, one engine thread per shard (gated), plus the warm
 /// incremental hot path — one single-offer update followed by a measure
 /// query (reference) — which the `warm_query_speedup_vs_batch` ratio
-/// quotes against a from-scratch batch measure query.
+/// quotes against a from-scratch batch measure query. The full sweep also
+/// records `churn_cost_growth`: how much a replayed event's cost grows
+/// from a 10k- to a 100k-offer book, about 1 when churn is `O(log n)`.
 fn serving(host_cpus: usize, quick: bool) -> Bench {
     let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
     let churns: &[f64] = if quick { &[0.01] } else { &[0.01, 0.10] };
@@ -456,6 +458,16 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
                 }
             }
         }
+    }
+    if !quick {
+        // Per-event seconds are the inverse of the events/s rate.
+        let path = "replay churn 10%";
+        let growth = bench.recorded(path, 10_000, 1).rate / bench.recorded(path, 100_000, 1).rate;
+        bench.ratio(
+            "churn_cost_growth",
+            growth,
+            format!("per-event seconds of {path} at 1 shard, 100000 offers over 10000 offers"),
+        );
     }
     bench
 }

@@ -454,7 +454,7 @@ mod tests {
             "serving",
             &["update+query churn 1%", "update+query churn 10%"],
             &["replay churn 1%", "replay churn 10%"],
-            &["warm_query_speedup_vs_batch"],
+            &["warm_query_speedup_vs_batch", "churn_cost_growth"],
         );
     }
 

@@ -17,9 +17,9 @@
 //!   on dirtied shards only and re-merges cached partials from the rest. A
 //!   per-shard **group-key digest** spots updates that leave the `(tes,
 //!   tf)` key multiset unchanged, keeping the grouping cache warm; when
-//!   keys do change, re-grouping is an incremental re-sweep over the
-//!   already-sorted [`KeyIndex`](flexoffers_aggregation::KeyIndex) — no
-//!   per-query sort.
+//!   keys do change, re-grouping is one in-order sweep of the ordered
+//!   [`KeyIndex`](flexoffers_aggregation::KeyIndex), which each mutation
+//!   updates in `O(log n)` — no per-query sort.
 //! * [`LiveServer`] / [`LiveHandle`] — the mpsc event loop:
 //!   [`Event`]`::{Add, Update, Remove, Query}` messages drain into a
 //!   `LiveBook` on a dedicated thread, queries reply with one JSON line.

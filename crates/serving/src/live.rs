@@ -21,9 +21,9 @@
 //! * **Per-shard baseline partials** — the no-flexibility load summed per
 //!   shard; integer series addition is exact, so folding partials equals
 //!   the flat [`Engine::baseline_load_parallel`] bit for bit.
-//! * **Group-key state** — a sorted
-//!   [`flexoffers_aggregation::KeyIndex`] maintained per event
-//!   (no per-query sort), a cached position grouping, and per-shard
+//! * **Group-key state** — an ordered
+//!   [`flexoffers_aggregation::KeyIndex`] maintained in `O(log n)` per
+//!   event (no per-query sort), a cached position grouping, and per-shard
 //!   **key digests** (a commutative multiset hash of the shard's
 //!   `(tes, tf)` keys, maintained in O(1) per mutation). An update that
 //!   keeps its offer's grouping key leaves every digest unchanged and
@@ -32,7 +32,7 @@
 //!   equivalent shard-level summary, exposed for observability and as the
 //!   16-byte-per-shard comparison a future *cross-process* shard would
 //!   ship instead of its keys). Only key-changing mutations force the
-//!   (linear, sort-free) re-sweep.
+//!   re-sweep: one in-order pass over the key set, with no sort.
 //!
 //! Queries recombine this state through the engine's own public reduction
 //! and report-assembly functions, which is what makes every answer
@@ -278,6 +278,43 @@ fn key_hash((tes, tf): (i64, i64)) -> u64 {
     splitmix64(splitmix64(tes as u64) ^ (tf as u64))
 }
 
+/// The per-shard checks [`LiveBook::from_export`] and
+/// [`LiveBook::import_shard`] share, in the order they report: aligned
+/// parallel arrays; then, id by id, the stable placement, the caller's
+/// `is_duplicate(id, local)` test and the id counter; then the key digest.
+fn validate_shard(
+    s: usize,
+    shard: &ShardExport,
+    shard_count: usize,
+    next_id: u64,
+    mut is_duplicate: impl FnMut(u64, usize) -> bool,
+) -> Result<(), ImportError> {
+    let rows = shard
+        .cache
+        .as_ref()
+        .map_or(shard.offers.len(), |c| c.rows.len());
+    if shard.ids.len() != shard.offers.len() || rows != shard.offers.len() {
+        return Err(ImportError::CacheShape { shard: s });
+    }
+    let mut digest = 0u64;
+    for (local, (&id, offer)) in shard.ids.iter().zip(&shard.offers).enumerate() {
+        if stable_shard(id, shard_count) != s {
+            return Err(ImportError::MisplacedId { id });
+        }
+        if is_duplicate(id, local) {
+            return Err(ImportError::DuplicateId { id });
+        }
+        if id >= next_id {
+            return Err(ImportError::StaleNextId { next_id, id });
+        }
+        digest = digest.wrapping_add(key_hash(grouping_key(offer)));
+    }
+    if digest != shard.key_digest {
+        return Err(ImportError::DigestMismatch { shard: s });
+    }
+    Ok(())
+}
+
 /// The event-driven book — see the module docs for the cache architecture
 /// and the crate docs for the byte-identity contract.
 pub struct LiveBook {
@@ -288,7 +325,8 @@ pub struct LiveBook {
     /// id order, i.e. logical portfolio order.
     owners: BTreeMap<u64, (usize, usize)>,
     next_id: u64,
-    /// The live `(tes, tf)` keys, kept sorted across mutations.
+    /// The live `(tes, tf)` keys, kept in `(key, id)` order across
+    /// mutations.
     keys: KeyIndex,
     /// The grouping as *positions* into the logical portfolio, cached
     /// until a mutation changes the key multiset or the id set.
@@ -431,7 +469,7 @@ impl LiveBook {
     /// invariant a fresh build would have established: unique ids in their
     /// stable shards, an id counter strictly past every live id, key
     /// digests that match the offers, and aligned parallel arrays. The
-    /// owner table and sorted key index are reconstructed (they are pure
+    /// owner table and ordered key index are reconstructed (they are pure
     /// functions of the shard arrays); evaluation counters reset and the
     /// grouping cache starts cold.
     pub fn from_export(
@@ -447,34 +485,11 @@ impl LiveBook {
         let mut keys = KeyIndex::new();
         let mut shards = Vec::with_capacity(shard_count);
         for (s, shard) in export.shards.into_iter().enumerate() {
-            if shard.ids.len() != shard.offers.len() {
-                return Err(ImportError::CacheShape { shard: s });
-            }
-            if let Some(cache) = &shard.cache {
-                if cache.rows.len() != shard.offers.len() {
-                    return Err(ImportError::CacheShape { shard: s });
-                }
-            }
-            let mut digest = 0u64;
-            for (local, (&id, offer)) in shard.ids.iter().zip(&shard.offers).enumerate() {
-                if stable_shard(id, shard_count) != s {
-                    return Err(ImportError::MisplacedId { id });
-                }
-                if owners.insert(id, (s, local)).is_some() {
-                    return Err(ImportError::DuplicateId { id });
-                }
-                if id >= export.next_id {
-                    return Err(ImportError::StaleNextId {
-                        next_id: export.next_id,
-                        id,
-                    });
-                }
-                let key = grouping_key(offer);
-                digest = digest.wrapping_add(key_hash(key));
-                keys.insert(id, key);
-            }
-            if digest != shard.key_digest {
-                return Err(ImportError::DigestMismatch { shard: s });
+            validate_shard(s, &shard, shard_count, export.next_id, |id, local| {
+                owners.insert(id, (s, local)).is_some()
+            })?;
+            for (&id, offer) in shard.ids.iter().zip(&shard.offers) {
+                keys.insert(id, grouping_key(offer));
             }
             shards.push(LiveShard {
                 ids: shard.ids,
@@ -521,7 +536,7 @@ impl LiveBook {
     /// untouched. Callers whose counter may trail the import call
     /// [`reserve_ids`](Self::reserve_ids) first.
     ///
-    /// The owner table and sorted key index are patched incrementally; the
+    /// The owner table and ordered key index are patched incrementally; the
     /// grouping cache survives exactly when the shard's id sequence and
     /// per-position grouping keys are unchanged (a profile-only refresh),
     /// and the shard's scratch arena and evaluation counter are kept.
@@ -530,36 +545,13 @@ impl LiveBook {
         if s >= shard_count {
             return Err(ImportError::NoSuchShard { shard: s });
         }
-        if shard.ids.len() != shard.offers.len() {
-            return Err(ImportError::CacheShape { shard: s });
-        }
-        if let Some(cache) = &shard.cache {
-            if cache.rows.len() != shard.offers.len() {
-                return Err(ImportError::CacheShape { shard: s });
-            }
-        }
-        let mut digest = 0u64;
         let mut fresh = std::collections::BTreeSet::new();
-        for (&id, offer) in shard.ids.iter().zip(&shard.offers) {
-            if stable_shard(id, shard_count) != s {
-                return Err(ImportError::MisplacedId { id });
-            }
+        let owners = &self.owners;
+        validate_shard(s, &shard, shard_count, self.next_id, |id, _| {
             // An owner entry pointing at shard `s` is being replaced; one
             // pointing anywhere else means the id is live twice.
-            if !fresh.insert(id) || self.owners.get(&id).is_some_and(|&(owner, _)| owner != s) {
-                return Err(ImportError::DuplicateId { id });
-            }
-            if id >= self.next_id {
-                return Err(ImportError::StaleNextId {
-                    next_id: self.next_id,
-                    id,
-                });
-            }
-            digest = digest.wrapping_add(key_hash(grouping_key(offer)));
-        }
-        if digest != shard.key_digest {
-            return Err(ImportError::DigestMismatch { shard: s });
-        }
+            !fresh.insert(id) || owners.get(&id).is_some_and(|&(owner, _)| owner != s)
+        })?;
 
         // Validation passed — commit. First decide whether the grouping
         // inputs changed (exact per-position comparison, the same standard
@@ -904,8 +896,8 @@ impl LiveBook {
 
     /// Fills the grouping cache if a mutation invalidated it: the
     /// tolerance grouping as positions into the logical portfolio. The
-    /// sweep runs over the already-sorted [`KeyIndex`] — no per-query
-    /// sort — and id order is position order, so the groups are exactly
+    /// sweep runs over the ordered [`KeyIndex`] — no per-query sort —
+    /// and id order is position order, so the groups are exactly
     /// [`flexoffers_aggregation::group_keys`] over the logical portfolio.
     /// Borrow the result with [`cached_groups`](Self::cached_groups) —
     /// the warm path is allocation-free.
