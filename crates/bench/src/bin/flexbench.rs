@@ -421,9 +421,8 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
                     },
                 );
 
-                // Warm the caches, then time the incremental hot path.
+                // Time the incremental hot path.
                 let mut book = build();
-                book.answer(QueryKind::Measure);
                 let victim = book.live_ids()[0];
                 let replacement = book.to_portfolio().as_slice()[0].clone();
                 let warm = time_best(|| {

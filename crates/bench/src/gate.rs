@@ -13,6 +13,11 @@
 //! [`MIN_RATIO`] of the baseline's. That tolerates runner noise and CPU
 //! generation gaps while still catching a hot path that got an order of
 //! magnitude slower.
+//!
+//! Some named ratios are host-independent on their own — a warm live query
+//! against a batch answer on the same host, or how a per-event cost grows
+//! with the book — so the gate also holds the candidate's to the absolute
+//! [`RATIO_BOUNDS`] whenever it records them.
 
 use std::fmt;
 
@@ -31,6 +36,44 @@ pub const MIN_RATIO: f64 = 0.5;
 /// The named ratio the multi-core leg of the gate compares. Reports
 /// record it only on hosts with more than one CPU.
 pub const MULTI_CORE: &str = "multi_core_speedup";
+
+/// An absolute bound on a named ratio.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Bound {
+    /// The ratio must be at least this.
+    AtLeast(f64),
+    /// The ratio must be at most this.
+    AtMost(f64),
+}
+
+impl Bound {
+    /// Whether `value` lies within the bound.
+    pub fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::AtLeast(bound) => value >= bound,
+            Bound::AtMost(bound) => value <= bound,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::AtLeast(bound) => write!(f, ">= {bound:.2}"),
+            Bound::AtMost(bound) => write!(f, "<= {bound:.2}"),
+        }
+    }
+}
+
+/// The named-ratio bounds [`check`] holds the candidate to when it
+/// records the ratio. A warm live measure query may trail a from-scratch
+/// batch answer by at most 10 %; a replayed event may cost at most twice
+/// as much on a 100k-offer book as on a 10k one (`O(log n)` churn grows
+/// about 1.3×, `O(n)` churn about 10×).
+pub const RATIO_BOUNDS: [(&str, Bound); 2] = [
+    ("warm_query_speedup_vs_batch", Bound::AtLeast(0.9)),
+    ("churn_cost_growth", Bound::AtMost(2.0)),
+];
 
 /// One layer's benchmark report.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -188,6 +231,8 @@ pub struct Verdict {
     /// reports recorded it (a single-core runner cannot be judged on
     /// scaling).
     pub multi_core_ratio: Option<f64>,
+    /// Each of [`RATIO_BOUNDS`] the candidate recorded, with its value.
+    pub bounded: Vec<(&'static str, f64, Bound)>,
 }
 
 impl Verdict {
@@ -201,10 +246,16 @@ impl Verdict {
         }
     }
 
-    /// `true` when the candidate clears [`MIN_RATIO`]: per-core always,
-    /// and multi-core scaling too when both sides recorded it.
+    /// `true` when the candidate clears [`MIN_RATIO`] — per-core always,
+    /// and multi-core scaling too when both sides recorded it — and every
+    /// bounded ratio it recorded holds.
     pub fn passed(&self) -> bool {
-        self.ratio() >= MIN_RATIO && self.multi_core_ratio.is_none_or(|r| r >= MIN_RATIO)
+        self.ratio() >= MIN_RATIO
+            && self.multi_core_ratio.is_none_or(|r| r >= MIN_RATIO)
+            && self
+                .bounded
+                .iter()
+                .all(|&(_, value, bound)| bound.holds(value))
     }
 
     /// One-line human-readable summary.
@@ -213,9 +264,21 @@ impl Verdict {
             Some(r) => format!("; {MULTI_CORE} ratio {r:.2}x"),
             None => String::new(),
         };
+        let bounded: String = self
+            .bounded
+            .iter()
+            .map(|&(name, value, bound)| {
+                let verdict = if bound.holds(value) {
+                    "ok"
+                } else {
+                    "out of bound"
+                };
+                format!("; {name} {value:.2} (gate: {bound}) {verdict}")
+            })
+            .collect();
         format!(
             "per-core peak: baseline {:.0} {unit}/core, candidate {:.0} {unit}/core \
-             — ratio {:.2}x{multi_core} (gate: >= {MIN_RATIO:.2}x) => {}",
+             — ratio {:.2}x{multi_core} (gate: >= {MIN_RATIO:.2}x){bounded} => {}",
             self.baseline_per_core,
             self.candidate_per_core,
             self.ratio(),
@@ -246,6 +309,10 @@ pub fn check(baseline: &Report, candidate: &Report) -> Result<Verdict, GateError
             (Some(b), Some(c)) if b > 0.0 => Some(c / b),
             _ => None,
         },
+        bounded: RATIO_BOUNDS
+            .iter()
+            .filter_map(|&(name, bound)| Some((name, candidate.ratio(name)?, bound)))
+            .collect(),
     })
 }
 
@@ -366,6 +433,51 @@ mod tests {
         let verdict = check(&scaled, &collapsed).unwrap();
         assert!((verdict.ratio() - 1.0).abs() < 1e-12);
         assert!(!verdict.passed(), "{}", verdict.render());
+    }
+
+    fn with_ratio(mut r: Report, name: &str, value: f64) -> Report {
+        r.ratios.push(Ratio {
+            name: name.to_owned(),
+            value,
+            about: "test".to_owned(),
+        });
+        r
+    }
+
+    #[test]
+    fn bounded_ratios_fail_the_candidate_on_their_own() {
+        let baseline = report(2, &[(2, 200.0)]);
+        let gate = |name: &str, value: f64| {
+            let candidate = with_ratio(report(2, &[(2, 200.0)]), name, value);
+            check(&baseline, &candidate).unwrap()
+        };
+        // The warm live query's 0.67 before it read offers through the
+        // batch engine, and the 5.78 churn growth of the sorted-Vec key
+        // index, both fail although per-core throughput held.
+        for (name, value) in [
+            ("warm_query_speedup_vs_batch", 0.67),
+            ("churn_cost_growth", 5.78),
+        ] {
+            let verdict = gate(name, value);
+            assert!((verdict.ratio() - 1.0).abs() < 1e-12);
+            assert!(!verdict.passed(), "{}", verdict.render());
+            assert!(verdict.render().contains("out of bound"));
+        }
+        for (name, value) in [
+            ("warm_query_speedup_vs_batch", 0.9),
+            ("warm_query_speedup_vs_batch", 1.7),
+            ("churn_cost_growth", 1.35),
+            ("churn_cost_growth", 2.0),
+        ] {
+            let verdict = gate(name, value);
+            assert!(verdict.passed(), "{}", verdict.render());
+            assert!(verdict.render().contains(name));
+        }
+        // Unrecorded ratios are not gated; the baseline's are not read.
+        let bad_baseline = with_ratio(baseline.clone(), "churn_cost_growth", 9.0);
+        let verdict = check(&bad_baseline, &report(2, &[(2, 200.0)])).unwrap();
+        assert!(verdict.bounded.is_empty());
+        assert!(verdict.passed());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! is what makes cross-process answers byte-identical at any
 //! workers × threads × kernel budget, and a mostly-clean book pays for
 //! one dirty shard instead of K full exports. `import_shard`'s structural
-//! validation (placement, duplicate ids, digests, cache shapes) doubles
+//! validation (placement, duplicate ids, digests, array shapes) doubles
 //! as wire-integrity checking on everything a worker ships back, and
 //! [`answer_full`](ClusterBook::answer_full) keeps the old
 //! full-gather path alive as a byte-identity oracle.
@@ -400,7 +400,7 @@ fn empty_shard() -> ShardExport {
 
 /// Splits a worker's gathered export into its populated shard, rejecting
 /// exports whose shape or placement is off. (Value-level corruption —
-/// digests, duplicate ids, cache shapes — is caught by the merged book's
+/// digests, duplicate ids, array shapes — is caught by the merged book's
 /// [`LiveBook::import_shard`].)
 fn own_shard(w: usize, workers: usize, export: BookExport) -> Result<ShardExport, ClusterError> {
     let fault = |message: String| bad_export(w, message);

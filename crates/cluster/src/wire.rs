@@ -83,7 +83,7 @@ pub enum WorkerRequest {
         /// The global logical id.
         offer_id: u64,
     },
-    /// Refresh caches and reply with the worker's book export — unless
+    /// Refresh the baseline partial and reply with the worker's book export — unless
     /// `if_digest` matches the worker's current shard state digest, in
     /// which case the reply is the tiny `not_modified` frame. `None`
     /// always ships the full export (respawn re-baselining, snapshots,

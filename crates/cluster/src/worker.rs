@@ -6,7 +6,7 @@
 //! in their stable shard *by construction* and the worker's populated
 //! shard stays byte-equal to the corresponding shard of an in-process
 //! K-shard book fed the same serialized mutation stream. The worker never
-//! answers queries itself: `export` refreshes its caches and ships the
+//! answers queries itself: `export` refreshes its baseline partial and ships the
 //! book image, and the supervisor merges the gathered shards into its
 //! persistent book so answer bytes come from the same code path as the
 //! in-process tier.

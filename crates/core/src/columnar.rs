@@ -28,8 +28,7 @@
 //!   [`PreparedOffer`] shares one union per offer).
 //!
 //! `load` truncates and refills every column in place, retaining
-//! capacity — a batch owned by a long-lived worker (the serving tier keeps
-//! one per shard) does zero steady-state allocations once warm.
+//! capacity — a batch reloaded with a same-sized chunk allocates nothing.
 //!
 //! # Bitwise identity
 //!
@@ -39,6 +38,8 @@
 //! is **bitwise identical** to [`Measure::of_prepared`]. The engine's
 //! proptests pin this for all eight measures and the baseline at arbitrary
 //! shards × threads × chunking.
+
+use std::borrow::Borrow;
 
 use flexoffers_area::{ColumnExtent, UnionArea};
 use flexoffers_model::{FlexOffer, SignClass};
@@ -176,8 +177,9 @@ impl ColumnarBatch {
 
     /// Flattens `offers` into the batch's columns, replacing any previous
     /// load. Capacity is retained — reloading a same-sized chunk allocates
-    /// nothing.
-    pub fn load(&mut self, offers: &[FlexOffer]) {
+    /// nothing. Owned offers and borrowed views (`&[&FlexOffer]`) load
+    /// alike.
+    pub fn load<O: Borrow<FlexOffer>>(&mut self, offers: &[O]) {
         self.tes.clear();
         self.tf.clear();
         self.total_min.clear();
@@ -198,6 +200,7 @@ impl ColumnarBatch {
         self.slice_len.reserve(offers.len());
         self.sign.reserve(offers.len());
         for fo in offers {
+            let fo = fo.borrow();
             self.tes.push(fo.earliest_start());
             self.tf.push(fo.time_flexibility());
             self.total_min.push(fo.total_min());
@@ -496,9 +499,9 @@ impl ColumnarBatch {
     /// `i`, bitwise identical to the scalar prepared-offer loop. Reducing
     /// straight off these columns (the engine's portfolio summaries do)
     /// skips the row transpose entirely.
-    pub fn columns(
+    pub fn columns<O: Borrow<FlexOffer>>(
         &mut self,
-        offers: &[FlexOffer],
+        offers: &[O],
         measures: &[Box<dyn Measure>],
     ) -> Vec<Vec<Result<f64, MeasureError>>> {
         self.load(offers);
@@ -515,6 +518,7 @@ impl ColumnarBatch {
         }
         if kernels.iter().any(Option::is_none) {
             for (i, fo) in offers.iter().enumerate() {
+                let fo = fo.borrow();
                 let prepared = if self.union_ready {
                     PreparedOffer::with_union(fo, self.union_area_of(i))
                 } else {
@@ -534,7 +538,11 @@ impl ColumnarBatch {
     /// [`columns`](ColumnarBatch::columns) transposed back to the offer ×
     /// measure layout of the scalar prepared-offer loop, bitwise
     /// identical to it.
-    pub fn rows(&mut self, offers: &[FlexOffer], measures: &[Box<dyn Measure>]) -> Vec<Row> {
+    pub fn rows<O: Borrow<FlexOffer>>(
+        &mut self,
+        offers: &[O],
+        measures: &[Box<dyn Measure>],
+    ) -> Vec<Row> {
         let columns = self.columns(offers, measures);
         (0..offers.len())
             .map(|i| columns.iter().map(|column| column[i].clone()).collect())
@@ -651,7 +659,7 @@ mod tests {
         batch.load(&offers[..1]);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.es_min.len(), 4);
-        batch.load(&[]);
+        batch.load::<FlexOffer>(&[]);
         assert!(batch.is_empty());
     }
 
@@ -711,7 +719,7 @@ mod tests {
     #[test]
     fn empty_batch_yields_no_rows_and_an_empty_baseline() {
         let mut batch = ColumnarBatch::new();
-        assert!(batch.rows(&[], &all_measures()).is_empty());
+        assert!(batch.rows::<FlexOffer>(&[], &all_measures()).is_empty());
         assert!(batch.baseline_partial(&[]).is_empty());
     }
 

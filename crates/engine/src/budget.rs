@@ -169,22 +169,6 @@ impl Budget {
             None => len.div_ceil(4usize.saturating_mul(self.threads)).max(1),
         }
     }
-
-    /// The per-shard worker budget when this budget is split across
-    /// `shards` shard workers: `threads / shards` threads each, floored at
-    /// one, with any pinned chunk size preserved. Floors matter: a naive
-    /// `threads / shards` is zero whenever the shard count exceeds the
-    /// thread budget (the degenerate-shard regime), and a zero-thread
-    /// budget is a constructor error — every knob combination must degrade
-    /// to a sequential worker instead. Used by the serving tier's live
-    /// book, which re-evaluates its dirty shards side by side.
-    pub fn per_shard(&self, shards: usize) -> Budget {
-        Budget {
-            threads: (self.threads / shards.max(1)).max(1),
-            chunk_size: self.chunk_size,
-            kernel: self.kernel,
-        }
-    }
 }
 
 impl Default for Budget {
@@ -252,23 +236,5 @@ mod tests {
             assert_eq!(Kernel::parse(k.label()), Some(k));
         }
         assert_eq!(Kernel::parse("vectorised"), None);
-    }
-
-    #[test]
-    fn per_shard_budget_preserves_the_kernel() {
-        let b = Budget::with_threads(8).unwrap().with_kernel(Kernel::Scalar);
-        assert_eq!(b.per_shard(4).kernel(), Kernel::Scalar);
-    }
-
-    #[test]
-    fn per_shard_budget_never_hits_zero_threads() {
-        let b = Budget::with_threads(8).unwrap().with_chunk_size(5).unwrap();
-        assert_eq!(b.per_shard(2).threads(), 4);
-        assert_eq!(b.per_shard(2).explicit_chunk_size(), Some(5));
-        // More shards than threads: each worker degrades to sequential
-        // instead of panicking in the Budget constructor.
-        assert_eq!(b.per_shard(64).threads(), 1);
-        assert_eq!(b.per_shard(0).threads(), 8);
-        assert_eq!(Budget::sequential().per_shard(4).threads(), 1);
     }
 }

@@ -1,5 +1,6 @@
 //! The batched evaluation pipeline itself.
 
+use std::borrow::Borrow;
 use std::time::Instant;
 
 use flexoffers_aggregation::{aggregate_indices, group_indices, Aggregate, GroupingParams};
@@ -67,10 +68,12 @@ impl Engine {
     /// [`Measure::of_set`] loop would — same values, same errors, same
     /// floating-point addition order — but with the per-offer work chunked
     /// across worker threads and each offer prepared once
-    /// ([`PreparedOffer`]) for all measures.
-    pub fn measure_portfolio(
+    /// ([`PreparedOffer`]) for all measures. `offers` may be owned or a
+    /// borrowed view (`&[&FlexOffer]`); the live book passes its id-ordered
+    /// view, so no offer is cloned to answer a query.
+    pub fn measure_portfolio<O: Borrow<FlexOffer> + Sync>(
         &self,
-        offers: &[FlexOffer],
+        offers: &[O],
         measures: &[Box<dyn Measure>],
     ) -> PortfolioReport {
         let started = Instant::now();
@@ -111,7 +114,10 @@ impl Engine {
     }
 
     /// [`Engine::measure_portfolio`] over the paper's eight measures.
-    pub fn measure_portfolio_all(&self, offers: &[FlexOffer]) -> PortfolioReport {
+    pub fn measure_portfolio_all<O: Borrow<FlexOffer> + Sync>(
+        &self,
+        offers: &[O],
+    ) -> PortfolioReport {
         self.measure_portfolio(offers, &all_measures())
     }
 
@@ -121,15 +127,13 @@ impl Engine {
     /// both the measurement pass and the scenario correlations; nothing is
     /// reduced off the calling thread.
     ///
-    /// Public because the serving tier caches these rows *per shard* and
-    /// re-runs the pass only on shards a mutation dirtied: each row is a
-    /// pure function of its offer alone (no cross-offer arithmetic), so
-    /// rows computed shard-by-shard and gathered in portfolio order are
-    /// bitwise the rows of one flat pass, ready for
-    /// [`reduce_measure_rows`].
-    pub fn per_offer_rows(
+    /// Public because the Scenario 1 correlations need the rows themselves
+    /// (see [`flatten_rows`](crate::scenario::flatten_rows)): the batch
+    /// report runs it over the portfolio, and the live book over its
+    /// id-ordered borrowed view — the same rows, bit for bit.
+    pub fn per_offer_rows<O: Borrow<FlexOffer> + Sync>(
         &self,
-        offers: &[FlexOffer],
+        offers: &[O],
         measures: &[Box<dyn Measure>],
     ) -> Vec<Vec<Result<f64, MeasureError>>> {
         let chunk_size = self.budget.chunk_size_for(offers.len());
@@ -144,35 +148,13 @@ impl Engine {
                 offers[range.clone()]
                     .iter()
                     .map(|fo| {
-                        let prepared = PreparedOffer::new(fo);
+                        let prepared = PreparedOffer::new(fo.borrow());
                         measures.iter().map(|m| m.of_prepared(&prepared)).collect()
                     })
                     .collect()
             })
         };
         chunks.into_iter().flatten().collect()
-    }
-
-    /// [`Engine::per_offer_rows`] evaluated through a caller-owned columnar
-    /// arena. On a single-threaded columnar budget the whole slice runs as
-    /// one batch inside `arena`, whose buffers survive the call — a worker
-    /// that keeps its arena (the serving tier keeps one per shard) does
-    /// zero steady-state kernel allocations. Any other budget delegates to
-    /// [`Engine::per_offer_rows`], leaving `arena` untouched. Rows are
-    /// bitwise identical either way: each row is a pure function of its
-    /// offer, so batching the slice whole instead of in chunks cannot
-    /// change it.
-    pub fn per_offer_rows_in(
-        &self,
-        arena: &mut ColumnarBatch,
-        offers: &[FlexOffer],
-        measures: &[Box<dyn Measure>],
-    ) -> Vec<Vec<Result<f64, MeasureError>>> {
-        if self.budget.threads() <= 1 && self.use_columnar(measures) {
-            arena.rows(offers, measures)
-        } else {
-            self.per_offer_rows(offers, measures)
-        }
     }
 
     /// Whether this budget's [`Kernel`] resolves to the columnar path for
@@ -308,8 +290,9 @@ impl Engine {
     /// The portfolio's no-flexibility baseline load, chunked across
     /// workers. Partial sums are integer series, so the chunked total is
     /// exactly [`baseline_load`] over the whole slice — and exactly the
-    /// fold of any other partition's partials (the serving tier caches one
-    /// partial per shard and sums them on every trade query).
+    /// fold of any other partition's partials (the live book keeps one
+    /// partial per shard, refreshed only when the shard is dirty, and sums
+    /// them on every trade query).
     pub fn baseline_load_parallel(&self, offers: &[FlexOffer]) -> Series<i64> {
         let chunk_size = self.budget.chunk_size_for(offers.len());
         let ranges = chunk_ranges(offers.len(), chunk_size);
@@ -325,33 +308,14 @@ impl Engine {
         };
         sum_series(partials.iter())
     }
-
-    /// [`Engine::baseline_load_parallel`] through a caller-owned columnar
-    /// arena — the baseline counterpart of [`Engine::per_offer_rows_in`],
-    /// with the same single-threaded-columnar arena reuse and the same
-    /// bitwise-identity guarantee (the columnar partial reproduces the
-    /// scalar fold's series representation exactly).
-    pub fn baseline_load_parallel_in(
-        &self,
-        arena: &mut ColumnarBatch,
-        offers: &[FlexOffer],
-    ) -> Series<i64> {
-        if self.budget.threads() <= 1 && self.budget.kernel() != Kernel::Scalar {
-            arena.baseline_partial(offers)
-        } else {
-            self.baseline_load_parallel(offers)
-        }
-    }
 }
 
-/// The deterministic merge behind [`Engine::measure_portfolio`]: rows
-/// arrive in portfolio order, and each measure's reduction walks offers in
-/// that order, mirroring its [`Measure::of_set`] semantics (short-circuit
-/// on the first error; sum, or average for relative area). Keeping the
-/// reduction in one function is what makes batch and *incrementally
-/// cached* measurement (the serving tier feeds it rows gathered from
-/// per-shard caches) bitwise identical by construction.
-pub fn reduce_measure_rows(
+/// The row-major merge behind [`Engine::measure_portfolio`]'s scalar
+/// path: rows arrive in portfolio order, and each measure's reduction
+/// walks offers in that order, mirroring its [`Measure::of_set`]
+/// semantics (short-circuit on the first error; sum, or average for
+/// relative area).
+fn reduce_measure_rows(
     measures: &[Box<dyn Measure>],
     rows: &[Vec<Result<f64, MeasureError>>],
 ) -> Vec<MeasureSummary> {
@@ -446,7 +410,7 @@ mod tests {
 
     #[test]
     fn empty_portfolio_reduces_like_of_set() {
-        let report = Engine::sequential().measure_portfolio_all(&[]);
+        let report = Engine::sequential().measure_portfolio_all::<FlexOffer>(&[]);
         assert_eq!(report.offers, 0);
         for (summary, m) in report.summaries.iter().zip(all_measures()) {
             assert_eq!(summary.value, m.of_set(&[]), "{}", summary.measure);

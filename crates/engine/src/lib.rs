@@ -80,7 +80,7 @@ pub mod shard;
 
 pub use budget::{Budget, EngineError, Kernel};
 pub use chunk::{chunk_ranges, parallel_map};
-pub use engine::{reduce_measure_rows, Engine, TradeOutcome};
+pub use engine::{Engine, TradeOutcome};
 pub use report::{MeasureSummary, PortfolioReport};
 pub use scenario::{Scenario, ScenarioError, ScenarioKind, SchedulerChoice};
 pub use scenario_report::{CorrelationSummary, MarketSummary, ScenarioReport, ScheduleSummary};

@@ -451,8 +451,8 @@ impl Engine {
 
 /// Errors flattened to `None` for the correlation filter — the adapter
 /// between [`Engine::per_offer_rows`] output and [`correlate`]. Public so
-/// the serving tier can feed its cached per-shard rows through the exact
-/// pipeline the scenario reports use.
+/// the live book's schedule answer, which runs the rows pass over its own
+/// id-ordered view, feeds the exact pipeline the scenario reports use.
 pub fn flatten_rows(
     rows: Vec<Vec<Result<f64, flexoffers_measures::MeasureError>>>,
 ) -> Vec<Vec<Option<f64>>> {

@@ -4,17 +4,19 @@
 //! production flexibility platform receives a continuous stream of
 //! flex-offers (adds, revisions, withdrawals) and must answer
 //! measure/schedule/trade queries *between* updates. Rebuilding the
-//! portfolio and restarting the batch pipelines on every query throws away
-//! almost all of the previous evaluation: a single-offer update
-//! invalidates one shard's rows, not the book's.
+//! portfolio and restarting the batch pipelines on every query re-parses,
+//! re-sorts and re-groups the whole book for every answer.
 //!
-//! This crate keeps exactly that incremental state:
+//! This crate keeps the book live instead:
 //!
 //! * [`LiveBook`] — the event-driven book. Adds route to a shard by the
 //!   stable hash placement
-//!   ([`stable_shard`](flexoffers_engine::stable_shard)); each shard caches its **prepared-offer measure rows** and its **baseline
-//!   partial**, guarded by a dirty bit, so a query re-runs the measure pass
-//!   on dirtied shards only and re-merges cached partials from the rest. A
+//!   ([`stable_shard`](flexoffers_engine::stable_shard)). Queries read
+//!   the offers in place through one id-ordered borrowed view and run the
+//!   flat engine's own passes over it — the measure answer *is*
+//!   [`Engine::measure_portfolio_all`](flexoffers_engine::Engine::measure_portfolio_all).
+//!   Each shard caches only its integer **baseline partial**, guarded by
+//!   a dirty bit, so a trade query recomputes dirtied shards only. A
 //!   per-shard **group-key digest** spots updates that leave the `(tes,
 //!   tf)` key multiset unchanged, keeping the grouping cache warm; when
 //!   keys do change, re-grouping is one in-order sweep of the ordered
@@ -36,10 +38,10 @@
 //!
 //! Every query answer is **byte-identical** to rebuilding the book from
 //! scratch at that point and running the flat engine ([`batch::answer`]),
-//! at any shards × threads × chunk budget. The measure reduction, the
-//! correlation tables, and the scenario report assembly are the engine's
-//! own public functions — the live path feeds them cached per-shard state
-//! instead of freshly computed rows, and the property suite in
+//! at any shards × threads × chunk budget. The measure pass, the rows
+//! behind the correlation tables, and the scenario report assembly are the
+//! engine's own public functions — the live path runs them over its
+//! borrowed view of the same offers, and the property suite in
 //! `tests/props.rs` pins the bytes across random Add/Update/Remove/Query
 //! interleavings.
 //!
@@ -72,9 +74,7 @@ pub mod server;
 
 pub use config::{DurabilityConfig, ServeConfig};
 pub use event::{parse_script, parse_script_from, Event, QueryKind, ScriptError};
-pub use live::{
-    BookExport, ImportError, LiveBook, LiveError, MeasureRow, ShardCacheExport, ShardExport,
-};
+pub use live::{BookExport, ImportError, LiveBook, LiveError, ShardExport};
 pub use report::{AggregateReportJson, AggregateSummaryJson};
 pub use sequencer::{Checked, Sequencer, UnknownId};
 pub use server::{EventSink, LiveHandle, LiveServer, ServeError};

@@ -8,19 +8,26 @@
 //! portfolio a from-scratch build would hold, which is what every query
 //! answer is pinned against.
 //!
-//! # Cache architecture
+//! # Query path and cache architecture
 //!
-//! Three layers of incremental state, each invalidated as narrowly as the
-//! mutation allows:
+//! Every query reads the offers themselves: it builds one id-ordered
+//! borrowed view (`Vec<&FlexOffer>`, walked off the owner table) and runs
+//! the flat engine's own passes over it — the measure answer is
+//! [`Engine::measure_portfolio_all`], the schedule correlations are
+//! [`Engine::per_offer_rows`], the earliest-start baseline is mapped
+//! straight over the view. No offer is cloned for these, and no measure
+//! value is cached between queries.
 //!
-//! * **Per-shard measure rows** — the prepared-offer row pass
-//!   ([`Engine::per_offer_rows`]) cached per shard behind a dirty bit. A
-//!   single-offer update re-runs the pass on exactly one shard (asserted
-//!   by the per-shard evaluation counters, [`LiveBook::evaluations`]); the
-//!   merge gathers cached rows from everyone else.
+//! Two layers of incremental state remain, each invalidated as narrowly
+//! as the mutation allows:
+//!
 //! * **Per-shard baseline partials** — the no-flexibility load summed per
-//!   shard; integer series addition is exact, so folding partials equals
-//!   the flat [`Engine::baseline_load_parallel`] bit for bit.
+//!   shard behind a dirty bit; integer series addition is exact, so
+//!   folding partials equals the flat [`Engine::baseline_load_parallel`]
+//!   bit for bit. A single-offer update recomputes exactly one shard's
+//!   partial (asserted by the per-shard evaluation counters,
+//!   [`LiveBook::evaluations`]) on the next trade query or
+//!   [`LiveBook::refresh`].
 //! * **Group-key state** — an ordered
 //!   [`flexoffers_aggregation::KeyIndex`] maintained in `O(log n)` per
 //!   event (no per-query sort), a cached position grouping, and per-shard
@@ -34,25 +41,22 @@
 //!   ship instead of its keys). Only key-changing mutations force the
 //!   re-sweep: one in-order pass over the key set, with no sort.
 //!
-//! Queries recombine this state through the engine's own public reduction
-//! and report-assembly functions, which is what makes every answer
+//! Queries recombine this state through the engine's own passes and
+//! report-assembly functions, which is what makes every answer
 //! byte-identical to a batch rebuild ([`crate::batch::answer`]).
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use flexoffers_aggregation::{aggregate, Aggregate, KeyIndex};
 use flexoffers_engine::scenario::{flatten_rows, ScenarioError};
 use flexoffers_engine::{
-    parallel_map, reduce_measure_rows, splitmix64, stable_shard, Budget, Engine, EngineError,
-    PortfolioReport, ScenarioKind,
+    parallel_map, splitmix64, stable_shard, Budget, Engine, EngineError, ScenarioKind,
 };
-use flexoffers_market::baseline_load;
-use flexoffers_measures::{all_measures, ColumnarBatch, MeasureError};
-use flexoffers_model::{Assignment, FlexOffer, Portfolio};
+use flexoffers_measures::all_measures;
+use flexoffers_model::{FlexOffer, Portfolio};
 use flexoffers_scheduling::{earliest_start_assignment, Schedule};
 use flexoffers_timeseries::ops::sum_series;
 use flexoffers_timeseries::Series;
@@ -61,13 +65,6 @@ use flexoffers_workloads::OfferEvent;
 use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
 use crate::report::{aggregate_report, answer_line, error_line};
-
-/// One per-offer row of measure values (all eight measures) — what the
-/// per-shard cache stores and what a snapshot serializes.
-pub type MeasureRow = Vec<Result<f64, MeasureError>>;
-
-/// Local alias kept for brevity.
-type Row = MeasureRow;
 
 /// Errors applying a mutation to a live book.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,8 +129,7 @@ pub enum ImportError {
         /// The offending shard index.
         shard: usize,
     },
-    /// A shard's parallel arrays (ids/offers, or cached rows) disagreed in
-    /// length.
+    /// A shard's parallel `ids`/`offers` arrays disagreed in length.
     CacheShape {
         /// The offending shard index.
         shard: usize,
@@ -172,16 +168,6 @@ impl fmt::Display for ImportError {
 
 impl Error for ImportError {}
 
-/// A serializable image of one shard's cached evaluation state — the rows
-/// and baseline partial a clean shard would otherwise recompute.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardCacheExport {
-    /// Per-offer measure rows, aligned with the shard's local offer order.
-    pub rows: Vec<MeasureRow>,
-    /// The shard's no-flexibility baseline partial.
-    pub baseline: Series<i64>,
-}
-
 /// A serializable image of one [`LiveBook`] shard.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardExport {
@@ -191,14 +177,15 @@ pub struct ShardExport {
     pub offers: Vec<FlexOffer>,
     /// The shard's commutative `(tes, tf)` key digest.
     pub key_digest: u64,
-    /// The cached evaluation state, when the shard was clean.
-    pub cache: Option<ShardCacheExport>,
+    /// The shard's no-flexibility baseline partial, when the shard was
+    /// clean — the one piece of evaluation state a shard caches.
+    pub cache: Option<Series<i64>>,
 }
 
 /// A full serializable image of a live book's incremental state — what a
 /// snapshot persists and [`LiveBook::from_export`] validates back into a
 /// book. Deliberately excludes the evaluation counters (observability,
-/// reset on import) and the scratch arenas (rebuilt on first refresh).
+/// reset on import).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BookExport {
     /// The monotone id counter (strictly past every live id).
@@ -207,48 +194,17 @@ pub struct BookExport {
     pub shards: Vec<ShardExport>,
 }
 
-/// Locks a scratch arena, recovering from poison: the arena holds no
-/// results — only reusable buffers that every pass overwrites before
-/// reading — so a worker panicking mid-fill leaves nothing worth
-/// preserving and nothing that can corrupt a later refresh.
-fn lock_scratch(arena: &Mutex<ColumnarBatch>) -> std::sync::MutexGuard<'_, ColumnarBatch> {
-    arena
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Unwraps a scratch arena back out of its fan-out wrapper, recovering
-/// from poison for the same reason as [`lock_scratch`].
-fn reclaim_scratch(arena: Mutex<ColumnarBatch>) -> ColumnarBatch {
-    arena
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The cached evaluation state of one shard, valid only while the shard is
-/// clean (any mutation of the shard drops the whole cache).
-struct ShardCache {
-    /// Per-offer measure rows, aligned with the shard's local offer order.
-    rows: Vec<Row>,
-    /// The shard's no-flexibility baseline partial.
-    baseline: Series<i64>,
-}
-
 /// One shard of a [`LiveBook`]: parallel id/offer arrays (local order is
 /// arrival order with swap-remove holes — global order is restored through
 /// the id ranks, never from shard order).
 struct LiveShard {
     ids: Vec<u64>,
     offers: Vec<FlexOffer>,
-    cache: Option<ShardCache>,
+    /// The no-flexibility baseline partial, valid only while the shard is
+    /// clean (any mutation of the shard drops it).
+    baseline: Option<Series<i64>>,
     key_digest: u64,
     evaluations: usize,
-    /// The shard's columnar scratch arena: the measure pass and baseline
-    /// partial run inside it ([`Engine::per_offer_rows_in`]), and its
-    /// buffers persist across refreshes — once a shard has been evaluated
-    /// at its steady-state size, re-evaluations allocate nothing in the
-    /// kernels.
-    arena: ColumnarBatch,
 }
 
 impl LiveShard {
@@ -256,10 +212,9 @@ impl LiveShard {
         Self {
             ids: Vec::new(),
             offers: Vec::new(),
-            cache: None,
+            baseline: None,
             key_digest: 0,
             evaluations: 0,
-            arena: ColumnarBatch::new(),
         }
     }
 }
@@ -289,11 +244,7 @@ fn validate_shard(
     next_id: u64,
     mut is_duplicate: impl FnMut(u64, usize) -> bool,
 ) -> Result<(), ImportError> {
-    let rows = shard
-        .cache
-        .as_ref()
-        .map_or(shard.offers.len(), |c| c.rows.len());
-    if shard.ids.len() != shard.offers.len() || rows != shard.offers.len() {
+    if shard.ids.len() != shard.offers.len() {
         return Err(ImportError::CacheShape { shard: s });
     }
     let mut digest = 0u64;
@@ -381,10 +332,11 @@ impl LiveBook {
         self.engine.budget()
     }
 
-    /// How many times each shard's measure pass has run — the observable
-    /// the incremental contract is asserted on: after a warm query, a
-    /// single-offer update followed by another query bumps exactly one
-    /// shard's counter.
+    /// How many times each shard's baseline partial has been recomputed —
+    /// the observable the incremental contract is asserted on: after a
+    /// [`refresh`](Self::refresh), a single-offer update followed by
+    /// another refresh (or a trade query) bumps exactly one shard's
+    /// counter.
     pub fn evaluations(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.evaluations).collect()
     }
@@ -431,7 +383,7 @@ impl LiveBook {
     }
 
     /// A serializable image of the book's incremental state — per-shard
-    /// ids, offers, key digests, cached rows/baseline partials, and the id
+    /// ids, offers, key digests, cached baseline partials, and the id
     /// counter. Clones everything; meant for the snapshot path, which runs
     /// off the hot loop's cadence.
     pub fn export(&self) -> BookExport {
@@ -458,10 +410,7 @@ impl LiveBook {
             ids: shard.ids.clone(),
             offers: shard.offers.clone(),
             key_digest: shard.key_digest,
-            cache: shard.cache.as_ref().map(|cache| ShardCacheExport {
-                rows: cache.rows.clone(),
-                baseline: cache.baseline.clone(),
-            }),
+            cache: shard.baseline.clone(),
         }
     }
 
@@ -494,13 +443,9 @@ impl LiveBook {
             shards.push(LiveShard {
                 ids: shard.ids,
                 offers: shard.offers,
-                cache: shard.cache.map(|cache| ShardCache {
-                    rows: cache.rows,
-                    baseline: cache.baseline,
-                }),
+                baseline: shard.cache,
                 key_digest: shard.key_digest,
                 evaluations: 0,
-                arena: ColumnarBatch::new(),
             });
         }
         Ok(Self {
@@ -539,7 +484,7 @@ impl LiveBook {
     /// The owner table and ordered key index are patched incrementally; the
     /// grouping cache survives exactly when the shard's id sequence and
     /// per-position grouping keys are unchanged (a profile-only refresh),
-    /// and the shard's scratch arena and evaluation counter are kept.
+    /// and the shard's evaluation counter is kept.
     pub fn import_shard(&mut self, s: usize, shard: ShardExport) -> Result<(), ImportError> {
         let shard_count = self.shards.len();
         if s >= shard_count {
@@ -580,10 +525,7 @@ impl LiveBook {
         live.ids = shard.ids;
         live.offers = shard.offers;
         live.key_digest = shard.key_digest;
-        live.cache = shard.cache.map(|cache| ShardCache {
-            rows: cache.rows,
-            baseline: cache.baseline,
-        });
+        live.baseline = shard.cache;
         if !unchanged {
             self.groups_cache = None;
         }
@@ -643,7 +585,7 @@ impl LiveBook {
         self.owners.insert(id, (s, shard.ids.len()));
         shard.ids.push(id);
         shard.offers.push(offer);
-        shard.cache = None;
+        shard.baseline = None;
         shard.key_digest = shard.key_digest.wrapping_add(key_hash(key));
         self.keys.insert(id, key);
         self.groups_cache = None;
@@ -668,7 +610,7 @@ impl LiveBook {
             self.groups_cache = None;
         }
         shard.offers[local] = offer;
-        shard.cache = None;
+        shard.baseline = None;
         Ok(())
     }
 
@@ -683,7 +625,7 @@ impl LiveBook {
             // swap_remove relocated the former tail into the hole.
             self.owners.insert(moved, (s, local));
         }
-        shard.cache = None;
+        shard.baseline = None;
         shard.key_digest = shard.key_digest.wrapping_sub(key_hash(key));
         assert!(self.keys.remove(id, key), "owner table and keys agree");
         self.groups_cache = None;
@@ -702,25 +644,14 @@ impl LiveBook {
         }
     }
 
-    fn measure_answer(&mut self) -> String {
-        let started = Instant::now();
-        self.refresh_dirty();
-        let measures = all_measures();
-        let rows = self.gather_rows();
-        let summaries = reduce_measure_rows(&measures, &rows);
-        let report = PortfolioReport {
-            offers: rows.len(),
-            threads: self.engine.budget().threads(),
-            chunk_size: self.engine.budget().chunk_size_for(rows.len()),
-            elapsed: started.elapsed(),
-            summaries,
-        };
+    fn measure_answer(&self) -> String {
+        let report = self.engine.measure_portfolio_all(&self.view());
         answer_line(QueryKind::Measure, &report.json())
     }
 
     fn aggregate_answer(&mut self) -> String {
         self.ensure_groups();
-        let aggregates = self.aggregate_groups(self.cached_groups());
+        let aggregates = self.aggregate_groups(&self.view(), self.cached_groups());
         answer_line(
             QueryKind::Aggregate,
             &aggregate_report(self.len(), &aggregates),
@@ -733,17 +664,17 @@ impl LiveBook {
             return error_line(kind, &ScenarioError::EmptyPortfolio.to_string());
         }
         let started = Instant::now();
-        self.refresh_dirty();
         self.ensure_groups();
         let groups = self.cached_groups();
+        let view = self.view();
         let scenario = self.config.scenario(ScenarioKind::Schedule);
-        let n = self.len();
+        let n = view.len();
         let target = scenario.target_for(n);
 
         // The Scenario 1 pipeline over incrementally grouped state — the
         // engine's own back half, so the stages cannot drift from the
         // batch path.
-        let aggregates = self.aggregate_groups(groups);
+        let aggregates = self.aggregate_groups(&view, groups);
         let scheduler = scenario.scheduler.build();
         let outcome = match self.engine.schedule_aggregates(
             &aggregates,
@@ -756,30 +687,24 @@ impl LiveBook {
             Err(e) => return error_line(kind, &ScenarioError::from(e).to_string()),
         };
 
-        // Earliest-start baseline: per-offer, computed per shard and
-        // scattered back to logical order.
-        let per_shard: Vec<Vec<Assignment>> =
-            parallel_map(&self.shards, self.engine.budget().threads(), |shard| {
-                shard.offers.iter().map(earliest_start_assignment).collect()
-            });
-        let baseline = Schedule::new(self.scatter(per_shard));
+        let baseline = Schedule::new(
+            view.iter()
+                .copied()
+                .map(earliest_start_assignment)
+                .collect(),
+        );
         let imbalance_before = baseline.imbalance(&target);
         let imbalance_after = outcome.schedule.imbalance(&target);
 
-        // Correlations reuse the cached measure rows; shifts come from the
-        // realized schedule against each offer's earliest start.
-        let rows = flatten_rows(self.gather_rows());
-        let earliest: Vec<i64> = self
-            .owners
-            .values()
-            .map(|&(s, local)| self.shards[s].offers[local].earliest_start())
-            .collect();
+        // Correlations: the rows pass over the view, against each offer's
+        // realized shift from its earliest start.
+        let rows = flatten_rows(self.engine.per_offer_rows(&view, &all_measures()));
         let shifts: Vec<f64> = outcome
             .schedule
             .assignments()
             .iter()
-            .zip(&earliest)
-            .map(|(a, tes)| (a.start() - tes) as f64)
+            .zip(&view)
+            .map(|(a, fo)| (a.start() - fo.earliest_start()) as f64)
             .collect();
 
         let report = self.engine.schedule_report(
@@ -801,16 +726,16 @@ impl LiveBook {
             return error_line(kind, &ScenarioError::EmptyPortfolio.to_string());
         }
         let started = Instant::now();
-        self.refresh_dirty();
+        self.refresh();
         self.ensure_groups();
         let scenario = self.config.scenario(ScenarioKind::Market);
-        let aggregates = self.aggregate_groups(self.cached_groups());
+        let aggregates = self.aggregate_groups(&self.view(), self.cached_groups());
         // The baseline folds the cached per-shard partials — integer
         // series addition makes this the flat baseline bit for bit.
         let baseline = sum_series(
             self.shards
                 .iter()
-                .map(|s| &s.cache.as_ref().expect("refreshed above").baseline),
+                .map(|s| s.baseline.as_ref().expect("refreshed above")),
         );
         let report =
             self.engine
@@ -818,80 +743,18 @@ impl LiveBook {
         answer_line(kind, &report.json())
     }
 
-    /// Refreshes every dirty shard's cached rows and baseline partial —
-    /// the public face of the per-query refresh, for callers that need a
-    /// warm [`export`](Self::export) *without* answering a query: a
-    /// cross-process shard worker refreshes before shipping its state, so
-    /// the supervisor's merge gathers only clean caches and re-evaluates
-    /// nothing.
+    /// Recomputes the baseline partial of every dirty shard and bumps
+    /// those shards' evaluation counters; clean shards are not touched —
+    /// the "one shard per single-offer update" contract. Trade queries
+    /// refresh first; a cross-process shard worker refreshes before
+    /// shipping its state, so the supervisor's merge gathers only clean
+    /// partials and recomputes nothing.
     pub fn refresh(&mut self) {
-        self.refresh_dirty();
-    }
-
-    /// Re-runs the measure pass and the baseline partial on every dirty
-    /// shard (dirty shards fan out across the budget's threads, each
-    /// worker getting a per-shard split of the budget over the *dirty*
-    /// count — on the one-dirty-shard hot path that single worker gets the
-    /// whole thread budget; the split is throughput-only, results are
-    /// budget-invariant) and bumps those shards' evaluation counters.
-    /// Clean shards are not touched — this is the "one shard per
-    /// single-offer update" contract.
-    fn refresh_dirty(&mut self) {
-        let dirty: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, shard)| shard.cache.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if dirty.is_empty() {
-            return;
+        let engine = self.engine;
+        for shard in self.shards.iter_mut().filter(|s| s.baseline.is_none()) {
+            shard.baseline = Some(engine.baseline_load_parallel(&shard.offers));
+            shard.evaluations += 1;
         }
-        let worker = Engine::new(self.engine.budget().per_shard(dirty.len()));
-        let measures = all_measures();
-        // Each dirty shard's arena is taken out of the shard (and wrapped
-        // for the fan-out) so a worker can mutate it while the shard's
-        // offers stay borrowed, then handed back below — the buffers
-        // survive the round trip, which is what makes steady-state
-        // refreshes allocation-free in the kernels.
-        let arenas: Vec<Mutex<ColumnarBatch>> = dirty
-            .iter()
-            .map(|&i| Mutex::new(std::mem::take(&mut self.shards[i].arena)))
-            .collect();
-        let computed: Vec<ShardCache> = {
-            let work: Vec<(&[FlexOffer], &Mutex<ColumnarBatch>)> = dirty
-                .iter()
-                .zip(&arenas)
-                .map(|(&i, arena)| (&self.shards[i].offers[..], arena))
-                .collect();
-            parallel_map(&work, self.engine.budget().threads(), |&(offers, arena)| {
-                let mut arena = lock_scratch(arena);
-                ShardCache {
-                    rows: worker.per_offer_rows_in(&mut arena, offers, &measures),
-                    baseline: if offers.is_empty() {
-                        baseline_load(&[])
-                    } else {
-                        worker.baseline_load_parallel_in(&mut arena, offers)
-                    },
-                }
-            })
-        };
-        for ((i, cache), arena) in dirty.into_iter().zip(computed).zip(arenas) {
-            self.shards[i].cache = Some(cache);
-            self.shards[i].evaluations += 1;
-            self.shards[i].arena = reclaim_scratch(arena);
-        }
-    }
-
-    /// Cached per-offer measure rows in logical portfolio order. Callers
-    /// must [`refresh_dirty`](Self::refresh_dirty) first.
-    fn gather_rows(&self) -> Vec<Row> {
-        self.owners
-            .values()
-            .map(|&(s, local)| {
-                self.shards[s].cache.as_ref().expect("refreshed").rows[local].clone()
-            })
-            .collect()
     }
 
     /// Fills the grouping cache if a mutation invalidated it: the
@@ -926,36 +789,24 @@ impl LiveBook {
         self.groups_cache.as_deref().expect("ensure_groups ran")
     }
 
-    /// Aggregates every group in parallel, members gathered through the
-    /// owner table in group order — the live counterpart of the batch
-    /// book's per-group aggregation, same output order and content.
-    fn aggregate_groups(&self, groups: &[Vec<usize>]) -> Vec<Aggregate> {
-        let flat: Vec<&FlexOffer> = self
-            .owners
+    /// The logical portfolio as a borrowed view: live offers in id order,
+    /// walked off the owner table. Every query builds it once and reads
+    /// the offers through it — nothing is cloned.
+    fn view(&self) -> Vec<&FlexOffer> {
+        self.owners
             .values()
             .map(|&(s, local)| &self.shards[s].offers[local])
-            .collect();
-        parallel_map(groups, self.engine.budget().threads(), |indices| {
-            let members: Vec<FlexOffer> = indices.iter().map(|&g| flat[g].clone()).collect();
-            aggregate(&members).expect("grouping never yields empty groups")
-        })
+            .collect()
     }
 
-    /// The merge tier's scatter: per-shard results reassembled into
-    /// logical portfolio order through the id ranks.
-    fn scatter<T>(&self, per_shard: Vec<Vec<T>>) -> Vec<T> {
-        let ids: Vec<u64> = self.owners.keys().copied().collect();
-        let mut out: Vec<Option<T>> = (0..ids.len()).map(|_| None).collect();
-        for (shard, results) in self.shards.iter().zip(per_shard) {
-            assert_eq!(shard.ids.len(), results.len(), "one result per offer");
-            for (&id, r) in shard.ids.iter().zip(results) {
-                let pos = ids.binary_search(&id).expect("shard ids are live");
-                out[pos] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("shards partition the book"))
-            .collect()
+    /// Aggregates every group in parallel, members gathered from the view
+    /// in group order — the live counterpart of the batch book's per-group
+    /// aggregation, same output order and content.
+    fn aggregate_groups(&self, view: &[&FlexOffer], groups: &[Vec<usize>]) -> Vec<Aggregate> {
+        parallel_map(groups, self.engine.budget().threads(), |indices| {
+            let members: Vec<FlexOffer> = indices.iter().map(|&g| view[g].clone()).collect();
+            aggregate(&members).expect("grouping never yields empty groups")
+        })
     }
 }
 
@@ -1025,14 +876,14 @@ mod tests {
     fn single_offer_update_reevaluates_exactly_one_shard() {
         let mut book = book(4);
         let ids: Vec<u64> = (0..40).map(|i| book.add(offer(i % 5, i % 3, -1))).collect();
-        book.answer(QueryKind::Measure);
+        book.refresh();
         let warm = book.evaluations();
-        assert!(warm.iter().all(|&e| e == 1), "first query evaluates all");
+        assert!(warm.iter().all(|&e| e == 1), "first refresh evaluates all");
 
         let victim = ids[7];
         let &(victim_shard, _) = book.owners.get(&victim).unwrap();
         book.update(victim, offer(9, 1, 1)).unwrap();
-        book.answer(QueryKind::Measure);
+        book.answer(QueryKind::Trade);
         let after = book.evaluations();
         for (s, (&w, &a)) in warm.iter().zip(&after).enumerate() {
             if s == victim_shard {
@@ -1042,8 +893,11 @@ mod tests {
             }
         }
 
-        // A query with nothing dirty evaluates nothing.
-        book.answer(QueryKind::Measure);
+        // A trade query with nothing dirty evaluates nothing, and the
+        // other kinds never touch the partials.
+        for kind in QueryKind::all() {
+            book.answer(kind);
+        }
         assert_eq!(book.evaluations(), after);
     }
 
@@ -1095,34 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_worker_does_not_poison_subsequent_refreshes() {
-        let mut book = book(2);
-        book.add(offer(0, 2, 1));
-        book.add(offer(1, 3, -1));
-
-        // Simulate a measure kernel panicking while it holds a shard's
-        // scratch arena — the scenario that used to trip the refresh-time
-        // `expect` on the poisoned lock.
-        let arena = Mutex::new(std::mem::take(&mut book.shards[0].arena));
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _guard = lock_scratch(&arena);
-                panic!("custom measure panicked");
-            });
-            assert!(worker.join().is_err());
-        });
-        assert!(arena.is_poisoned());
-        drop(lock_scratch(&arena)); // the lock path recovers
-        book.shards[0].arena = reclaim_scratch(arena); // the reclaim path too
-
-        // Refreshes keep working on the recovered arena.
-        let answer = book.answer(QueryKind::Measure);
-        assert!(answer.contains("\"offers\":2"), "{answer}");
-        let again = book.answer(QueryKind::Measure);
-        assert_eq!(answer, again);
-    }
-
-    #[test]
     fn add_at_inserts_under_caller_ids_and_rejects_live_ones() {
         let mut routed = book(3);
         let mut direct = book(3);
@@ -1159,9 +985,10 @@ mod tests {
         assert!(book.export().shards.iter().all(|s| s.cache.is_none()));
         book.refresh();
         assert!(book.export().shards.iter().all(|s| s.cache.is_some()));
-        // The refreshed caches are the ones a query would have computed.
+        // The refreshed partials are the ones a trade query would have
+        // computed.
         let evals = book.evaluations();
-        book.answer(QueryKind::Measure);
+        book.answer(QueryKind::Trade);
         assert_eq!(book.evaluations(), evals, "query found everything warm");
     }
 
@@ -1173,7 +1000,7 @@ mod tests {
         }
         book.remove(7).unwrap();
         book.update(3, offer(9, 2, 2)).unwrap();
-        book.answer(QueryKind::Measure); // warm the caches
+        book.refresh(); // warm the partials
 
         let export = book.export();
         let mut revived =
@@ -1184,8 +1011,8 @@ mod tests {
         for kind in QueryKind::all() {
             assert_eq!(revived.answer(kind), book.answer(kind), "{kind}");
         }
-        // A warm export revives with warm caches: the first measure query
-        // re-evaluates nothing.
+        // A warm export revives with warm partials: the trade query above
+        // re-evaluated nothing.
         assert!(revived.evaluations().iter().all(|&e| e == 0));
         // And mutation after import keeps going where the export left off.
         let id = revived.add(offer(1, 1, 0));
@@ -1209,7 +1036,7 @@ mod tests {
         for i in 0..9 {
             book.add(offer(i, 2, 1));
         }
-        book.answer(QueryKind::Measure); // warm the caches
+        book.refresh(); // warm the partials
         let export = book.export();
         let full = export
             .shards
@@ -1263,23 +1090,10 @@ mod tests {
             ImportError::DuplicateId { id: dup }
         );
 
-        let mut ragged = export.clone();
+        let mut ragged = export;
         ragged.shards[full].offers.pop();
-        ragged.shards[full].ids.pop();
         assert_eq!(
             import(ragged).unwrap_err(),
-            ImportError::CacheShape { shard: full }
-        );
-
-        let mut short_rows = export;
-        short_rows.shards[full]
-            .cache
-            .as_mut()
-            .expect("caches were warmed")
-            .rows
-            .pop();
-        assert_eq!(
-            import(short_rows).unwrap_err(),
             ImportError::CacheShape { shard: full }
         );
     }
@@ -1291,7 +1105,7 @@ mod tests {
         for i in 0..20 {
             reference.add(offer(i % 5, i % 3 + 1, -1));
         }
-        reference.answer(QueryKind::Measure);
+        reference.refresh();
 
         // Merged: seeded from the same export, then kept current shard by
         // shard as the reference mutates.
@@ -1305,7 +1119,7 @@ mod tests {
         reference.update(3, offer(9, 2, 2)).unwrap();
         reference.remove(7).unwrap();
         let id = reference.add(offer(2, 4, 1));
-        reference.answer(QueryKind::Measure); // warm the dirty shards
+        reference.refresh(); // warm the dirty shards
 
         let dirty: Vec<usize> = [3, 7, id]
             .iter()
@@ -1322,7 +1136,7 @@ mod tests {
         for kind in QueryKind::all() {
             assert_eq!(merged.answer(kind), reference.answer(kind), "{kind}");
         }
-        // The imported caches were warm, so the merged book re-evaluated
+        // The imported partials were warm, so the merged book re-evaluated
         // nothing — the O(dirty) contract.
         assert_eq!(merged.evaluations(), evals_before);
     }
@@ -1333,7 +1147,7 @@ mod tests {
         for i in 0..9 {
             book3.add(offer(i, 2, 1));
         }
-        book3.answer(QueryKind::Measure);
+        book3.refresh();
         let pristine = book3.export();
         let full = pristine
             .shards

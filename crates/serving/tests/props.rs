@@ -4,9 +4,9 @@
 //! answer out of a [`LiveBook`] must byte-match (a) a from-scratch flat
 //! engine evaluation of the same logical portfolio and (b) any *other*
 //! `LiveBook` driven by the same events under a different shards ×
-//! threads × chunk budget. The incremental caches
-//! (per-shard rows, baseline partials, key digests, grouping cache) must
-//! be invisible in the answers.
+//! threads × chunk budget. The incremental state
+//! (per-shard baseline partials, key digests, grouping cache) must be
+//! invisible in the answers.
 
 use flexoffers_engine::{Budget, Engine};
 use flexoffers_model::{FlexOffer, Slice};
@@ -136,9 +136,9 @@ proptest! {
         }
     }
 
-    /// The incremental contract under random traffic: after a warm query,
-    /// one single-offer update re-runs the measure pass on exactly one
-    /// shard.
+    /// The incremental contract under random traffic: after a refresh,
+    /// one single-offer update recomputes the baseline partial of exactly
+    /// one shard on the next trade query.
     #[test]
     fn one_update_reevaluates_exactly_one_shard(
         adds in prop::collection::vec(arb_flexoffer(), 1..20),
@@ -152,10 +152,10 @@ proptest! {
         for offer in adds {
             live.add(offer);
         }
-        live.answer(QueryKind::Measure);
+        live.refresh();
         let warm = live.evaluations();
         live.update((pick % n) as u64, replacement).unwrap();
-        live.answer(QueryKind::Measure);
+        live.answer(QueryKind::Trade);
         let after = live.evaluations();
         let bumped: usize = warm
             .iter()

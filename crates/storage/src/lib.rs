@@ -11,9 +11,10 @@
 //!   [`parse_script`](flexoffers_serving::parse_script) script.
 //! * [`Snapshot`] / [`save_snapshot`] / [`load_snapshot`] — the
 //!   [`BookExport`](flexoffers_serving::BookExport) (per-shard ids,
-//!   offers, key digests, cached measure rows as `f64::to_bits`, baseline
-//!   partials) serialized at a recorded journal sequence, written
-//!   atomically (temp file + fsync + rename) under a checksummed header.
+//!   offers, key digests, cached baseline partials) serialized at a
+//!   recorded journal sequence, written atomically (temp file + fsync +
+//!   rename) under a checksummed header. Older bodies that also carry
+//!   cached measure rows still load; the rows are ignored.
 //! * [`recover()`] — latest valid snapshot + journal suffix replay, with
 //!   torn-tail truncation: an unterminated final journal line is
 //!   discarded, never an error. Corrupt files (a bad checksum, terminated
@@ -30,8 +31,8 @@
 //! Recovery inherits the serving tier's contract: recover-then-query is
 //! bitwise equal to an uninterrupted run and to the batch oracle, at any
 //! shards × threads × kernel budget and any crash point. Snapshots store
-//! measure values as `f64::to_bits`, baselines and offers as integers —
-//! nothing in the persistence path rounds.
+//! baselines and offers as integers — nothing in the persistence path
+//! rounds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

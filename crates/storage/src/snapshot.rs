@@ -1,11 +1,15 @@
 //! Per-shard snapshots of the live book's incremental state.
 //!
 //! A snapshot is the [`BookExport`] — per-shard ids, offers, key digests,
-//! and cached measure rows / baseline partials — serialized at a recorded
-//! journal sequence number. Measure values are stored as `f64::to_bits`
-//! (exact, NaN-safe); everything else in the export is integers, so a
-//! snapshot round-trips bit for bit, which is what lets recovery answer
-//! queries byte-identically to a run that never crashed.
+//! and cached baseline partials — serialized at a recorded journal
+//! sequence number. Everything in the export is integers, so a snapshot
+//! round-trips bit for bit, which is what lets recovery answer queries
+//! byte-identically to a run that never crashed.
+//!
+//! Bodies written before the live book stopped caching measure values
+//! carry a `rows` array beside each shard's `baseline`; the decoder reads
+//! them under the same format tag and ignores the rows (queries recompute
+//! measure values from the offers).
 //!
 //! The file layout is a magic+checksum header line over a single-line JSON
 //! body:
@@ -26,9 +30,8 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize, Value};
 
-use flexoffers_measures::{all_measures, MeasureError};
 use flexoffers_model::FlexOffer;
-use flexoffers_serving::{BookExport, MeasureRow, ShardCacheExport, ShardExport};
+use flexoffers_serving::{BookExport, ShardExport};
 use flexoffers_timeseries::Series;
 
 use crate::error::StorageError;
@@ -63,34 +66,8 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn cell_to_value(cell: &Result<f64, MeasureError>) -> Value {
-    match cell {
-        Ok(v) => obj(vec![("bits", Value::U64(v.to_bits()))]),
-        Err(MeasureError::MixedNotSupported { measure }) => obj(vec![
-            ("err", Value::Str("mixed".to_owned())),
-            ("measure", Value::Str((*measure).to_owned())),
-        ]),
-        Err(MeasureError::UndefinedDenominator) => obj(vec![(
-            "err",
-            Value::Str("undefined_denominator".to_owned()),
-        )]),
-        Err(MeasureError::EmptySet { measure }) => obj(vec![
-            ("err", Value::Str("empty_set".to_owned())),
-            ("measure", Value::Str((*measure).to_owned())),
-        ]),
-        // `MeasureError` is non-exhaustive: a variant this build does not
-        // know gets a code the loader rejects by name — a snapshot must
-        // never silently drop error detail.
-        Err(other) => obj(vec![
-            ("err", Value::Str("other".to_owned())),
-            ("message", Value::Str(other.to_string())),
-        ]),
-    }
-}
-
 /// Encodes a [`BookExport`] as the snapshot body's JSON value
-/// (`{"next_id":…,"shards":[…]}`, measure cells as `f64::to_bits`) —
-/// public because this *is* the shard wire format: a snapshot pins it to
+/// (`{"next_id":…,"shards":[…]}`) — public because this *is* the shard wire format: a snapshot pins it to
 /// a journal seq on disk, and a cluster shard worker ships the same value
 /// over its pipe. One codec, so the two cannot drift.
 pub fn export_to_value(export: &BookExport) -> Value {
@@ -108,19 +85,7 @@ pub fn export_to_value(export: &BookExport) -> Value {
 pub fn shard_to_value(shard: &ShardExport) -> Value {
     let cache = match &shard.cache {
         None => Value::Null,
-        Some(cache) => obj(vec![
-            (
-                "rows",
-                Value::Array(
-                    cache
-                        .rows
-                        .iter()
-                        .map(|row| Value::Array(row.iter().map(cell_to_value).collect()))
-                        .collect(),
-                ),
-            ),
-            ("baseline", cache.baseline.to_value()),
-        ]),
+        Some(baseline) => obj(vec![("baseline", baseline.to_value())]),
     };
     obj(vec![
         (
@@ -138,7 +103,7 @@ pub fn shard_to_value(shard: &ShardExport) -> Value {
 
 /// The shard **state digest** the conditional gather protocol compares:
 /// FNV-1a 64 over the canonical single-line JSON of [`shard_to_value`].
-/// Because the body embeds the offers, the cached rows/baseline, *and*
+/// Because the body embeds the offers, the cached baseline, *and*
 /// the commutative `key_digest`, two shards with equal digests answer
 /// every query identically (up to the 2⁻⁶⁴ collision odds any content
 /// hash accepts). The worker ships it with every full export of its own
@@ -183,46 +148,13 @@ fn as_array<'v>(v: &'v Value, name: &str) -> Result<&'v [Value], String> {
     }
 }
 
-/// Maps a snapshot's stored measure name back to the engine's own
-/// `&'static str` — the names form a closed set ([`all_measures`]).
-fn static_measure_name(name: &str) -> Result<&'static str, String> {
-    all_measures()
-        .iter()
-        .map(|m| m.short_name())
-        .find(|&short| short == name)
-        .ok_or_else(|| format!("unknown measure name `{name}`"))
-}
-
-fn value_to_cell(v: &Value) -> Result<Result<f64, MeasureError>, String> {
-    if let Some(bits) = v.get("bits") {
-        return Ok(Ok(f64::from_bits(as_u64(bits, "bits")?)));
-    }
-    let err = field(v, "err")?.as_str().ok_or("`err`: expected string")?;
-    let measure = || -> Result<&'static str, String> {
-        static_measure_name(
-            field(v, "measure")?
-                .as_str()
-                .ok_or("`measure`: expected string")?,
-        )
-    };
-    match err {
-        "mixed" => Ok(Err(MeasureError::MixedNotSupported {
-            measure: measure()?,
-        })),
-        "undefined_denominator" => Ok(Err(MeasureError::UndefinedDenominator)),
-        "empty_set" => Ok(Err(MeasureError::EmptySet {
-            measure: measure()?,
-        })),
-        other => Err(format!("unknown measure error code `{other}`")),
-    }
-}
-
 /// Decodes a [`BookExport`] from its [`export_to_value`] encoding; every
 /// failure is a message, never a panic — the input may be a tampered
 /// snapshot body or a worker's wire frame. Structural invariants (shard
 /// placement, digests, …) are *not* checked here: that is
 /// [`LiveBook::from_export`](flexoffers_serving::LiveBook::from_export)'s
-/// job, and the cluster tier relies on it.
+/// job, and the cluster tier relies on it. A `cache.rows` array, as
+/// older bodies carry, is ignored.
 pub fn value_to_export(v: &Value) -> Result<BookExport, String> {
     let next_id = as_u64(field(v, "next_id")?, "next_id")?;
     let mut shards = Vec::new();
@@ -244,22 +176,10 @@ pub fn value_to_export(v: &Value) -> Result<BookExport, String> {
             as_u64(field(shard, "key_digest").map_err(at)?, "key_digest").map_err(at)?;
         let cache = match field(shard, "cache").map_err(at)? {
             Value::Null => None,
-            cache => {
-                let rows = as_array(field(cache, "rows").map_err(at)?, "rows")
-                    .map_err(at)?
-                    .iter()
-                    .map(|row| {
-                        as_array(row, "rows[]")?
-                            .iter()
-                            .map(value_to_cell)
-                            .collect::<Result<MeasureRow, String>>()
-                    })
-                    .collect::<Result<Vec<MeasureRow>, String>>()
-                    .map_err(at)?;
-                let baseline = Series::<i64>::from_value(field(cache, "baseline").map_err(at)?)
-                    .map_err(|e| at(format!("baseline: {e}")))?;
-                Some(ShardCacheExport { rows, baseline })
-            }
+            cache => Some(
+                Series::<i64>::from_value(field(cache, "baseline").map_err(at)?)
+                    .map_err(|e| at(format!("baseline: {e}")))?,
+            ),
         };
         shards.push(ShardExport {
             ids,
@@ -349,7 +269,7 @@ mod tests {
     use crate::testutil::scratch_dir;
     use flexoffers_engine::Engine;
     use flexoffers_model::Slice;
-    use flexoffers_serving::{LiveBook, QueryKind, ServeConfig};
+    use flexoffers_serving::{LiveBook, ServeConfig};
 
     fn warm_export() -> BookExport {
         let mut book = LiveBook::new(ServeConfig::default(), 3, Engine::sequential()).unwrap();
@@ -357,7 +277,7 @@ mod tests {
             book.add(FlexOffer::new(i, i + 2, vec![Slice::new(-1, 2).unwrap()]).unwrap());
         }
         book.remove(5).unwrap();
-        book.answer(QueryKind::Measure);
+        book.refresh();
         book.export()
     }
 
@@ -425,29 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_cells_round_trip_bitwise_including_errors() {
-        for cell in [
-            Ok(0.1 + 0.2), // not representable exactly in decimal
-            Ok(-0.0),
-            Ok(f64::NAN),
-            Ok(f64::INFINITY),
-            Err(MeasureError::MixedNotSupported {
-                measure: "Abs. Area",
-            }),
-            Err(MeasureError::UndefinedDenominator),
-            Err(MeasureError::EmptySet {
-                measure: "Rel. Area",
-            }),
-        ] {
-            let back = value_to_cell(&cell_to_value(&cell)).unwrap();
-            match (&cell, &back) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                _ => assert_eq!(cell, back),
-            }
-        }
-    }
-
-    #[test]
     fn missing_snapshots_are_none_and_tampering_is_named() {
         let dir = scratch_dir("snapshot_tamper");
         let path = dir.path().join("book.snap");
@@ -484,20 +381,5 @@ mod tests {
             .filter(|n| n.to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
-    }
-
-    #[test]
-    fn unknown_measure_names_and_codes_are_rejected() {
-        let cell = obj(vec![
-            ("err", Value::Str("mixed".to_owned())),
-            ("measure", Value::Str("No Such Measure".to_owned())),
-        ]);
-        assert!(value_to_cell(&cell)
-            .unwrap_err()
-            .contains("unknown measure name"));
-        let cell = obj(vec![("err", Value::Str("out_of_cheese".to_owned()))]);
-        assert!(value_to_cell(&cell)
-            .unwrap_err()
-            .contains("unknown measure error code"));
     }
 }

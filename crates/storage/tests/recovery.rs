@@ -15,7 +15,9 @@ use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::batch;
 use flexoffers_serving::{DurabilityConfig, Event, EventSink, LiveBook, QueryKind, ServeConfig};
-use flexoffers_storage::{recover, save_snapshot, Durable, Snapshot, StorageError};
+use flexoffers_storage::{
+    fnv1a64, recover, save_snapshot, Durable, Snapshot, StorageError, SNAPSHOT_FORMAT,
+};
 use proptest::prelude::*;
 
 /// Scratch dir under the system temp dir (no tempfile crate in the tree),
@@ -354,4 +356,50 @@ fn zero_replay_recovery_from_an_exact_snapshot() {
     let (_, report) = recover(&config, 2, Engine::sequential()).unwrap();
     assert_eq!(report.snapshot_seq, None, "ahead snapshot ignored");
     assert_eq!(report.replayed, 9);
+}
+
+/// A snapshot in the earlier body format — a `rows` array of cached
+/// measure cells beside each shard's baseline — still recovers under the
+/// same format tag. `tests/fixtures/snapshot_v1_rows` holds a 3-shard
+/// journal, its warm snapshot, and the four answers `flexctl recover`
+/// gave when that code wrote them. The rows are ignored: the recovered
+/// book answers byte-identically to the batch oracle and to the recorded
+/// answers, and a copy whose first row cell no decoder would accept loads
+/// just the same.
+#[test]
+fn snapshots_with_cached_measure_rows_still_recover() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/snapshot_v1_rows");
+    let text = std::fs::read_to_string(fixture.join("events.jsonl.snap")).unwrap();
+    let body = text.split_once('\n').unwrap().1.trim_end();
+    assert!(
+        body.contains("\"cache\":{\"rows\":[[{\"bits\":"),
+        "fixture carries rows"
+    );
+    let recorded = std::fs::read_to_string(fixture.join("answers.jsonl")).unwrap();
+    let recorded: Vec<&str> = recorded.lines().collect();
+
+    let dir = scratch_dir("rows_era");
+    let copy = dir.path().join("events.jsonl");
+    std::fs::copy(fixture.join("events.jsonl"), &copy).unwrap();
+    let unreadable = body.replacen("{\"bits\":", "{\"err\":\"out_of_cheese\",\"bits\":", 1);
+    let hash = fnv1a64(unreadable.as_bytes());
+    std::fs::write(
+        dir.path().join("events.jsonl.snap"),
+        format!("{SNAPSHOT_FORMAT} {hash:016x}\n{unreadable}\n"),
+    )
+    .unwrap();
+
+    for journal in [fixture.join("events.jsonl"), copy] {
+        let config = durable_config(&journal, None, 1);
+        let (mut book, report) = recover(&config, 1, Engine::sequential()).unwrap();
+        assert_eq!((report.snapshot_seq, report.replayed), (Some(20), 0));
+        assert_eq!(book.shard_count(), 3, "the snapshot's own layout");
+        let offers = book.to_portfolio();
+        for (kind, recorded) in QueryKind::all().into_iter().zip(&recorded) {
+            let answer = book.answer(kind);
+            let oracle = batch::answer(&Engine::sequential(), &config, offers.as_slice(), kind);
+            assert_eq!(answer, oracle, "{kind}");
+            assert_eq!(answer, *recorded, "{kind}");
+        }
+    }
 }

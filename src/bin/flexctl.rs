@@ -52,10 +52,10 @@
 //! `--json` output is byte-identical at any thread count.
 //!
 //! `--shards K` applies to `serve` and `recover` only: it splits the live
-//! book into K shards, and `--threads N` is then one *shared* budget, not
-//! per-shard — the shards re-evaluated by one query split `N` threads
-//! between them, floored at 1 each (answers never change — the budget
-//! split is throughput-only). `--kernel` picks the measure/baseline kernel
+//! book into K shards, each keeping its baseline partial behind a dirty
+//! bit. `--threads N` is one budget for the whole book, not per shard:
+//! every query pass runs over all live offers on `N` threads (answers
+//! never change — threads are throughput-only). `--kernel` picks the measure/baseline kernel
 //! implementation: `scalar` is the per-offer prepared loop, `columnar` the
 //! struct-of-arrays batch kernels, and the default `auto` picks columnar
 //! whenever every requested measure has a columnar form. All three produce
@@ -161,8 +161,8 @@ const USAGE: &str = "usage:
 
 measure --portfolio and simulate run one flat batch path, parallel by
 --threads. --shards applies only to serve and recover (the live book);
-there --threads is one shared budget that the shards re-evaluated by a
-query split between them, floored at 1 each. --kernel selects the measure/baseline kernel (default
+there --threads is one budget for the whole book, not per shard.
+--kernel selects the measure/baseline kernel (default
 auto = columnar whenever every requested measure has a columnar form);
 scalar, columnar and auto produce bitwise-identical output.
 

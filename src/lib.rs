@@ -23,13 +23,14 @@
 //!   deterministic merge order — bitwise identical at any thread count,
 //!   up to million-offer portfolios;
 //! * [`serving`] — the live tier on top: an event-driven
-//!   [`LiveBook`](serving::LiveBook) over per-shard incremental state
-//!   (cached measure rows, baseline partials, group-key digests) answering
-//!   measure/aggregate/schedule/trade queries between updates, byte-
-//!   identical to a from-scratch batch rebuild;
+//!   [`LiveBook`](serving::LiveBook) whose queries run the batch engine's
+//!   passes over a borrowed view of its offers, beside per-shard
+//!   incremental state (baseline partials, group-key digests, a cached
+//!   grouping), answering measure/aggregate/schedule/trade queries between
+//!   updates, byte-identical to a from-scratch batch rebuild;
 //! * [`storage`] — durability for the serving tier: an append-only event
 //!   journal (itself a replayable event script), checksummed atomic
-//!   per-shard snapshots of the live cache export, and crash recovery
+//!   per-shard snapshots of the live book's export, and crash recovery
 //!   ([`storage::recover()`]) that truncates torn journal tails and
 //!   preserves byte-identity at any crash point;
 //! * [`net`] — the TCP front of the serving tier: request-id framed JSONL
