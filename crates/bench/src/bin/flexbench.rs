@@ -189,14 +189,14 @@ impl Bench {
 }
 
 /// A run still to be timed: `secs` and `rate` are filled in by
-/// [`Bench::record`].
-fn run(path: &str, reference: bool, offers: usize, threads: usize, shards: usize) -> Run {
+/// [`Bench::record`]. Every path runs on one shard.
+fn run(path: &str, reference: bool, offers: usize, threads: usize) -> Run {
     Run {
         path: path.to_owned(),
         reference,
         offers,
         threads,
-        shards,
+        shards: 1,
         secs: 0.0,
         rate: 0.0,
     }
@@ -245,17 +245,17 @@ fn measure(host_cpus: usize, quick: bool) -> Bench {
     let threads = thread_sweep(host_cpus);
     for &size in sizes {
         let slice = &offers[..size];
-        bench.time(run("of_set loop", true, size, 1, 1), size, || {
+        bench.time(run("of_set loop", true, size, 1), size, || {
             for m in &measures {
                 let _ = black_box(m.of_set(black_box(slice)));
             }
         });
-        bench.time(run("scalar kernel", true, size, 1, 1), size, || {
+        bench.time(run("scalar kernel", true, size, 1), size, || {
             black_box(scalar.measure_portfolio_all(black_box(slice)));
         });
         for &t in &threads {
             let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
-            bench.time(run("engine", false, size, t, 1), size, || {
+            bench.time(run("engine", false, size, t), size, || {
                 black_box(engine.measure_portfolio_all(black_box(slice)));
             });
         }
@@ -334,12 +334,12 @@ fn scenarios(host_cpus: usize, quick: bool) -> Bench {
         let market = scenario.spot_market();
         let aggregator = scenario.aggregator();
 
-        bench.time(run("schedule library", true, size, 1, 1), size, || {
+        bench.time(run("schedule library", true, size, 1), size, || {
             black_box(schedule_via_aggregation(&problem, &scenario.grouping, &scheduler).unwrap());
         });
         for &t in &threads {
             let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
-            bench.time(run("schedule engine", false, size, t, 1), size, || {
+            bench.time(run("schedule engine", false, size, t), size, || {
                 black_box(
                     engine
                         .schedule_portfolio(&problem, &scenario.grouping, &scheduler)
@@ -347,12 +347,12 @@ fn scenarios(host_cpus: usize, quick: bool) -> Bench {
                 );
             });
         }
-        bench.time(run("market library", true, size, 1, 1), size, || {
+        bench.time(run("market library", true, size, 1), size, || {
             black_box(aggregator.run(&portfolio, &market));
         });
         for &t in &threads {
             let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
-            bench.time(run("market engine", false, size, t, 1), size, || {
+            bench.time(run("market engine", false, size, t), size, || {
                 black_box(engine.trade_portfolio(&portfolio, &aggregator, &market));
             });
         }
@@ -375,17 +375,18 @@ fn scenarios(host_cpus: usize, quick: bool) -> Bench {
     bench
 }
 
-/// `event_stream` scripts (adds + churn) replayed through a `LiveBook` at
-/// each shard count, one engine thread per shard (gated), plus the warm
-/// incremental hot path — one single-offer update followed by a measure
-/// query (reference) — which the `warm_query_speedup_vs_batch` ratio
-/// quotes against a from-scratch batch measure query. The full sweep also
+/// `event_stream` scripts (adds + churn) replayed through a one-shard
+/// `LiveBook` at 1 and 2 engine threads (gated), plus the warm incremental
+/// hot path — one single-offer update followed by a measure query
+/// (reference) — which the `warm_query_speedup_vs_batch` ratio quotes at 2
+/// threads against a from-scratch 1-thread batch measure query. The full
+/// sweep also
 /// records `churn_cost_growth`: how much a replayed event's cost grows
 /// from a 10k- to a 100k-offer book, about 1 when churn is `O(log n)`.
 fn serving(host_cpus: usize, quick: bool) -> Bench {
     let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
     let churns: &[f64] = if quick { &[0.01] } else { &[0.01, 0.10] };
-    let shard_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 8] };
+    let thread_counts: &[usize] = &[1, 2];
     let mut bench = Bench::new(
         "serving",
         format!(
@@ -402,24 +403,20 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
                 .map(Event::from)
                 .collect();
             let churn_label = format!("churn {}%", churn * 100.0);
-            for &shards in shard_counts {
-                let engine = Engine::new(Budget::with_threads(shards).expect("non-zero"));
+            for &threads in thread_counts {
+                let engine = Engine::new(Budget::with_threads(threads).expect("non-zero"));
                 let build = || {
-                    let mut book = LiveBook::new(config.clone(), shards, engine)
-                        .expect("non-zero shard count");
+                    let mut book =
+                        LiveBook::new(config.clone(), 1, engine).expect("one shard is valid");
                     for event in &events {
                         book.apply(event.clone()).expect("valid stream");
                     }
                     book
                 };
                 let replay = format!("replay {churn_label}");
-                bench.time(
-                    run(&replay, false, size, shards, shards),
-                    events.len(),
-                    || {
-                        black_box(build());
-                    },
-                );
+                bench.time(run(&replay, false, size, threads), events.len(), || {
+                    black_box(build());
+                });
 
                 // Time the incremental hot path.
                 let mut book = build();
@@ -430,11 +427,11 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
                     black_box(book.answer(QueryKind::Measure));
                 });
                 let path = format!("update+query {churn_label}");
-                bench.record(run(&path, true, size, shards, shards), warm, 1.0 / warm);
+                bench.record(run(&path, true, size, threads), warm, 1.0 / warm);
 
                 let headline = size == *sizes.last().expect("non-empty")
                     && churn == churns[0]
-                    && shards == *shard_counts.last().expect("non-empty");
+                    && threads == *thread_counts.last().expect("non-empty");
                 if headline {
                     let logical = book.to_portfolio();
                     let flat = Engine::sequential();
@@ -450,8 +447,8 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
                         "warm_query_speedup_vs_batch",
                         batch_secs / warm,
                         format!(
-                            "batch measure query over {path} at {shards} shard(s), seconds, \
-                             {size} offers"
+                            "batch measure query at 1 thread over {path} at {threads} \
+                             thread(s), seconds, {size} offers"
                         ),
                     );
                 }
@@ -465,7 +462,7 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
         bench.ratio(
             "churn_cost_growth",
             growth,
-            format!("per-event seconds of {path} at 1 shard, 100000 offers over 10000 offers"),
+            format!("per-event seconds of {path} at 1 thread, 100000 offers over 10000 offers"),
         );
     }
     bench
@@ -496,7 +493,7 @@ fn durable_replay(config: &ServeConfig, events: &[Event]) -> Durable<LiveBook> {
     let durability = config.durability.as_ref().expect("durable config");
     let _ = std::fs::remove_file(&durability.journal);
     let _ = std::fs::remove_file(durability.snapshot_path());
-    let (mut book, _) = Durable::<LiveBook>::open(config.clone(), 1, Engine::sequential(), ())
+    let (mut book, _) = Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ())
         .expect("fresh journal opens");
     for event in events {
         book.apply(event.clone()).expect("valid stream");
@@ -530,7 +527,7 @@ fn journal(host_cpus: usize, quick: bool) -> Bench {
             .map(Event::from)
             .collect();
         let n = events.len();
-        bench.time(run("journal off", true, size, 1, 1), n, || {
+        bench.time(run("journal off", true, size, 1), n, || {
             let mut book =
                 LiveBook::new(ServeConfig::default(), 1, Engine::sequential()).expect("one shard");
             for event in &events {
@@ -543,7 +540,7 @@ fn journal(host_cpus: usize, quick: bool) -> Bench {
             ("journal+snapshots", Some((n as u64 / 8).max(1))),
         ] {
             let config = durable_config(&journal_path, snapshot_every);
-            bench.time(run(mode, false, size, 1, 1), n, || {
+            bench.time(run(mode, false, size, 1), n, || {
                 black_box(durable_replay(&config, &events));
             });
         }
@@ -555,13 +552,13 @@ fn journal(host_cpus: usize, quick: bool) -> Bench {
             .finish()
             .expect("final sync + snapshot");
         let snapshot_path = config.durability.as_ref().expect("durable").snapshot_path();
-        bench.time(run("recover-snapshot", false, size, 1, 1), n, || {
+        bench.time(run("recover-snapshot", false, size, 1), n, || {
             let (book, report) = recover(&config, 1, Engine::sequential()).expect("recovers");
             assert_eq!(report.replayed, 0, "shutdown snapshot satisfies recovery");
             black_box(&book);
         });
         std::fs::remove_file(&snapshot_path).expect("drop snapshot for replay-only recovery");
-        bench.time(run("recover-replay", false, size, 1, 1), n, || {
+        bench.time(run("recover-replay", false, size, 1), n, || {
             let (book, report) = recover(&config, 1, Engine::sequential()).expect("recovers");
             assert!(report.snapshot_seq.is_none(), "journal-only recovery");
             black_box(&book);

@@ -1,20 +1,21 @@
 //! `flexoffers_cluster` — cross-process shard workers for the serving
 //! tier.
 //!
-//! The in-process [`LiveBook`](flexoffers_serving::LiveBook) already
-//! partitions its offers into shards by a stable hash; this crate moves
-//! those shards into separate OS processes without moving the answer
-//! bytes by a single bit:
+//! A [`LiveBook`](flexoffers_serving::LiveBook) can partition its offers
+//! into shards by a stable hash; this crate places each shard in its own
+//! OS process without moving the answer bytes by a single bit. A shard is
+//! a worker: the in-process book runs one shard, and a cluster of K
+//! workers runs K.
 //!
 //! * [`wire`] — the supervisor ↔ worker JSONL protocol over stdio pipes,
 //!   reusing the stack's event and snapshot codecs so the wire format and
 //!   the persistence format are the same bytes.
-//! * [`worker`] ([`run_stdio_worker`]) — the shard executor loop: a full
-//!   K-shard book in which only the worker's own shard is ever populated.
+//! * [`worker`] ([`run_stdio_worker`]) — the shard executor loop: a
+//!   one-shard book of exactly the offers routed to the worker.
 //! * [`supervisor`] ([`ClusterBook`]) — scatter mutations by the owner
 //!   hash, delta-gather per query (conditional exports confirm clean
 //!   shards by state digest; only dirty shards ship), and splice the
-//!   dirty shards into a persistent merged book via
+//!   dirty shards into a persistent merged book (one shard per worker) via
 //!   [`LiveBook::import_shard`](flexoffers_serving::LiveBook::import_shard)
 //!   so the answer comes from the same code as the in-process tier.
 //!   Worker death is repaired by respawn + merged-shard-and-suffix

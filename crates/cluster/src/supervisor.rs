@@ -2,12 +2,11 @@
 //! answer from a persistent merged book.
 //!
 //! A [`ClusterBook`] owns one OS process per shard. Each worker holds a
-//! full K-shard [`LiveBook`] in which only its own shard is populated, so
-//! the supervisor's routing — the same
-//! [`flexoffers_engine::stable_shard`] placement the
-//! in-process book uses — keeps worker `w`'s shard `w` byte-equal to
-//! shard `w` of an in-process K-shard book fed the same serialized
-//! mutation stream.
+//! one-shard [`LiveBook`] of the offers routed to it, so the supervisor's
+//! routing — the same [`flexoffers_engine::stable_shard`] placement the
+//! in-process book uses — keeps worker `w`'s shard byte-equal to shard `w`
+//! of an in-process K-shard book fed the same serialized mutation
+//! stream.
 //!
 //! # Delta gather
 //!
@@ -52,8 +51,7 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use flexoffers_engine::{stable_shard, Budget, Engine};
 use flexoffers_model::FlexOffer;
 use flexoffers_serving::{
-    BookExport, Checked, Event, EventSink, ImportError, LiveBook, QueryKind, Sequencer,
-    ServeConfig, ShardExport,
+    BookExport, Checked, Event, EventSink, ImportError, LiveBook, QueryKind, Sequencer, ServeConfig,
 };
 use flexoffers_storage::Book;
 
@@ -309,47 +307,17 @@ impl Drop for WorkerConn {
     }
 }
 
-/// One mutation as routed to a worker — the replay unit for respawn.
-#[derive(Clone, Debug)]
-enum RoutedOp {
-    Add { id: u64, offer: FlexOffer },
-    Update { id: u64, offer: FlexOffer },
-    Remove { id: u64 },
-}
-
-impl RoutedOp {
-    fn id(&self) -> u64 {
-        match self {
-            RoutedOp::Add { id, .. } | RoutedOp::Update { id, .. } | RoutedOp::Remove { id } => *id,
-        }
-    }
-
-    fn request(&self) -> WorkerRequest {
-        match self {
-            RoutedOp::Add { id, offer } => WorkerRequest::Add {
-                offer_id: *id,
-                offer: offer.clone(),
-            },
-            RoutedOp::Update { id, offer } => WorkerRequest::Update {
-                offer_id: *id,
-                offer: offer.clone(),
-            },
-            RoutedOp::Remove { id } => WorkerRequest::Remove { offer_id: *id },
-        }
-    }
-}
-
 /// One worker slot: the live connection, the state digest the worker
 /// confirmed at the last gather (`None` until first contact and after
 /// every respawn — a `None` digest forces the next gather to pull a full
-/// export), and the mutation suffix routed since the last gather. The
-/// respawn baseline is *not* stored here: the supervisor's merged book
-/// already holds every shard as of the last gather, so one copy serves
-/// both querying and worker rehydration.
+/// export), and the mutation requests routed since the last gather (the
+/// replay unit for respawn). The respawn baseline is *not* stored here:
+/// the supervisor's merged book already holds every shard as of the last
+/// gather, so one copy serves both querying and worker rehydration.
 struct Slot {
     conn: WorkerConn,
     digest: Option<u64>,
-    suffix: Vec<RoutedOp>,
+    suffix: Vec<WorkerRequest>,
 }
 
 /// Boots one worker process to operational state: spawn, `init`, `load`
@@ -357,69 +325,29 @@ struct Slot {
 /// call it while borrowing slot state immutably.
 fn try_boot(
     spec: &WorkerSpec,
-    workers: usize,
     budget: Budget,
-    w: usize,
-    snapshot: &ShardExport,
-    suffix: &[RoutedOp],
-    next_id: u64,
+    load: &WorkerRequest,
+    suffix: &[WorkerRequest],
 ) -> Result<WorkerConn, ConnFailure> {
     let mut conn = WorkerConn::spawn(spec).map_err(|e| ConnFailure::Io(e.to_string()))?;
     conn.roundtrip(&WorkerRequest::Init {
-        shard: w,
-        shards: workers,
         threads: budget.threads(),
         kernel: budget.kernel(),
     })?;
-    let shards = (0..workers)
-        .map(|s| {
-            if s == w {
-                snapshot.clone()
-            } else {
-                empty_shard()
-            }
-        })
-        .collect();
-    conn.roundtrip(&WorkerRequest::Load {
-        book: BookExport { next_id, shards },
-    })?;
-    for op in suffix {
-        conn.roundtrip(&op.request())?;
+    conn.roundtrip(load)?;
+    for request in suffix {
+        conn.roundtrip(request)?;
     }
     Ok(conn)
 }
 
-fn empty_shard() -> ShardExport {
-    ShardExport {
-        ids: Vec::new(),
-        offers: Vec::new(),
-        key_digest: 0,
-        cache: None,
+/// The `load` request that rehydrates worker `w` from the merged book's
+/// copy of its shard — the empty shard at first boot.
+fn load_request(merged: &LiveBook, w: usize) -> WorkerRequest {
+    WorkerRequest::Load {
+        next_id: merged.next_id(),
+        shard: merged.export_shard(w),
     }
-}
-
-/// Splits a worker's gathered export into its populated shard, rejecting
-/// exports whose shape or placement is off. (Value-level corruption —
-/// digests, duplicate ids, array shapes — is caught by the merged book's
-/// [`LiveBook::import_shard`].)
-fn own_shard(w: usize, workers: usize, export: BookExport) -> Result<ShardExport, ClusterError> {
-    let fault = |message: String| bad_export(w, message);
-    if export.shards.len() != workers {
-        return Err(fault(format!(
-            "export has {} shards, cluster has {workers}",
-            export.shards.len()
-        )));
-    }
-    for (s, shard) in export.shards.iter().enumerate() {
-        if s != w && !shard.ids.is_empty() {
-            return Err(fault(format!(
-                "worker for shard {w} shipped {} offers in foreign shard {s}",
-                shard.ids.len()
-            )));
-        }
-    }
-    let mut shards = export.shards;
-    Ok(shards.swap_remove(w))
 }
 
 /// A worker shipped an export the supervisor cannot use.
@@ -455,8 +383,8 @@ pub struct ClusterBook {
 }
 
 impl ClusterBook {
-    /// Spawns `workers` shard processes and initializes each with the
-    /// full cluster shard count and the given evaluation budget.
+    /// Spawns `workers` shard processes, each initialized with the given
+    /// evaluation budget and loaded with its (empty) shard.
     pub fn spawn(
         config: ServeConfig,
         budget: Budget,
@@ -470,16 +398,15 @@ impl ClusterBook {
             .expect("workers >= 1, so the merged book has shards");
         let mut slots = Vec::with_capacity(workers);
         for w in 0..workers {
-            let conn = try_boot(&spec, workers, budget, w, &empty_shard(), &[], 0).map_err(
-                |e| match e {
+            let conn =
+                try_boot(&spec, budget, &load_request(&merged, w), &[]).map_err(|e| match e {
                     ConnFailure::Io(message) => ClusterError::Spawn { worker: w, message },
                     ConnFailure::Fault { code, message } => ClusterError::Worker {
                         worker: w,
                         code,
                         message,
                     },
-                },
-            )?;
+                })?;
             eprintln!("cluster worker {w} started (pid {})", conn.pid());
             slots.push(Slot {
                 conn,
@@ -552,17 +479,9 @@ impl ClusterBook {
     /// must prove its state with a full export on the next gather.
     /// Bounded attempts; exhaustion is [`ClusterError::WorkerLost`].
     fn respawn(&mut self, w: usize) -> Result<(), ClusterError> {
-        let snapshot = self.merged.export_shard(w);
+        let load = load_request(&self.merged, w);
         for _ in 0..RESPAWN_ATTEMPTS {
-            let boot = try_boot(
-                &self.spec,
-                self.slots.len(),
-                self.budget,
-                w,
-                &snapshot,
-                &self.slots[w].suffix,
-                self.ids.next_id(),
-            );
+            let boot = try_boot(&self.spec, self.budget, &load, &self.slots[w].suffix);
             match boot {
                 Ok(conn) => {
                     eprintln!("cluster worker {w} respawned (pid {})", conn.pid());
@@ -588,14 +507,17 @@ impl ClusterBook {
         Err(ClusterError::WorkerLost { worker: w })
     }
 
-    /// Routes one mutation to its owning worker. The suffix entry is
-    /// recorded *before* the round-trip so a pipe failure respawns into a
-    /// state that already includes this op.
-    fn route(&mut self, op: RoutedOp) -> Result<(), ClusterError> {
-        let w = stable_shard(op.id(), self.slots.len());
-        let request = op.request();
-        self.slots[w].suffix.push(op);
-        match self.slots[w].conn.roundtrip(&request) {
+    /// Routes one mutation request for offer `id` to its owning worker.
+    /// The suffix entry is recorded *before* the round-trip so a pipe
+    /// failure respawns into a state that already includes this request.
+    fn route(&mut self, id: u64, request: WorkerRequest) -> Result<(), ClusterError> {
+        let w = stable_shard(id, self.slots.len());
+        let slot = &mut self.slots[w];
+        slot.suffix.push(request);
+        match slot
+            .conn
+            .roundtrip(slot.suffix.last().expect("pushed above"))
+        {
             Ok(_) => Ok(()),
             Err(ConnFailure::Io(_)) => self.respawn(w),
             Err(ConnFailure::Fault { code, message }) => Err(ClusterError::Worker {
@@ -612,7 +534,13 @@ impl ClusterBook {
         if self.ids.is_live(id) {
             return Err(ClusterError::IdTaken { id });
         }
-        self.route(RoutedOp::Add { id, offer })?;
+        self.route(
+            id,
+            WorkerRequest::Add {
+                offer_id: id,
+                offer,
+            },
+        )?;
         self.ids.commit(Checked::Add(id));
         Ok(())
     }
@@ -701,7 +629,6 @@ impl ClusterBook {
     /// JSON: equal digest ⇒ equal canonical bytes ⇒ the merged book's
     /// copy is the worker's exact state, suffix included.
     fn gather(&mut self) -> Result<(), ClusterError> {
-        let workers = self.slots.len();
         self.merged.reserve_ids(self.ids.next_id());
         let (mut dirty, mut cached, mut dirty_bytes) = (0u64, 0u64, 0u64);
         self.collect(true, |this, w, payload| {
@@ -719,9 +646,8 @@ impl ClusterBook {
                     }
                     cached += 1;
                 }
-                ExportPayload::Full { digest, book } => {
+                ExportPayload::Full { digest, shard } => {
                     dirty_bytes += slot.conn.last_reply_len() as u64;
-                    let shard = own_shard(w, workers, book)?;
                     this.merged
                         .import_shard(w, shard)
                         .map_err(ClusterError::Import)?;
@@ -771,11 +697,10 @@ impl ClusterBook {
     /// digest, no suffix, and not the merged book, so interleaving oracle
     /// queries never helps the delta path.
     pub fn answer_full(&mut self, kind: QueryKind) -> Result<String, ClusterError> {
-        let workers = self.slots.len();
-        let mut shards = Vec::with_capacity(workers);
+        let mut shards = Vec::with_capacity(self.slots.len());
         self.collect(false, |_, w, payload| match payload {
-            ExportPayload::Full { book, .. } => {
-                shards.push(own_shard(w, workers, book)?);
+            ExportPayload::Full { shard, .. } => {
+                shards.push(shard);
                 Ok(())
             }
             ExportPayload::NotModified { .. } => Err(bad_export(
@@ -806,16 +731,19 @@ impl ClusterBook {
             .ids
             .check(&event)
             .map_err(|unknown| ClusterError::UnknownId { id: unknown.id })?;
-        let op = match event {
-            Event::Add(offer) => RoutedOp::Add {
-                id: self.ids.next_id(),
+        let (offer_id, request) = match event {
+            Event::Add(offer) => {
+                let offer_id = self.ids.next_id();
+                (offer_id, WorkerRequest::Add { offer_id, offer })
+            }
+            Event::Update {
+                id: offer_id,
                 offer,
-            },
-            Event::Update { id, offer } => RoutedOp::Update { id, offer },
-            Event::Remove { id } => RoutedOp::Remove { id },
+            } => (offer_id, WorkerRequest::Update { offer_id, offer }),
+            Event::Remove { id: offer_id } => (offer_id, WorkerRequest::Remove { offer_id }),
             Event::Query(kind) => return self.answer(kind).map(Some),
         };
-        self.route(op)?;
+        self.route(offer_id, request)?;
         self.ids.commit(checked);
         Ok(None)
     }
@@ -848,20 +776,19 @@ impl EventSink for ClusterBook {
     }
 }
 
-/// The cluster is spawned, then seeded with the recovered offers in
-/// ascending id order — the same shard-local orders a compacted
-/// in-process book has, so the seeded cluster answers byte-identically to
-/// the recovered book. The worker count is `shards`.
+/// The cluster is spawned with the given worker count and program, then
+/// seeded with the recovered offers in ascending id order — the same
+/// shard-local orders a compacted in-process book has, so the seeded
+/// cluster answers byte-identically to the recovered book.
 impl Book for ClusterBook {
-    type Spawn = WorkerSpec;
+    type Spawn = (usize, WorkerSpec);
 
     fn from_recovered(
         recovered: LiveBook,
-        shards: usize,
-        spec: WorkerSpec,
+        (workers, spec): (usize, WorkerSpec),
     ) -> Result<Self, ClusterError> {
         let config = recovered.config().clone();
-        let mut cluster = ClusterBook::spawn(config, recovered.budget(), shards, spec)?;
+        let mut cluster = ClusterBook::spawn(config, recovered.budget(), workers, spec)?;
         for (id, offer) in recovered
             .live_ids()
             .into_iter()
@@ -881,67 +808,6 @@ impl Book for ClusterBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexoffers_model::Slice;
-
-    fn offer() -> FlexOffer {
-        FlexOffer::new(0, 4, vec![Slice::new(0, 2).unwrap()]).unwrap()
-    }
-
-    fn shard_with(ids: Vec<u64>) -> ShardExport {
-        let offers = ids.iter().map(|_| offer()).collect();
-        ShardExport {
-            ids,
-            offers,
-            key_digest: 0,
-            cache: None,
-        }
-    }
-
-    #[test]
-    fn own_shard_rejects_misshapen_and_misrouted_exports() {
-        let good = BookExport {
-            next_id: 9,
-            shards: vec![shard_with(vec![]), shard_with(vec![1, 3])],
-        };
-        let shard = own_shard(1, 2, good).expect("well-shaped export");
-        assert_eq!(shard.ids, vec![1, 3]);
-
-        let short = BookExport {
-            next_id: 9,
-            shards: vec![shard_with(vec![])],
-        };
-        assert!(matches!(
-            own_shard(1, 2, short),
-            Err(ClusterError::Worker { worker: 1, .. })
-        ));
-
-        let foreign = BookExport {
-            next_id: 9,
-            shards: vec![shard_with(vec![0]), shard_with(vec![1])],
-        };
-        assert!(matches!(
-            own_shard(1, 2, foreign),
-            Err(ClusterError::Worker { worker: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn routed_ops_render_their_wire_requests() {
-        let add = RoutedOp::Add {
-            id: 7,
-            offer: offer(),
-        };
-        assert_eq!(add.id(), 7);
-        assert!(matches!(
-            add.request(),
-            WorkerRequest::Add { offer_id: 7, .. }
-        ));
-        assert!(matches!(
-            RoutedOp::Remove { id: 3 }.request(),
-            WorkerRequest::Remove { offer_id: 3 }
-        ));
-    }
-
     #[test]
     fn cluster_errors_display_their_structure() {
         let e = ClusterError::Worker {

@@ -7,39 +7,39 @@
 //! `{"id":N,"ok":…}`, failure is
 //! `{"id":N,"error":{"code":…,"message":…}}`. The payloads reuse the
 //! stack's existing codecs — offers serialize exactly as they do in serve
-//! scripts and the journal, and a shipped book image is byte-for-byte the
-//! snapshot body ([`flexoffers_storage::export_to_value`]), so the wire
-//! format cannot drift from the persistence format.
+//! scripts and the journal, and a shipped shard is byte-for-byte one entry
+//! of a snapshot body's `shards` array
+//! ([`flexoffers_storage::shard_to_value`]), so the wire format cannot
+//! drift from the persistence format.
 //!
 //! The request set is deliberately tiny — the supervisor owns all policy
 //! (id assignment, routing, validation, retry) and a worker is a dumb
-//! shard executor:
+//! one-shard executor:
 //!
 //! ```text
-//! {"id":N,"op":"init","shard":W,"shards":K,"threads":T,"kernel":"auto"}
+//! {"id":N,"op":"init","threads":T,"kernel":"auto"}
 //! {"id":N,"op":"add","offer_id":I,"offer":{…}}
 //! {"id":N,"op":"update","offer_id":I,"offer":{…}}
 //! {"id":N,"op":"remove","offer_id":I}
 //! {"id":N,"op":"export"}                 — unconditional full export
 //! {"id":N,"op":"export","if_digest":D}   — conditional (delta gather)
-//! {"id":N,"op":"load","book":{…}}
+//! {"id":N,"op":"load","next_id":I,"shard":{…}}
 //! {"id":N,"op":"shutdown"}
 //! ```
 //!
 //! A conditional export is answered `{"not_modified":true,"digest":D}`
 //! when the worker's shard **state digest** — FNV-1a 64 over the
-//! canonical single-line JSON of its own
-//! [`ShardExport`](flexoffers_serving::ShardExport) body
+//! canonical single-line JSON of its [`ShardExport`] body
 //! ([`flexoffers_storage::shard_digest`]), which embeds the commutative
 //! `key_digest` — still equals `D`; otherwise the worker ships
-//! `{"digest":D',"book":{…}}`. Supervisor and workers are always the
-//! same build, so a bare book (no `digest` wrapper) is a malformed
+//! `{"digest":D',"shard":{…}}`. Supervisor and workers are always the
+//! same build, so a bare shard (no `digest` wrapper) is a malformed
 //! payload, not an older dialect.
 
 use flexoffers_engine::Kernel;
 use flexoffers_model::FlexOffer;
-use flexoffers_serving::BookExport;
-use flexoffers_storage::{export_to_value, value_to_export};
+use flexoffers_serving::ShardExport;
+use flexoffers_storage::{shard_to_value, value_to_shard};
 use serde::{Deserialize, Serialize, Value};
 
 /// The worker wire-format version (reported in errors and docs; the
@@ -50,15 +50,9 @@ pub const WORKER_PROTOCOL: &str = "flexoffers-worker/1";
 /// One supervisor → worker request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkerRequest {
-    /// Create the worker's book: `shard` is the worker's own index (the
-    /// one shard of its book it populates and digests), `shards` the
-    /// *total* cluster shard count, `threads`/`kernel` its evaluation
-    /// budget.
+    /// Create the worker's empty one-shard book under the evaluation
+    /// budget `threads`/`kernel`.
     Init {
-        /// This worker's own shard index (`< shards`).
-        shard: usize,
-        /// Total shard count across the cluster.
-        shards: usize,
         /// Worker-local thread budget.
         threads: usize,
         /// Worker-local kernel selector.
@@ -83,7 +77,7 @@ pub enum WorkerRequest {
         /// The global logical id.
         offer_id: u64,
     },
-    /// Refresh the baseline partial and reply with the worker's book export — unless
+    /// Refresh the baseline partial and reply with the worker's shard — unless
     /// `if_digest` matches the worker's current shard state digest, in
     /// which case the reply is the tiny `not_modified` frame. `None`
     /// always ships the full export (respawn re-baselining, snapshots,
@@ -92,10 +86,12 @@ pub enum WorkerRequest {
         /// The supervisor's last-seen state digest for this shard.
         if_digest: Option<u64>,
     },
-    /// Replace the worker's book with this image (respawn rehydration).
+    /// Replace the worker's shard with this image (respawn rehydration).
     Load {
-        /// The book image; every shard except the worker's own is empty.
-        book: BookExport,
+        /// The cluster's id counter, strictly past every id in `shard`.
+        next_id: u64,
+        /// The shard image.
+        shard: ShardExport,
     },
     /// Acknowledge and exit the worker loop.
     Shutdown,
@@ -104,7 +100,7 @@ pub enum WorkerRequest {
 /// One worker → supervisor reply (without its echoed request id).
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkerReply {
-    /// Success; `export` replies carry the book value, everything else
+    /// Success; `export` replies carry the shard payload, everything else
     /// `true`.
     Ok(Value),
     /// Failure, with a machine-readable code — any error is a supervisor
@@ -138,15 +134,8 @@ pub fn write_request_line(buf: &mut String, id: u64, request: &WorkerRequest) {
     let mut fields = vec![("id", Value::U64(id))];
     let op = |name: &str| Value::Str(name.to_owned());
     match request {
-        WorkerRequest::Init {
-            shard,
-            shards,
-            threads,
-            kernel,
-        } => {
+        WorkerRequest::Init { threads, kernel } => {
             fields.push(("op", op("init")));
-            fields.push(("shard", Value::U64(*shard as u64)));
-            fields.push(("shards", Value::U64(*shards as u64)));
             fields.push(("threads", Value::U64(*threads as u64)));
             fields.push(("kernel", Value::Str(kernel.label().to_owned())));
         }
@@ -173,9 +162,10 @@ pub fn write_request_line(buf: &mut String, id: u64, request: &WorkerRequest) {
                 fields.push(("if_digest", Value::U64(*digest)));
             }
         }
-        WorkerRequest::Load { book } => {
+        WorkerRequest::Load { next_id, shard } => {
             fields.push(("op", op("load")));
-            fields.push(("book", export_to_value(book)));
+            fields.push(("next_id", Value::U64(*next_id)));
+            fields.push(("shard", shard_to_value(shard)));
         }
         WorkerRequest::Shutdown => fields.push(("op", op("shutdown"))),
     }
@@ -196,6 +186,11 @@ fn get_offer(v: &Value) -> Result<FlexOffer, String> {
     FlexOffer::from_value(field).map_err(|e| format!("`offer`: {e}"))
 }
 
+fn get_shard(v: &Value) -> Result<ShardExport, String> {
+    let field = v.get("shard").ok_or("missing `shard`")?;
+    value_to_shard(field).map_err(|e| format!("`shard`: {e}"))
+}
+
 /// Parses one request line into its id and request. A missing/invalid id
 /// still fails with a message — the worker answers `{"id":null,…}` then.
 pub fn parse_request(line: &str) -> Result<(u64, WorkerRequest), String> {
@@ -213,8 +208,6 @@ pub fn parse_request(line: &str) -> Result<(u64, WorkerRequest), String> {
                 .and_then(Value::as_str)
                 .ok_or("missing or non-string `kernel`")?;
             WorkerRequest::Init {
-                shard: get_usize(&value, "shard")?,
-                shards: get_usize(&value, "shards")?,
                 threads: get_usize(&value, "threads")?,
                 kernel: Kernel::parse(kernel_label)
                     .ok_or_else(|| format!("unknown kernel `{kernel_label}`"))?,
@@ -239,12 +232,10 @@ pub fn parse_request(line: &str) -> Result<(u64, WorkerRequest), String> {
                 }
             },
         },
-        "load" => {
-            let book = value.get("book").ok_or("missing `book`")?;
-            WorkerRequest::Load {
-                book: value_to_export(book).map_err(|e| format!("`book`: {e}"))?,
-            }
-        }
+        "load" => WorkerRequest::Load {
+            next_id: get_u64(&value, "next_id")?,
+            shard: get_shard(&value)?,
+        },
         "shutdown" => WorkerRequest::Shutdown,
         other => return Err(format!("unknown op `{other}`")),
     };
@@ -276,35 +267,16 @@ pub fn not_modified_payload(digest: u64) -> String {
 }
 
 /// The payload of a conditional export miss: the digest of the worker's
-/// own shard plus its full book, with the worker's own shard spliced in
-/// from `own_shard_json` (the exact bytes the digest was computed over —
-/// serialized once, hashed and shipped) and every other shard the
-/// canonical empty image.
-pub fn full_export_payload(
-    digest: u64,
-    next_id: u64,
-    shards: usize,
-    own: usize,
-    own_shard_json: &str,
-) -> String {
-    const EMPTY_SHARD: &str = "{\"ids\":[],\"offers\":[],\"key_digest\":0,\"cache\":null}";
-    let mut payload = String::with_capacity(own_shard_json.len() + 64 + shards * EMPTY_SHARD.len());
+/// shard plus the shard itself, spliced in from `shard_json` (the exact
+/// bytes the digest was computed over — serialized once, hashed and
+/// shipped).
+pub fn full_export_payload(digest: u64, shard_json: &str) -> String {
+    let mut payload = String::with_capacity(shard_json.len() + 40);
     payload.push_str("{\"digest\":");
     payload.push_str(&digest.to_string());
-    payload.push_str(",\"book\":{\"next_id\":");
-    payload.push_str(&next_id.to_string());
-    payload.push_str(",\"shards\":[");
-    for s in 0..shards {
-        if s > 0 {
-            payload.push(',');
-        }
-        payload.push_str(if s == own {
-            own_shard_json
-        } else {
-            EMPTY_SHARD
-        });
-    }
-    payload.push_str("]}}");
+    payload.push_str(",\"shard\":");
+    payload.push_str(shard_json);
+    payload.push('}');
     payload
 }
 
@@ -317,17 +289,17 @@ pub enum ExportPayload {
         /// The digest the worker confirmed.
         digest: u64,
     },
-    /// A full export with the worker's own-shard state digest.
+    /// A full export with the worker's shard state digest.
     Full {
         /// The shipped shard's state digest.
         digest: u64,
-        /// The worker's book image.
-        book: BookExport,
+        /// The worker's shard image.
+        shard: ShardExport,
     },
 }
 
 /// Parses an export reply's `ok` payload: the `not_modified` frame or the
-/// digest-wrapped book.
+/// digest-wrapped shard.
 pub fn parse_export_payload(payload: &Value) -> Result<ExportPayload, String> {
     if payload
         .get("not_modified")
@@ -337,13 +309,13 @@ pub fn parse_export_payload(payload: &Value) -> Result<ExportPayload, String> {
             digest: get_u64(payload, "digest")?,
         });
     }
-    if let Some(book) = payload.get("book") {
+    if payload.get("shard").is_some() {
         return Ok(ExportPayload::Full {
             digest: get_u64(payload, "digest")?,
-            book: value_to_export(book).map_err(|e| format!("`book`: {e}"))?,
+            shard: get_shard(payload)?,
         });
     }
-    Err("export payload is neither `not_modified` nor a digest-wrapped `book`".to_owned())
+    Err("export payload is neither `not_modified` nor a digest-wrapped `shard`".to_owned())
 }
 
 /// Renders an error reply line; `id` is `None` when the request line was
@@ -394,23 +366,21 @@ mod tests {
         FlexOffer::new(1, 4, vec![Slice::new(-1, 2).unwrap()]).unwrap()
     }
 
+    fn shard() -> ShardExport {
+        ShardExport {
+            ids: vec![0, 2],
+            offers: vec![offer(), offer()],
+            key_digest: 7,
+            cache: None,
+        }
+    }
+
     #[test]
     fn requests_round_trip_through_their_lines() {
-        let book = BookExport {
-            next_id: 3,
-            shards: vec![flexoffers_serving::ShardExport {
-                ids: vec![0, 2],
-                offers: vec![offer(), offer()],
-                key_digest: 7,
-                cache: None,
-            }],
-        };
         for (id, request) in [
             (
                 0,
                 WorkerRequest::Init {
-                    shard: 1,
-                    shards: 4,
                     threads: 2,
                     kernel: Kernel::Columnar,
                 },
@@ -437,7 +407,13 @@ mod tests {
                     if_digest: Some(0xdead_beef),
                 },
             ),
-            (6, WorkerRequest::Load { book }),
+            (
+                6,
+                WorkerRequest::Load {
+                    next_id: 3,
+                    shard: shard(),
+                },
+            ),
             (7, WorkerRequest::Shutdown),
         ] {
             let line = request_line(id, &request);
@@ -481,13 +457,8 @@ mod tests {
 
     #[test]
     fn export_payloads_parse_in_all_three_shapes() {
-        let shard = flexoffers_serving::ShardExport {
-            ids: vec![0, 2],
-            offers: vec![offer(), offer()],
-            key_digest: 7,
-            cache: None,
-        };
-        let own_json = serde_json::to_string(&flexoffers_storage::shard_to_value(&shard)).unwrap();
+        let shard = shard();
+        let shard_json = serde_json::to_string(&shard_to_value(&shard)).unwrap();
         let digest = flexoffers_storage::shard_digest(&shard);
 
         // Hit.
@@ -497,22 +468,22 @@ mod tests {
             ExportPayload::NotModified { digest }
         );
 
-        // Miss: the spliced frame parses to the digest plus a book whose
-        // only populated shard is the worker's own at index 1 of 3.
-        let miss: Value =
-            serde_json::from_str(&full_export_payload(digest, 5, 3, 1, &own_json)).unwrap();
-        let ExportPayload::Full { digest: got, book } = parse_export_payload(&miss).unwrap() else {
-            panic!("full payload expected")
-        };
-        assert_eq!(got, digest);
-        assert_eq!(book.next_id, 5);
-        assert_eq!(book.shards.len(), 3);
-        assert_eq!(book.shards[1], shard);
-        assert!(book.shards[0].ids.is_empty() && book.shards[2].ids.is_empty());
+        // Miss: the spliced frame parses to the digest plus the shard.
+        let miss: Value = serde_json::from_str(&full_export_payload(digest, &shard_json)).unwrap();
+        assert_eq!(
+            parse_export_payload(&miss).unwrap(),
+            ExportPayload::Full {
+                digest,
+                shard: shard.clone()
+            }
+        );
 
-        // A bare book (no digest wrapper) is a malformed payload.
-        let err = parse_export_payload(&export_to_value(&book)).unwrap_err();
+        // A bare shard (no digest wrapper) is a malformed payload, and so
+        // is a wrapped one without its digest.
+        let err = parse_export_payload(&shard_to_value(&shard)).unwrap_err();
         assert!(err.contains("digest-wrapped"), "{err}");
+        let undigested = obj(vec![("shard", shard_to_value(&shard))]);
+        assert!(parse_export_payload(&undigested).is_err());
 
         // Garbage is a message.
         assert!(parse_export_payload(&Value::Bool(true)).is_err());

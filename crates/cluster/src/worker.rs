@@ -1,22 +1,22 @@
 //! The shard-worker loop: a dumb shard executor driven over stdio.
 //!
-//! A worker holds a full K-shard [`LiveBook`] in which only its own shard
-//! (named at `init`) ever receives offers — the supervisor routes each
-//! mutation to the worker that owns `stable_shard(id, K)`, so the ids land
-//! in their stable shard *by construction* and the worker's populated
-//! shard stays byte-equal to the corresponding shard of an in-process
-//! K-shard book fed the same serialized mutation stream. The worker never
-//! answers queries itself: `export` refreshes its baseline partial and ships the
-//! book image, and the supervisor merges the gathered shards into its
-//! persistent book so answer bytes come from the same code path as the
-//! in-process tier.
+//! A worker holds a one-shard [`LiveBook`] of exactly the offers routed to
+//! it — the supervisor routes each mutation to worker `stable_shard(id, K)`,
+//! so the worker's shard receives the same pushes and swap-removes, in the
+//! same order, as shard `w` of an in-process K-shard book fed the same
+//! serialized mutation stream, and its arrays, key digest, baseline
+//! partial and canonical JSON are byte-equal to that shard's. The worker
+//! never answers queries itself: `export` refreshes its baseline partial
+//! and ships the shard, and the supervisor imports it as shard `w` of its
+//! persistent merged book (whose placement check rejects a misrouted id),
+//! so answer bytes come from the same code path as the in-process tier.
 //!
 //! # The state digest
 //!
 //! Each worker maintains its shard **state digest** incrementally across
 //! events: any mutation (or `load`) invalidates it, and the next `export`
 //! recomputes it lazily — FNV-1a 64 over the canonical single-line JSON
-//! of the worker's own [`ShardExport`](flexoffers_serving::ShardExport)
+//! of the worker's [`ShardExport`](flexoffers_serving::ShardExport)
 //! body ([`flexoffers_storage::shard_digest`]), which embeds the
 //! commutative `key_digest`. While the worker is clean, a conditional
 //! `export {if_digest}` whose digest matches answers with the tiny
@@ -41,12 +41,10 @@ use crate::wire::{
     WorkerRequest,
 };
 
-/// The worker's post-`init` state: its book, which shard of it is its own,
-/// and the lazily (re)computed state digest with the canonical shard JSON
-/// it was computed over.
+/// The worker's post-`init` state: its one-shard book and the lazily
+/// (re)computed state digest with the canonical shard JSON it was
+/// computed over.
 struct WorkerState {
-    budget: Budget,
-    shard: usize,
     book: LiveBook,
     /// `Some((digest, canonical_shard_json))` while no mutation has
     /// touched the book since the digest was computed.
@@ -60,10 +58,6 @@ struct WorkerState {
 /// acknowledged. I/O errors on the reply channel propagate — with a dead
 /// supervisor there is nobody left to serve.
 pub fn run_worker<R: BufRead, W: Write>(input: R, mut output: W) -> io::Result<()> {
-    // The book only exists after `init`; the config is irrelevant to a
-    // worker (it shapes query *answers*, and answers happen at the
-    // supervisor merge), so the default serves. The budget rides along so
-    // `load` can rebuild a book under the same engine settings.
     let mut state: Option<WorkerState> = None;
     for line in input.lines() {
         let line = line?;
@@ -105,29 +99,15 @@ fn handle(
         state.as_mut().ok_or_else(no_book)
     }
     match request {
-        WorkerRequest::Init {
-            shard,
-            shards,
-            threads,
-            kernel,
-        } => {
-            if shard >= shards {
-                return Err((
-                    "bad_request",
-                    format!("shard index {shard} out of range for {shards} shard(s)"),
-                ));
-            }
+        WorkerRequest::Init { threads, kernel } => {
             let budget = Budget::with_threads(threads)
                 .map_err(|e| ("bad_request", e.to_string()))?
                 .with_kernel(kernel);
-            let fresh = LiveBook::new(ServeConfig::default(), shards, Engine::new(budget))
-                .map_err(|e| ("bad_request", e.to_string()))?;
-            *state = Some(WorkerState {
-                budget,
-                shard,
-                book: fresh,
-                digest: None,
-            });
+            // The config shapes query *answers*, and answers happen at the
+            // supervisor merge, so the default serves.
+            let book = LiveBook::new(ServeConfig::default(), 1, Engine::new(budget))
+                .expect("one shard is valid");
+            *state = Some(WorkerState { book, digest: None });
             ok()
         }
         WorkerRequest::Add { offer_id, offer } => {
@@ -161,30 +141,26 @@ fn handle(
             // parallel across workers.
             st.book.refresh();
             if st.digest.is_none() {
-                let own = st.book.export_shard(st.shard);
+                let shard = st.book.export_shard(0);
                 let body =
-                    serde_json::to_string(&shard_to_value(&own)).expect("shard values serialize");
+                    serde_json::to_string(&shard_to_value(&shard)).expect("shard values serialize");
                 st.digest = Some((fnv1a64(body.as_bytes()), body));
             }
             let (digest, body) = st.digest.as_ref().expect("computed above");
             if if_digest == Some(*digest) {
                 Ok(Some(not_modified_payload(*digest)))
             } else {
-                Ok(Some(full_export_payload(
-                    *digest,
-                    st.book.next_id(),
-                    st.book.shard_count(),
-                    st.shard,
-                    body,
-                )))
+                Ok(Some(full_export_payload(*digest, body)))
             }
         }
-        WorkerRequest::Load { book: image } => {
+        WorkerRequest::Load { next_id, shard } => {
             let st = live(state)?;
-            let loaded =
-                LiveBook::from_export(ServeConfig::default(), Engine::new(st.budget), image)
-                    .map_err(|e| ("bad_book", e.to_string()))?;
-            st.book = loaded;
+            // The book's one shard is replaced wholesale; a failed import
+            // leaves it untouched.
+            st.book.reserve_ids(next_id);
+            st.book
+                .import_shard(0, shard)
+                .map_err(|e| ("bad_book", e.to_string()))?;
             st.digest = None;
             ok()
         }
@@ -215,16 +191,14 @@ mod tests {
     };
     use flexoffers_engine::Kernel;
     use flexoffers_model::{FlexOffer, Slice};
-    use flexoffers_serving::BookExport;
+    use flexoffers_serving::ShardExport;
 
     fn offer(tes: i64) -> FlexOffer {
         FlexOffer::new(tes, tes + 4, vec![Slice::new(0, 3).unwrap()]).unwrap()
     }
 
-    fn init(shard: usize, shards: usize) -> WorkerRequest {
+    fn init() -> WorkerRequest {
         WorkerRequest::Init {
-            shard,
-            shards,
             threads: 1,
             kernel: Kernel::Auto,
         }
@@ -249,27 +223,27 @@ mod tests {
             .collect()
     }
 
-    fn full_book(reply: &WorkerReply) -> (u64, BookExport) {
+    fn full_shard(reply: &WorkerReply) -> (u64, ShardExport) {
         let WorkerReply::Ok(payload) = reply else {
             panic!("export failed: {reply:?}");
         };
         match parse_export_payload(payload).expect("export payload parses") {
-            ExportPayload::Full { digest, book } => (digest, book),
+            ExportPayload::Full { digest, shard } => (digest, shard),
             other => panic!("expected a digest-wrapped full export, got {other:?}"),
         }
     }
 
     #[test]
     fn a_worker_populates_only_its_routed_shard_and_exports_it_warm() {
-        // Two ids the supervisor would route to the same worker: the
-        // placement is a hash, so find a collision with the real function.
+        // Two ids the supervisor would route to the same worker of four:
+        // the placement is a hash, so find a collision with the real
+        // function.
         let first = 1u64;
         let home = flexoffers_engine::stable_shard(first, 4);
         let second = (2..)
             .find(|&id| flexoffers_engine::stable_shard(id, 4) == home)
             .unwrap();
-        let replies = drive(&[
-            init(home, 4),
+        let routed = [
             WorkerRequest::Add {
                 offer_id: first,
                 offer: offer(0),
@@ -282,33 +256,62 @@ mod tests {
                 offer_id: second,
                 offer: offer(9),
             },
+        ];
+        let mut script = vec![init()];
+        script.extend(routed.iter().cloned());
+        script.extend([
             WorkerRequest::Export { if_digest: None },
             WorkerRequest::Remove { offer_id: first },
             WorkerRequest::Export { if_digest: None },
         ]);
+        let replies = drive(&script);
         assert_eq!(replies.len(), 7);
-        let (digest, book) = full_book(&replies[4]);
-        assert_eq!(book.shards.len(), 4);
-        let populated: Vec<usize> = (0..4).filter(|&s| !book.shards[s].ids.is_empty()).collect();
-        assert_eq!(populated, vec![home], "exactly the routed shard");
-        assert_eq!(book.shards[home].ids, vec![first, second]);
+        let (digest, shard) = full_shard(&replies[4]);
+        assert_eq!(shard.ids, vec![first, second]);
         assert!(
-            book.shards[home].cache.is_some(),
+            shard.cache.is_some(),
             "export refreshes before shipping, so the shard arrives warm"
         );
+        // The shipped shard is byte-equal to the routed shard of an
+        // in-process four-shard book fed the same mutations.
+        let mut reference = LiveBook::new(ServeConfig::default(), 4, Engine::sequential()).unwrap();
+        for request in routed {
+            match request {
+                WorkerRequest::Add { offer_id, offer } => {
+                    reference.add_at(offer_id, offer).unwrap()
+                }
+                WorkerRequest::Update { offer_id, offer } => {
+                    reference.update(offer_id, offer).unwrap()
+                }
+                other => unreachable!("{other:?}"),
+            }
+        }
+        reference.refresh();
+        assert_eq!(shard, reference.export_shard(home));
         // The shipped digest is the canonical one the supervisor could
         // recompute from the shard body.
-        assert_eq!(digest, flexoffers_storage::shard_digest(&book.shards[home]));
-        let (after_digest, book) = full_book(&replies[6]);
-        assert_eq!(book.shards[home].ids, vec![second]);
+        assert_eq!(digest, flexoffers_storage::shard_digest(&shard));
+        let (after_digest, shard) = full_shard(&replies[6]);
+        assert_eq!(shard.ids, vec![second]);
         assert_ne!(digest, after_digest, "the remove changed the state");
+
+        // A fresh worker loaded with the shipped shard ships it back with
+        // the same digest — the respawn path.
+        let reloaded = drive(&[
+            init(),
+            WorkerRequest::Load {
+                next_id: second + 1,
+                shard,
+            },
+            WorkerRequest::Export { if_digest: None },
+        ]);
+        assert_eq!(full_shard(&reloaded[2]).0, after_digest);
     }
 
     #[test]
     fn conditional_exports_gate_on_state_not_on_mutation_count() {
-        let home = flexoffers_engine::stable_shard(1, 2);
         let replies = drive(&[
-            init(home, 2),
+            init(),
             WorkerRequest::Add {
                 offer_id: 1,
                 offer: offer(0),
@@ -333,18 +336,18 @@ mod tests {
             },
             WorkerRequest::Export { if_digest: None },
         ]);
-        let (digest, _) = full_book(&replies[2]);
-        let (missed, _) = full_book(&replies[3]);
+        let (digest, _) = full_shard(&replies[2]);
+        let (missed, _) = full_shard(&replies[3]);
         assert_eq!(digest, missed, "a miss reships the same state");
-        let (after_noop_update, _) = full_book(&replies[5]);
+        let (after_noop_update, _) = full_shard(&replies[5]);
         assert_eq!(after_noop_update, digest);
-        let (changed, _) = full_book(&replies[7]);
+        let (changed, _) = full_shard(&replies[7]);
         assert_ne!(changed, digest);
 
         // Now drive the actual hit: export, then conditional export with
         // the digest just received, with no mutation between.
         let replies = drive(&[
-            init(home, 2),
+            init(),
             WorkerRequest::Add {
                 offer_id: 1,
                 offer: offer(0),
@@ -354,7 +357,7 @@ mod tests {
                 if_digest: Some(digest),
             },
         ]);
-        let (again, _) = full_book(&replies[2]);
+        let (again, _) = full_shard(&replies[2]);
         assert_eq!(again, digest, "same history, same digest");
         let WorkerReply::Ok(payload) = &replies[3] else {
             panic!("conditional export failed: {:?}", replies[3]);
@@ -368,15 +371,21 @@ mod tests {
 
     #[test]
     fn protocol_errors_are_replies_not_exits() {
-        // Mutating before init, a bad shard index, a dead id, and a taken
-        // id all answer with coded errors and leave the loop alive for the
+        // Mutating before init, a zero-thread budget, a dead id, and a
+        // taken id all answer with coded errors and leave the loop alive for the
         // next request.
         let mut out = Vec::new();
         let script = [
             request_line(0, &WorkerRequest::Remove { offer_id: 3 }),
             "this is not json".to_owned(),
-            request_line(1, &init(2, 2)),
-            request_line(2, &init(0, 2)),
+            request_line(
+                1,
+                &WorkerRequest::Init {
+                    threads: 0,
+                    kernel: Kernel::Auto,
+                },
+            ),
+            request_line(2, &init()),
             request_line(
                 3,
                 &WorkerRequest::Add {
@@ -406,7 +415,7 @@ mod tests {
         assert_eq!(code(0), "no_book");
         assert_eq!(replies[1].0, None, "unreadable line answers id:null");
         assert_eq!(code(1), "bad_frame");
-        assert_eq!(code(2), "bad_request", "shard index out of range");
+        assert_eq!(code(2), "bad_request", "zero threads");
         assert!(matches!(replies[3].1, WorkerReply::Ok(_)), "init");
         assert!(matches!(replies[4].1, WorkerReply::Ok(_)), "add");
         assert_eq!(code(5), "bad_event");
@@ -420,7 +429,7 @@ mod tests {
     #[test]
     fn shutdown_acknowledges_then_exits_ignoring_later_lines() {
         let script = [
-            request_line(0, &init(0, 1)),
+            request_line(0, &init()),
             request_line(1, &WorkerRequest::Shutdown),
             request_line(2, &WorkerRequest::Export { if_digest: None }),
         ]

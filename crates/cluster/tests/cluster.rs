@@ -310,7 +310,7 @@ fn durable_cluster_recovers_continues_and_writes_adoptable_snapshots() {
 
     // Phase 1: single-process history, crash (no shutdown snapshot).
     let (mut durable, _) =
-        Durable::<LiveBook>::open(config.clone(), 3, Engine::sequential(), ()).unwrap();
+        Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
     for i in 0..7 {
         durable.apply(Event::Add(offer(i))).unwrap();
     }
@@ -325,7 +325,7 @@ fn durable_cluster_recovers_continues_and_writes_adoptable_snapshots() {
 
     // Phase 2: the cluster recovers and continues the same history.
     let (mut cluster, report) =
-        Durable::<ClusterBook>::open(config.clone(), 3, Engine::sequential(), worker_spec())
+        Durable::<ClusterBook>::open(config.clone(), Engine::sequential(), (3, worker_spec()))
             .unwrap();
     assert_eq!(report.journal_events, 9);
     assert_eq!(cluster.book().live_ids(), vec![0, 1, 3, 4, 5, 6]);
@@ -352,7 +352,7 @@ fn durable_cluster_recovers_continues_and_writes_adoptable_snapshots() {
 
     // Phase 3: the single-process tier adopts the cluster's files.
     let (mut adopted, report) =
-        Durable::<LiveBook>::open(config, 3, Engine::sequential(), ()).unwrap();
+        Durable::<LiveBook>::open(config, Engine::sequential(), ()).unwrap();
     assert_eq!(report.snapshot_seq, Some(11), "cluster shutdown snapshot");
     assert_eq!(report.replayed, 0);
     for kind in QueryKind::all() {

@@ -233,26 +233,35 @@ fn key_hash((tes, tf): (i64, i64)) -> u64 {
     splitmix64(splitmix64(tes as u64) ^ (tf as u64))
 }
 
-/// The per-shard checks [`LiveBook::from_export`] and
-/// [`LiveBook::import_shard`] share, in the order they report: aligned
-/// parallel arrays; then, id by id, the stable placement, the caller's
-/// `is_duplicate(id, local)` test and the id counter; then the key digest.
+/// The checks [`LiveBook::import_shard`] runs on shard `s`'s image, in
+/// the order they report: aligned parallel arrays; then, id by id, the
+/// stable placement, a repeat of an earlier id, and the id counter; then
+/// the key digest. Placement is what keeps ids unique *across* shards: an
+/// id can only sit in its `stable_shard`.
 fn validate_shard(
     s: usize,
     shard: &ShardExport,
     shard_count: usize,
     next_id: u64,
-    mut is_duplicate: impl FnMut(u64, usize) -> bool,
 ) -> Result<(), ImportError> {
     if shard.ids.len() != shard.offers.len() {
         return Err(ImportError::CacheShape { shard: s });
     }
+    // Each run of equal ids in (id, position) order repeats at its
+    // second position; the scan below reports the earliest such one.
+    let mut order: Vec<(u64, usize)> = shard.ids.iter().copied().zip(0..).collect();
+    order.sort_unstable();
+    let first_repeat = order
+        .windows(2)
+        .filter(|pair| pair[0].0 == pair[1].0)
+        .map(|pair| pair[1].1)
+        .min();
     let mut digest = 0u64;
     for (local, (&id, offer)) in shard.ids.iter().zip(&shard.offers).enumerate() {
         if stable_shard(id, shard_count) != s {
             return Err(ImportError::MisplacedId { id });
         }
-        if is_duplicate(id, local) {
+        if Some(local) == first_repeat {
             return Err(ImportError::DuplicateId { id });
         }
         if id >= next_id {
@@ -397,9 +406,9 @@ impl LiveBook {
 
     /// A serializable image of one shard — the per-shard slice of
     /// [`export`](Self::export). The cluster tier uses it on both sides of
-    /// the pipe: a shard worker serializes *its own* shard (the rest of
-    /// its book is empty), and the supervisor extracts a respawn baseline
-    /// for one worker from its persistent merged book.
+    /// the pipe: a shard worker serializes the one shard its book holds,
+    /// and the supervisor extracts a respawn baseline for one worker from
+    /// its persistent merged book.
     ///
     /// # Panics
     ///
@@ -414,49 +423,26 @@ impl LiveBook {
         }
     }
 
-    /// Rebuilds a book from an export, revalidating every structural
-    /// invariant a fresh build would have established: unique ids in their
+    /// Rebuilds a book from an export: an empty book with the export's
+    /// shard count and id counter, then [`import_shard`](Self::import_shard)
+    /// for each shard in order, which revalidates every structural
+    /// invariant a fresh build would have established (unique ids in their
     /// stable shards, an id counter strictly past every live id, key
-    /// digests that match the offers, and aligned parallel arrays. The
-    /// owner table and ordered key index are reconstructed (they are pure
-    /// functions of the shard arrays); evaluation counters reset and the
-    /// grouping cache starts cold.
+    /// digests that match the offers, aligned parallel arrays) and
+    /// reconstructs the owner table and ordered key index. Evaluation
+    /// counters start at zero and the grouping cache starts cold.
     pub fn from_export(
         config: ServeConfig,
         engine: Engine,
         export: BookExport,
     ) -> Result<Self, ImportError> {
-        if export.shards.is_empty() {
-            return Err(ImportError::ZeroShards);
-        }
-        let shard_count = export.shards.len();
-        let mut owners = BTreeMap::new();
-        let mut keys = KeyIndex::new();
-        let mut shards = Vec::with_capacity(shard_count);
+        let mut book =
+            Self::new(config, export.shards.len(), engine).map_err(|_| ImportError::ZeroShards)?;
+        book.reserve_ids(export.next_id);
         for (s, shard) in export.shards.into_iter().enumerate() {
-            validate_shard(s, &shard, shard_count, export.next_id, |id, local| {
-                owners.insert(id, (s, local)).is_some()
-            })?;
-            for (&id, offer) in shard.ids.iter().zip(&shard.offers) {
-                keys.insert(id, grouping_key(offer));
-            }
-            shards.push(LiveShard {
-                ids: shard.ids,
-                offers: shard.offers,
-                baseline: shard.cache,
-                key_digest: shard.key_digest,
-                evaluations: 0,
-            });
+            book.import_shard(s, shard)?;
         }
-        Ok(Self {
-            config,
-            engine,
-            shards,
-            owners,
-            next_id: export.next_id,
-            keys,
-            groups_cache: None,
-        })
+        Ok(book)
     }
 
     /// Advances the id counter to at least `next_id` (it never rewinds).
@@ -473,13 +459,13 @@ impl LiveBook {
     /// shards whose digests changed, instead of
     /// [`from_export`](Self::from_export) rebuilding all of them.
     ///
-    /// Revalidates everything `from_export` would for that shard (stable
-    /// placement, no duplicate ids — including against offers *other*
-    /// shards of this book already hold — an id counter that clears every
-    /// imported id, a key digest matching the offers, aligned parallel
-    /// arrays) **before** mutating, so a failed import leaves the book
-    /// untouched. Callers whose counter may trail the import call
-    /// [`reserve_ids`](Self::reserve_ids) first.
+    /// Revalidates the shard (stable placement, no repeated ids, an id
+    /// counter that clears every imported id, a key digest matching the
+    /// offers, aligned parallel arrays) **before** mutating, so a failed
+    /// import leaves the book untouched. Stable placement also rules out
+    /// an id that another shard of this book holds. Callers whose counter
+    /// may trail the import call [`reserve_ids`](Self::reserve_ids)
+    /// first.
     ///
     /// The owner table and ordered key index are patched incrementally; the
     /// grouping cache survives exactly when the shard's id sequence and
@@ -490,13 +476,7 @@ impl LiveBook {
         if s >= shard_count {
             return Err(ImportError::NoSuchShard { shard: s });
         }
-        let mut fresh = std::collections::BTreeSet::new();
-        let owners = &self.owners;
-        validate_shard(s, &shard, shard_count, self.next_id, |id, _| {
-            // An owner entry pointing at shard `s` is being replaced; one
-            // pointing anywhere else means the id is live twice.
-            !fresh.insert(id) || owners.get(&id).is_some_and(|&(owner, _)| owner != s)
-        })?;
+        validate_shard(s, &shard, shard_count, self.next_id)?;
 
         // Validation passed — commit. First decide whether the grouping
         // inputs changed (exact per-position comparison, the same standard

@@ -2,9 +2,10 @@
 //! [`EventSink`].
 //!
 //! [`Durable::open`] recovers the book **in process** (empty files on
-//! first boot), resumes the journal past any torn tail, and builds the
-//! sink from the recovered [`LiveBook`] ([`Book::from_recovered`]): the
-//! book itself in process, a spawned and seeded worker fleet for a
+//! first boot, one shard; a snapshot keeps its own layout), resumes the
+//! journal past any torn tail, and builds the sink from the recovered
+//! [`LiveBook`] ([`Book::from_recovered`]): the book itself in process, a
+//! spawned and seeded worker fleet — one shard per worker — for a
 //! cluster. [`LiveServer::spawn_sink`] drives the result exactly like a
 //! memory-only book — same loop, same ordering, same answers. Each
 //! mutation is journaled *before* it touches the book, so a crash at any
@@ -34,16 +35,12 @@ use crate::snapshot::{save_snapshot, Snapshot};
 /// A book [`Durable`] can journal in front of.
 pub trait Book: EventSink + Sized {
     /// What building the book takes besides the recovered state: `()` in
-    /// process, the shard-worker program for a cluster.
+    /// process, the worker count and shard-worker program for a cluster.
     type Spawn;
 
     /// Builds the book holding exactly `recovered`'s offers under their
-    /// ids. `shards` is the shard count [`Durable::open`] was given.
-    fn from_recovered(
-        recovered: LiveBook,
-        shards: usize,
-        spawn: Self::Spawn,
-    ) -> Result<Self, Self::Error>;
+    /// ids.
+    fn from_recovered(recovered: LiveBook, spawn: Self::Spawn) -> Result<Self, Self::Error>;
 
     /// The book's current state, as a snapshot persists it.
     fn export(&mut self) -> Result<BookExport, Self::Error>;
@@ -54,7 +51,7 @@ pub trait Book: EventSink + Sized {
 impl Book for LiveBook {
     type Spawn = ();
 
-    fn from_recovered(recovered: LiveBook, _shards: usize, (): ()) -> Result<Self, LiveError> {
+    fn from_recovered(recovered: LiveBook, (): ()) -> Result<Self, LiveError> {
         Ok(recovered)
     }
 
@@ -119,14 +116,13 @@ pub struct Durable<B> {
 }
 
 impl<B: Book> Durable<B> {
-    /// Recovers from `config.durability`'s journal + snapshot with
-    /// `shards` shards and `engine` (used when recovery starts from the
-    /// empty book), truncates any torn journal tail, opens the journal for
-    /// appending, and builds the book from the recovered state. Returns
-    /// the sink alongside what recovery found.
+    /// Recovers from `config.durability`'s journal + snapshot under
+    /// `engine` (one shard when recovery starts from the empty book; a
+    /// snapshot keeps its own layout), truncates any torn journal tail,
+    /// opens the journal for appending, and builds the book from the
+    /// recovered state. Returns the sink alongside what recovery found.
     pub fn open(
         config: ServeConfig,
-        shards: usize,
         engine: Engine,
         spawn: B::Spawn,
     ) -> Result<(Self, RecoveryReport), DurableError<B::Error>> {
@@ -134,14 +130,14 @@ impl<B: Book> Durable<B> {
             .durability
             .clone()
             .ok_or(StorageError::MissingDurability)?;
-        let (recovered, report) = recover(&config, shards, engine)?;
+        let (recovered, report) = recover(&config, 1, engine)?;
         let journal = Journal::resume(
             &durability.journal,
             durability.sync_every,
             report.committed_bytes,
             report.journal_events,
         )?;
-        let book = B::from_recovered(recovered, shards, spawn).map_err(DurableError::Book)?;
+        let book = B::from_recovered(recovered, spawn).map_err(DurableError::Book)?;
         Ok((
             Self {
                 book,
@@ -257,7 +253,7 @@ mod tests {
         let journal_path = config.durability.as_ref().unwrap().journal.clone();
 
         let (mut durable, report) =
-            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config, Engine::sequential(), ()).unwrap();
         assert_eq!(report.journal_events, 0);
         durable.apply(Event::Add(offer(0))).unwrap();
         durable.apply(Event::Add(offer(1))).unwrap();
@@ -280,8 +276,7 @@ mod tests {
         let config = config_for(&dir.path().join("events.jsonl"), Some(4));
         let snapshot_path = config.durability.as_ref().unwrap().snapshot_path();
 
-        let (mut durable, _) =
-            Durable::<LiveBook>::open(config, 3, Engine::sequential(), ()).unwrap();
+        let (mut durable, _) = Durable::<LiveBook>::open(config, Engine::sequential(), ()).unwrap();
         for i in 0..6 {
             durable.apply(Event::Add(offer(i))).unwrap();
         }
@@ -299,7 +294,7 @@ mod tests {
         let config = config_for(&dir.path().join("events.jsonl"), Some(3));
 
         let (mut durable, _) =
-            Durable::<LiveBook>::open(config.clone(), 2, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
         for i in 0..5 {
             durable.apply(Event::Add(offer(i))).unwrap();
         }
@@ -308,7 +303,7 @@ mod tests {
         drop(durable);
 
         let (mut reopened, report) =
-            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config, Engine::sequential(), ()).unwrap();
         assert_eq!(report.journal_events, 5);
         assert_eq!(report.snapshot_seq, Some(5), "shutdown snapshot used");
         assert_eq!(report.replayed, 0);
@@ -327,7 +322,7 @@ mod tests {
         let journal_path = config.durability.as_ref().unwrap().journal.clone();
 
         let (durable, _) =
-            Durable::<LiveBook>::open(config.clone(), 2, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
         let mut handle = LiveServer::spawn_sink(durable);
         handle.add(offer(0)).unwrap();
         handle.add(offer(1)).unwrap();
@@ -342,7 +337,7 @@ mod tests {
         // Recover and re-ask: byte-identical to the live answer's shape
         // at the same point (re-run the query pre-remove via a fresh book).
         let (mut replayed, _) =
-            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config, Engine::sequential(), ()).unwrap();
         assert_eq!(replayed.book().len(), 1);
         let mut check = LiveBook::new(ServeConfig::default(), 2, Engine::sequential()).unwrap();
         check.add(offer(0));
@@ -355,8 +350,7 @@ mod tests {
     fn apply_errors_carry_their_sequence() {
         let dir = scratch_dir("durable_apply_err");
         let config = config_for(&dir.path().join("events.jsonl"), None);
-        let (mut durable, _) =
-            Durable::<LiveBook>::open(config, 2, Engine::sequential(), ()).unwrap();
+        let (mut durable, _) = Durable::<LiveBook>::open(config, Engine::sequential(), ()).unwrap();
         durable.apply(Event::Add(offer(0))).unwrap();
         let err = durable.apply(Event::Remove { id: 42 }).unwrap_err();
         assert!(matches!(err, DurableError::Apply { seq: 2, .. }), "{err}");

@@ -52,5 +52,5 @@ pub use journal::{read_journal, Journal, JournalContents};
 pub use recover::{recover, RecoveryReport};
 pub use snapshot::{
     export_to_value, fnv1a64, load_snapshot, save_snapshot, shard_digest, shard_to_value,
-    value_to_export, Snapshot, SNAPSHOT_FORMAT,
+    value_to_export, value_to_shard, Snapshot, SNAPSHOT_FORMAT,
 };

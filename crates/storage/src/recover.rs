@@ -43,8 +43,9 @@ pub struct RecoveryReport {
 /// Read-only: the journal file is not truncated (resuming appends is
 /// [`Durable::open`](crate::Durable::open)'s business).
 ///
-/// `shards` is used only when recovery starts from the empty book; a
-/// snapshot carries its own shard count (answers are shard-invariant, so
+/// `shards` is used only when recovery starts from the empty book
+/// ([`Durable::open`](crate::Durable::open) and `flexctl recover` pass 1);
+/// a snapshot carries its own shard count (answers are shard-invariant, so
 /// the difference is a load-spreading detail, not a semantic one).
 pub fn recover(
     config: &ServeConfig,

@@ -67,8 +67,9 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 /// Encodes a [`BookExport`] as the snapshot body's JSON value
-/// (`{"next_id":…,"shards":[…]}`) — public because this *is* the shard wire format: a snapshot pins it to
-/// a journal seq on disk, and a cluster shard worker ships the same value
+/// (`{"next_id":…,"shards":[…]}`). Its `shards` entries are
+/// [`shard_to_value`], the shard wire format: a snapshot pins them to a
+/// journal seq on disk, and a cluster shard worker ships the same value
 /// over its pipe. One codec, so the two cannot drift.
 pub fn export_to_value(export: &BookExport) -> Value {
     let shards: Vec<Value> = export.shards.iter().map(shard_to_value).collect();
@@ -80,8 +81,8 @@ pub fn export_to_value(export: &BookExport) -> Value {
 
 /// Encodes one [`ShardExport`] exactly as it appears inside
 /// [`export_to_value`]'s `shards` array. Public so a shard worker can
-/// serialize just its own shard (the other entries of its book are empty)
-/// and so [`shard_digest`] has a canonical body to hash.
+/// serialize the one shard it holds and so [`shard_digest`] has a
+/// canonical body to hash.
 pub fn shard_to_value(shard: &ShardExport) -> Value {
     let cache = match &shard.cache {
         None => Value::Null,
@@ -150,45 +151,49 @@ fn as_array<'v>(v: &'v Value, name: &str) -> Result<&'v [Value], String> {
 
 /// Decodes a [`BookExport`] from its [`export_to_value`] encoding; every
 /// failure is a message, never a panic — the input may be a tampered
-/// snapshot body or a worker's wire frame. Structural invariants (shard
-/// placement, digests, …) are *not* checked here: that is
+/// snapshot body. Structural invariants (shard placement, digests, …) are
+/// *not* checked here: that is
 /// [`LiveBook::from_export`](flexoffers_serving::LiveBook::from_export)'s
-/// job, and the cluster tier relies on it. A `cache.rows` array, as
-/// older bodies carry, is ignored.
+/// job. A `cache.rows` array, as older bodies carry, is ignored.
 pub fn value_to_export(v: &Value) -> Result<BookExport, String> {
     let next_id = as_u64(field(v, "next_id")?, "next_id")?;
-    let mut shards = Vec::new();
-    for (s, shard) in as_array(field(v, "shards")?, "shards")?.iter().enumerate() {
-        let at = |m: String| format!("shard {s}: {m}");
-        let ids = as_array(field(shard, "ids").map_err(at)?, "ids")
-            .map_err(at)?
-            .iter()
-            .map(|id| as_u64(id, "ids[]"))
-            .collect::<Result<Vec<u64>, String>>()
-            .map_err(at)?;
-        let offers = as_array(field(shard, "offers").map_err(at)?, "offers")
-            .map_err(at)?
-            .iter()
-            .map(|o| FlexOffer::from_value(o).map_err(|e| format!("offer: {e}")))
-            .collect::<Result<Vec<FlexOffer>, String>>()
-            .map_err(at)?;
-        let key_digest =
-            as_u64(field(shard, "key_digest").map_err(at)?, "key_digest").map_err(at)?;
-        let cache = match field(shard, "cache").map_err(at)? {
-            Value::Null => None,
-            cache => Some(
-                Series::<i64>::from_value(field(cache, "baseline").map_err(at)?)
-                    .map_err(|e| at(format!("baseline: {e}")))?,
-            ),
-        };
-        shards.push(ShardExport {
-            ids,
-            offers,
-            key_digest,
-            cache,
-        });
-    }
+    let shards = as_array(field(v, "shards")?, "shards")?
+        .iter()
+        .enumerate()
+        .map(|(s, shard)| value_to_shard(shard).map_err(|m| format!("shard {s}: {m}")))
+        .collect::<Result<Vec<ShardExport>, String>>()?;
     Ok(BookExport { next_id, shards })
+}
+
+/// Decodes one [`ShardExport`] from its [`shard_to_value`] encoding —
+/// one entry of a snapshot's `shards` array, or the one shard a cluster
+/// worker ships over its pipe. Every failure is a message, never a panic;
+/// structural invariants are
+/// [`LiveBook::import_shard`](flexoffers_serving::LiveBook::import_shard)'s
+/// job.
+pub fn value_to_shard(shard: &Value) -> Result<ShardExport, String> {
+    let ids = as_array(field(shard, "ids")?, "ids")?
+        .iter()
+        .map(|id| as_u64(id, "ids[]"))
+        .collect::<Result<Vec<u64>, String>>()?;
+    let offers = as_array(field(shard, "offers")?, "offers")?
+        .iter()
+        .map(|o| FlexOffer::from_value(o).map_err(|e| format!("offer: {e}")))
+        .collect::<Result<Vec<FlexOffer>, String>>()?;
+    let key_digest = as_u64(field(shard, "key_digest")?, "key_digest")?;
+    let cache = match field(shard, "cache")? {
+        Value::Null => None,
+        cache => Some(
+            Series::<i64>::from_value(field(cache, "baseline")?)
+                .map_err(|e| format!("baseline: {e}"))?,
+        ),
+    };
+    Ok(ShardExport {
+        ids,
+        offers,
+        key_digest,
+        cache,
+    })
 }
 
 fn value_to_snapshot(v: &Value) -> Result<Snapshot, String> {

@@ -136,14 +136,13 @@ proptest! {
     /// The flagship property: run a durable book, kill it after a random
     /// number of events (no clean shutdown, snapshots possibly stale),
     /// recover under a *different* shards × threads × chunk × kernel
-    /// budget, and every query answer byte-matches an uninterrupted
+    /// budget (the shard count applies when no snapshot was cut), and every query answer byte-matches an uninterrupted
     /// memory-only run over the same mutation prefix — and the batch
     /// oracle.
     #[test]
     fn kill_at_random_event_recovers_byte_identically(
         ops in arb_ops(),
         cut_frac in 0usize..=100,
-        serve_shards in 1usize..5,
         recover_shards in 1usize..5,
         threads in 1usize..4,
         chunk in 1usize..9,
@@ -161,7 +160,7 @@ proptest! {
         let config = durable_config(&dir.path().join("events.jsonl"), snapshot_every, 1);
 
         let (mut durable, _) =
-            Durable::<LiveBook>::open(config.clone(), serve_shards, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
         for event in &events[..cut] {
             durable.apply(event.clone()).expect("resolved events are valid");
         }
@@ -183,7 +182,7 @@ proptest! {
         prop_assert_eq!(report.journal_events as usize, mutations.len());
 
         let mut uninterrupted =
-            LiveBook::new(config.clone(), serve_shards, Engine::sequential()).unwrap();
+            LiveBook::new(config.clone(), 1, Engine::sequential()).unwrap();
         for event in &mutations {
             uninterrupted.apply((*event).clone()).expect("valid");
         }
@@ -220,7 +219,7 @@ proptest! {
         // a random point so truncation can land before, at, or after it.
         let snapshot_at = mutations.len() * snapshot_at_frac / 100;
         let (mut durable, _) =
-            Durable::<LiveBook>::open(config.clone(), 3, Engine::sequential(), ()).unwrap();
+            Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
         for (i, event) in mutations.iter().enumerate() {
             durable.apply(event.clone()).expect("valid");
             if i + 1 == snapshot_at {
@@ -296,7 +295,7 @@ fn recovery_with_periodic_snapshots_matches_uninterrupted_run() {
     });
 
     let (mut durable, _) =
-        Durable::<LiveBook>::open(config.clone(), 4, Engine::sequential(), ()).unwrap();
+        Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
     for event in &events {
         durable.apply(event.clone()).unwrap();
     }
@@ -326,7 +325,7 @@ fn zero_replay_recovery_from_an_exact_snapshot() {
     let durability = config.durability.clone().unwrap();
 
     let (mut durable, _) =
-        Durable::<LiveBook>::open(config.clone(), 2, Engine::sequential(), ()).unwrap();
+        Durable::<LiveBook>::open(config.clone(), Engine::sequential(), ()).unwrap();
     for i in 0..9 {
         durable
             .apply(Event::Add(

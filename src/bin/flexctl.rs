@@ -14,20 +14,20 @@
 //!         [--scheduler greedy|hillclimb]             (--households is an
 //!         [--kernel scalar|columnar|auto] [--json]    alias of --city)
 //! flexctl serve --script <events.jsonl|->            replay an event stream
-//!         [--shards K | --workers W] [--threads N]   through the live book;
+//!         [--workers W] [--threads N]                through the live book;
 //!         [--seed S] [--kernel scalar|columnar|auto] one JSON line per query
 //!         [--batch]                                  (--workers W shards the
 //!         [--journal PATH [--snapshot-every N]       book across W worker
 //!          [--sync-every N]]                         OS processes)
 //! flexctl serve --listen ADDR [--max-conns N]        serve the framed JSONL
 //!         [--deadline-ms D] [--record PATH]          protocol over TCP
-//!         [--shards K | --workers W] [--threads N]   (docs/PROTOCOL.md);
+//!         [--workers W] [--threads N]                (docs/PROTOCOL.md);
 //!         [--seed S] [--kernel scalar|columnar|auto] SIGTERM/ctrl-c drains
 //!         [--journal PATH [--snapshot-every N]       and snapshots cleanly
 //!          [--sync-every N]]
 //! flexctl bomb --addr HOST:PORT [--conns N]          load-generate against a
 //!         [--events M] [--seed S]                    --listen server
-//! flexctl recover --journal PATH [--shards K]        recover a killed serve
+//! flexctl recover --journal PATH                     recover a killed serve
 //!         [--threads N] [--seed S]                   and answer the four
 //!         [--kernel scalar|columnar|auto]            query kinds
 //! flexctl events --city H [--seed S] [--churn PCT]   generate such a script
@@ -51,11 +51,10 @@
 //! `simulate`) has one path: flat, parallel by `--threads N`; the
 //! `--json` output is byte-identical at any thread count.
 //!
-//! `--shards K` applies to `serve` and `recover` only: it splits the live
-//! book into K shards, each keeping its baseline partial behind a dirty
-//! bit. `--threads N` is one budget for the whole book, not per shard:
-//! every query pass runs over all live offers on `N` threads (answers
-//! never change — threads are throughput-only). `--kernel` picks the measure/baseline kernel
+//! An in-process `serve` or `recover` runs a one-shard live book.
+//! `--threads N` is one budget for the whole book: every query pass runs over all live
+//! offers on `N` threads (answers never change — threads are
+//! throughput-only). `--kernel` picks the measure/baseline kernel
 //! implementation: `scalar` is the per-offer prepared loop, `columnar` the
 //! struct-of-arrays batch kernels, and the default `auto` picks columnar
 //! whenever every requested measure has a columnar form. All three produce
@@ -85,11 +84,11 @@
 //! merge them through the in-process engine, so the answers stay
 //! byte-identical to plain `serve` at any workers × threads × kernel. A
 //! worker that dies is respawned and replayed invisibly (watch for
-//! `cluster worker W respawned` on stderr). `--workers` *is* the shard
-//! count, so it excludes `--shards`; it composes with `--script`,
-//! `--listen`, `--journal`, `--record` and `--deadline-ms` alike. The
-//! workers are spawned from the current `flexctl` executable (an internal
-//! `shard-worker` subcommand speaks the supervisor protocol on stdio).
+//! `cluster worker W respawned` on stderr). Each worker is one shard;
+//! `--workers` composes with `--script`, `--listen`, `--journal`,
+//! `--record` and `--deadline-ms` alike. The workers are spawned from the
+//! current `flexctl` executable (an internal `shard-worker` subcommand
+//! speaks the supervisor protocol on stdio).
 //!
 //! `serve --listen ADDR` swaps the script for a TCP socket: the same
 //! events arrive framed as `{"id":…,"event":{…}}` request lines over any
@@ -142,15 +141,15 @@ const USAGE: &str = "usage:
   flexctl simulate --scenario <schedule|market> [--city H] [--seed S]
                    [--threads N] [--scheduler greedy|hillclimb]
                    [--kernel scalar|columnar|auto] [--json]
-  flexctl serve --script <events.jsonl|-> [--shards K | --workers W]
+  flexctl serve --script <events.jsonl|-> [--workers W]
                 [--threads N] [--seed S] [--kernel scalar|columnar|auto]
                 [--batch] [--journal PATH [--snapshot-every N] [--sync-every N]]
   flexctl serve --listen ADDR [--max-conns N] [--deadline-ms D] [--record PATH]
-                [--shards K | --workers W] [--threads N] [--seed S]
+                [--workers W] [--threads N] [--seed S]
                 [--kernel scalar|columnar|auto]
                 [--journal PATH [--snapshot-every N] [--sync-every N]]
   flexctl bomb --addr HOST:PORT [--conns N] [--events M] [--seed S]
-  flexctl recover --journal PATH [--shards K] [--threads N] [--seed S]
+  flexctl recover --journal PATH [--threads N] [--seed S]
                   [--kernel scalar|columnar|auto]
   flexctl events --city H [--seed S] [--churn PCT] [--queries N]
   flexctl render  <file.json|->
@@ -160,26 +159,23 @@ const USAGE: &str = "usage:
   flexctl help
 
 measure --portfolio and simulate run one flat batch path, parallel by
---threads. --shards applies only to serve and recover (the live book);
-there --threads is one budget for the whole book, not per shard.
---kernel selects the measure/baseline kernel (default
+--threads; for serve and recover, --threads is one budget for the whole
+live book. --kernel selects the measure/baseline kernel (default
 auto = columnar whenever every requested measure has a columnar form);
 scalar, columnar and auto produce bitwise-identical output.
 
 serve flag combinations: --script and --listen are exclusive modes — give
 exactly one. --batch applies only to --script (the from-scratch oracle);
-it excludes --journal (nothing durable to resume), --shards (the oracle
-is deliberately the flat engine) and --workers. --record, --max-conns and
+it excludes --journal (nothing durable to resume) and --workers (the
+oracle is deliberately the flat engine). --record, --max-conns and
 --deadline-ms apply only to --listen. --journal composes with --script
 and --listen alike; --max-conns N (N >= 1, default 4) sizes the --listen
 connection worker pool; --snapshot-every/--sync-every need --journal, and
 both take N >= 1 (--sync-every N fsyncs every Nth mutation, 1 = every
 mutation; --snapshot-every N snapshots every Nth mutation — omit it for
 shutdown-only snapshots). --workers W (W >= 1) runs the book as W shard
-worker OS processes; it excludes --shards (the worker count is the shard
-count) and composes with every other serve flag. --shards, --threads,
---seed and --kernel apply to every serve mode (except --shards under
---batch and --workers, as above).";
+worker OS processes and composes with every other serve flag. --threads,
+--seed and --kernel apply to every serve mode.";
 
 fn run(cmd: &str, rest: &[String]) -> ExitCode {
     match cmd {
@@ -274,7 +270,7 @@ fn load_portfolio(path: &str) -> Result<Portfolio, String> {
 }
 
 /// Parses the value of a numeric flag out of the argument iterator — the
-/// one implementation behind every `--threads/--shards/--city/--seed/...`
+/// one implementation behind every `--threads/--workers/--city/--seed/...`
 /// across the subcommands, so the error wording cannot drift.
 fn count_flag(flag: &str, args: &mut std::slice::Iter<'_, String>) -> Result<u64, String> {
     let Some(value) = args.next() else {
@@ -548,7 +544,6 @@ fn serve(rest: &[String]) -> ExitCode {
     let mut record: Option<String> = None;
     let mut max_conns: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut shards: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
@@ -599,8 +594,8 @@ fn serve(rest: &[String]) -> ExitCode {
                 };
                 journal = Some(value.clone());
             }
-            flag @ ("--shards" | "--workers" | "--threads" | "--seed" | "--snapshot-every"
-            | "--sync-every" | "--max-conns" | "--deadline-ms") => {
+            flag @ ("--workers" | "--threads" | "--seed" | "--snapshot-every" | "--sync-every"
+            | "--max-conns" | "--deadline-ms") => {
                 let n = match count_flag(flag, &mut args) {
                     Ok(n) => n,
                     Err(e) => {
@@ -609,7 +604,6 @@ fn serve(rest: &[String]) -> ExitCode {
                     }
                 };
                 match flag {
-                    "--shards" => shards = Some(n as usize),
                     "--workers" => workers = Some(n as usize),
                     "--threads" => threads = Some(n as usize),
                     "--snapshot-every" => snapshot_every = Some(n),
@@ -650,23 +644,9 @@ fn serve(rest: &[String]) -> ExitCode {
         eprintln!("error: --snapshot-every/--sync-every need --journal PATH");
         return ExitCode::FAILURE;
     }
-    if batch && shards.is_some() {
-        // The batch oracle is deliberately the *flat* engine; silently
-        // accepting --shards would mislabel what was measured.
-        eprintln!(
-            "error: --shards does not apply to --batch (the batch oracle is the flat engine)"
-        );
-        return ExitCode::FAILURE;
-    }
     if batch && workers.is_some() {
         eprintln!(
             "error: --workers does not apply to --batch (the batch oracle is the flat in-process engine)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if workers.is_some() && shards.is_some() {
-        eprintln!(
-            "error: --workers and --shards are exclusive (the worker count is the cluster's shard count)"
         );
         return ExitCode::FAILURE;
     }
@@ -690,7 +670,6 @@ fn serve(rest: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let shards = shards.unwrap_or(1);
     if script.is_none() && listen.is_none() {
         eprintln!("error: serve needs --script <events.jsonl|-> or --listen ADDR\n{USAGE}");
         return ExitCode::FAILURE;
@@ -745,15 +724,15 @@ fn serve(rest: &[String]) -> ExitCode {
     // recovers first, so the front continues the recovered id history.
     let durable = config.durability.is_some();
     let served = match workers {
-        None if durable => Durable::<LiveBook>::open(config, shards, engine, ())
+        None if durable => Durable::<LiveBook>::open(config, engine, ())
             .map(|opened| serve_sink(resumed(opened), front))
             .map_err(|e| e.to_string()),
-        None => LiveBook::new(config, shards, engine)
+        None => LiveBook::new(config, 1, engine)
             .map(|book| serve_sink(book, front))
             .map_err(|e| e.to_string()),
         Some(workers) => shard_worker_spec().and_then(|spec| {
             if durable {
-                Durable::<ClusterBook>::open(config, workers, engine, spec)
+                Durable::<ClusterBook>::open(config, engine, (workers, spec))
                     .map(|opened| serve_sink(resumed(opened), front))
                     .map_err(|e| e.to_string())
             } else {
@@ -1090,7 +1069,6 @@ fn bomb_connection(addr: &str, seed: u64, events: u64) -> Result<BombReport, Str
 /// to what the uninterrupted run would have answered.
 fn recover(rest: &[String]) -> ExitCode {
     let mut journal: Option<String> = None;
-    let mut shards: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut kernel = Kernel::Auto;
@@ -1114,7 +1092,7 @@ fn recover(rest: &[String]) -> ExitCode {
                 };
                 journal = Some(value.clone());
             }
-            flag @ ("--shards" | "--threads" | "--seed") => {
+            flag @ ("--threads" | "--seed") => {
                 let n = match count_flag(flag, &mut args) {
                     Ok(n) => n,
                     Err(e) => {
@@ -1123,7 +1101,6 @@ fn recover(rest: &[String]) -> ExitCode {
                     }
                 };
                 match flag {
-                    "--shards" => shards = Some(n as usize),
                     "--threads" => threads = Some(n as usize),
                     _ => seed = Some(n),
                 }
@@ -1151,7 +1128,7 @@ fn recover(rest: &[String]) -> ExitCode {
     }
     config.durability = Some(DurabilityConfig::new(journal));
 
-    let (mut book, report) = match recover_book(&config, shards.unwrap_or(1), Engine::new(budget)) {
+    let (mut book, report) = match recover_book(&config, 1, Engine::new(budget)) {
         Ok(recovered) => recovered,
         Err(e) => {
             eprintln!("error: {e}");

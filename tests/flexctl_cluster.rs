@@ -2,8 +2,8 @@
 //! cluster replay must serialise byte-identically to the `--batch` oracle
 //! at any worker count, compose with `--journal` (resume included), and
 //! reject the documented flag conflicts (`--workers 0`,
-//! `--workers`+`--shards`, `--workers`+`--batch`, and the satellite
-//! `--sync-every 0` / `--snapshot-every 0` ranges) with named messages.
+//! `--workers`+`--batch`, and the `--sync-every 0` /
+//! `--snapshot-every 0` ranges) with named messages.
 //! Also pins the internal `shard-worker` subcommand's clean-EOF exit.
 
 use std::io::Write;
@@ -224,15 +224,6 @@ fn cluster_flag_conflicts_are_named_errors() {
     let stderr = stderr_of_failure(&["serve", "--script", "-", "--workers", "0"], Some(QUERY));
     assert!(
         stderr.contains("--workers must be at least 1"),
-        "stderr: {stderr}"
-    );
-
-    let stderr = stderr_of_failure(
-        &["serve", "--script", "-", "--workers", "2", "--shards", "4"],
-        Some(QUERY),
-    );
-    assert!(
-        stderr.contains("--workers and --shards are exclusive"),
         "stderr: {stderr}"
     );
 

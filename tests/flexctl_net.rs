@@ -186,8 +186,6 @@ fn recorded_multi_connection_session_replays_byte_identically() {
         path_str(&record),
         "--journal",
         path_str(&journal),
-        "--shards",
-        "2",
         "--max-conns",
         "3",
     ]);

@@ -264,8 +264,8 @@ fn seed_without_city_is_rejected() {
 
 #[test]
 fn batch_commands_have_no_shards_flag() {
-    // A batch portfolio has one path (flat, parallel by --threads);
-    // --shards shards only the live book of `serve`/`recover`.
+    // A batch portfolio has one path (flat, parallel by --threads); no
+    // command takes a shard count.
     let stderr = stderr_of_failure(
         &["measure", "--portfolio", "--city", "10", "--shards", "4"],
         None,

@@ -1,10 +1,10 @@
 //! Integration tests for `flexctl serve` / `flexctl events`: script
 //! replay through the live serving loop must serialise byte-identically
-//! to the from-scratch batch replay (`--batch`) at any shard count, the
+//! to the from-scratch batch replay (`--batch`) at any thread count, the
 //! generator must be deterministic, and the documented error paths
-//! (malformed event line, remove of unknown id, empty script, `--shards
-//! 0`) must be rejected with named messages. Also covers the unified
-//! `simulate --city` alias.
+//! (malformed event line, remove of unknown id, empty script, the retired
+//! `--shards`) must be rejected with named messages. Also covers the
+//! unified `simulate --city` alias.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -47,7 +47,7 @@ fn stderr_of_failure(args: &[&str], stdin: Option<&str>) -> String {
 }
 
 /// A ~1k-offer script with 10% churn and all four query kinds — big
-/// enough to spread offers across shards, small enough for a debug-build
+/// enough to spread work across threads, small enough for a debug-build
 /// test. (CI's smoke replays a 10k-offer script.)
 fn script() -> String {
     stdout_of(
@@ -104,7 +104,7 @@ fn script_again() -> String {
 }
 
 #[test]
-fn live_replay_is_byte_equal_to_batch_rebuild_at_any_shard_count() {
+fn live_replay_is_byte_equal_to_batch_rebuild_at_any_thread_count() {
     let script = script();
     let batch = stdout_of(&["serve", "--script", "-", "--batch"], Some(&script));
     assert_eq!(
@@ -112,22 +112,14 @@ fn live_replay_is_byte_equal_to_batch_rebuild_at_any_shard_count() {
         8,
         "one answer line per query:\n{batch}"
     );
-    for shards in ["1", "4", "8"] {
+    for threads in ["1", "2", "4"] {
         let live = stdout_of(
-            &[
-                "serve",
-                "--script",
-                "-",
-                "--shards",
-                shards,
-                "--threads",
-                "2",
-            ],
+            &["serve", "--script", "-", "--threads", threads],
             Some(&script),
         );
         assert_eq!(
             live, batch,
-            "--shards {shards} live replay must match the batch rebuild byte for byte"
+            "--threads {threads} live replay must match the batch rebuild byte for byte"
         );
     }
 }
@@ -135,7 +127,7 @@ fn live_replay_is_byte_equal_to_batch_rebuild_at_any_shard_count() {
 #[test]
 fn serve_answers_carry_the_query_envelopes() {
     let script = script();
-    let out = stdout_of(&["serve", "--script", "-", "--shards", "2"], Some(&script));
+    let out = stdout_of(&["serve", "--script", "-"], Some(&script));
     for kind in ["measure", "aggregate", "schedule", "trade"] {
         assert!(
             out.contains(&format!("{{\"query\":\"{kind}\"")),
@@ -181,13 +173,8 @@ fn serve_flag_errors_are_named() {
     assert!(stderr.contains("serve needs --script"), "stderr: {stderr}");
 
     let script = "{\"event\":\"query\",\"kind\":\"measure\"}\n";
-    let stderr = stderr_of_failure(&["serve", "--script", "-", "--shards", "0"], Some(script));
-    assert!(
-        stderr.contains("shard count must be at least 1"),
-        "stderr: {stderr}"
-    );
     let stderr = stderr_of_failure(
-        &["serve", "--script", "-", "--shards", "many"],
+        &["serve", "--script", "-", "--threads", "many"],
         Some(script),
     );
     assert!(stderr.contains("takes a number"), "stderr: {stderr}");
@@ -199,14 +186,10 @@ fn serve_flag_errors_are_named() {
     let stderr = stderr_of_failure(&["serve", "--script", "/no/such/file.jsonl"], None);
     assert!(stderr.contains("reading"), "stderr: {stderr}");
 
-    // --shards is a live-replay knob; the batch oracle is the flat
-    // engine, so combining them is rejected rather than silently ignored.
-    let stderr = stderr_of_failure(
-        &["serve", "--script", "-", "--batch", "--shards", "4"],
-        Some(script),
-    );
+    // An in-process book is one shard; the shard count is no knob.
+    let stderr = stderr_of_failure(&["serve", "--script", "-", "--shards", "2"], Some(script));
     assert!(
-        stderr.contains("--shards does not apply to --batch"),
+        stderr.contains("unknown serve argument --shards"),
         "stderr: {stderr}"
     );
 }
