@@ -24,9 +24,10 @@ use std::hint::black_box;
 use std::path::Path;
 
 use flexoffers_bench::gate::{self, Ratio, Report, Run, MULTI_CORE};
-use flexoffers_bench::timing::time_best;
-use flexoffers_engine::{Budget, Engine, Kernel, Scenario, ScenarioKind};
-use flexoffers_measures::all_measures;
+use flexoffers_bench::timing::{median_ratio, time_best};
+use flexoffers_engine::{Budget, Engine, Scenario, ScenarioKind};
+use flexoffers_market::baseline_load;
+use flexoffers_measures::{all_measures, Measure, MeasureError, PreparedOffer};
 use flexoffers_model::FlexOffer;
 use flexoffers_scheduling::{schedule_via_aggregation, GreedyScheduler, SchedulingProblem};
 use flexoffers_serving::{
@@ -46,6 +47,8 @@ const SCALING_OFFERS: usize = 10_000;
 const SYNC_EVERY: u64 = 64;
 /// Offer churn of the `journal` layer's event stream.
 const JOURNAL_CHURN: f64 = 0.01;
+/// Alternated rounds behind each bounded ratio (see `median_ratio`).
+const RATIO_ROUNDS: usize = 15;
 
 fn die(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
@@ -215,7 +218,8 @@ fn thread_sweep(host_cpus: usize) -> Vec<usize> {
 
 /// The eight measures over a seeded city portfolio: the engine at each
 /// thread count (gated), against the per-measure `of_set` loop and the
-/// scalar kernel at one thread (references).
+/// scalar kernel — the prepared-offer loop, [`prepared_rows`] — at one
+/// thread (references).
 fn measure(host_cpus: usize, quick: bool) -> Bench {
     let sizes: &[usize] = if quick {
         &[1_000, SCALING_OFFERS]
@@ -231,15 +235,14 @@ fn measure(host_cpus: usize, quick: bool) -> Bench {
         "measure",
         format!(
             "all {} measures per offer over workloads::city(seed {SEED}), truncated per size; \
-             engine = the default kernel",
+             engine = the columnar batch path",
             measures.len()
         ),
         "offers/s",
         host_cpus,
     );
 
-    let scalar = Engine::new(Budget::sequential().with_kernel(Kernel::Scalar));
-    assert_kernels_identical(&scalar, &Engine::sequential(), offers);
+    assert_kernels_identical(&Engine::sequential(), offers);
     println!("  kernels agree bit-for-bit over {} offers", offers.len());
 
     let threads = thread_sweep(host_cpus);
@@ -251,7 +254,7 @@ fn measure(host_cpus: usize, quick: bool) -> Bench {
             }
         });
         bench.time(run("scalar kernel", true, size, 1), size, || {
-            black_box(scalar.measure_portfolio_all(black_box(slice)));
+            black_box(prepared_rows(black_box(slice), &measures));
         });
         for &t in &threads {
             let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
@@ -285,12 +288,30 @@ fn measure(host_cpus: usize, quick: bool) -> Bench {
     bench
 }
 
-/// Panics unless the scalar kernel and `engine` agree bit-for-bit on
-/// every per-offer measure value and on the earliest-start baseline — a
-/// throughput number for a kernel that diverges would be meaningless.
-fn assert_kernels_identical(scalar: &Engine, engine: &Engine, offers: &[FlexOffer]) {
+/// One row of `measures` per offer, each offer wrapped once in a
+/// [`PreparedOffer`] and every measure evaluated through `of_prepared` on
+/// the calling thread — the scalar reference the engine's columnar
+/// batches must reproduce bit for bit.
+fn prepared_rows(
+    offers: &[FlexOffer],
+    measures: &[Box<dyn Measure>],
+) -> Vec<Vec<Result<f64, MeasureError>>> {
+    offers
+        .iter()
+        .map(|fo| {
+            let prepared = PreparedOffer::new(fo);
+            measures.iter().map(|m| m.of_prepared(&prepared)).collect()
+        })
+        .collect()
+}
+
+/// Panics unless `engine` agrees bit-for-bit with the prepared-offer loop
+/// on every per-offer measure value and with the market crate's
+/// earliest-start baseline — a throughput number for an engine that
+/// diverges would be meaningless.
+fn assert_kernels_identical(engine: &Engine, offers: &[FlexOffer]) {
     let measures = all_measures();
-    let scalar_rows = scalar.per_offer_rows(offers, &measures);
+    let scalar_rows = prepared_rows(offers, &measures);
     let engine_rows = engine.per_offer_rows(offers, &measures);
     assert_eq!(scalar_rows.len(), engine_rows.len());
     for (i, (s_row, e_row)) in scalar_rows.iter().zip(&engine_rows).enumerate() {
@@ -304,9 +325,9 @@ fn assert_kernels_identical(scalar: &Engine, engine: &Engine, offers: &[FlexOffe
         }
     }
     assert_eq!(
-        scalar.baseline_load_parallel(offers),
+        baseline_load(offers),
         engine.baseline_load_parallel(offers),
-        "earliest-start baseline diverged between kernels"
+        "earliest-start baseline diverged from the market crate's"
     );
 }
 
@@ -383,6 +404,8 @@ fn scenarios(host_cpus: usize, quick: bool) -> Bench {
 /// sweep also
 /// records `churn_cost_growth`: how much a replayed event's cost grows
 /// from a 10k- to a 100k-offer book, about 1 when churn is `O(log n)`.
+/// Both bounded ratios are medians of [`RATIO_ROUNDS`] alternated rounds,
+/// not quotients of two separately timed runs.
 fn serving(host_cpus: usize, quick: bool) -> Bench {
     let sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
     let churns: &[f64] = if quick { &[0.01] } else { &[0.01, 0.10] };
@@ -397,29 +420,31 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
         host_cpus,
     );
     let config = ServeConfig::default();
+    let stream = |size: usize, churn: f64| -> Vec<Event> {
+        event_stream(SEED, city_households_for(size), churn)
+            .map(Event::from)
+            .collect()
+    };
+    let replay = |engine: Engine, events: &[Event]| {
+        let mut book = LiveBook::new(config.clone(), 1, engine).expect("one shard is valid");
+        for event in events {
+            book.apply(event.clone()).expect("valid stream");
+        }
+        book
+    };
     for &size in sizes {
         for &churn in churns {
-            let events: Vec<Event> = event_stream(SEED, city_households_for(size), churn)
-                .map(Event::from)
-                .collect();
+            let events = stream(size, churn);
             let churn_label = format!("churn {}%", churn * 100.0);
             for &threads in thread_counts {
                 let engine = Engine::new(Budget::with_threads(threads).expect("non-zero"));
-                let build = || {
-                    let mut book =
-                        LiveBook::new(config.clone(), 1, engine).expect("one shard is valid");
-                    for event in &events {
-                        book.apply(event.clone()).expect("valid stream");
-                    }
-                    book
-                };
-                let replay = format!("replay {churn_label}");
-                bench.time(run(&replay, false, size, threads), events.len(), || {
-                    black_box(build());
+                let path = format!("replay {churn_label}");
+                bench.time(run(&path, false, size, threads), events.len(), || {
+                    black_box(replay(engine, &events));
                 });
 
                 // Time the incremental hot path.
-                let mut book = build();
+                let mut book = replay(engine, &events);
                 let victim = book.live_ids()[0];
                 let replacement = book.to_portfolio().as_slice()[0].clone();
                 let warm = time_best(|| {
@@ -435,20 +460,28 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
                 if headline {
                     let logical = book.to_portfolio();
                     let flat = Engine::sequential();
-                    let batch_secs = time_best(|| {
-                        black_box(batch::answer(
-                            &flat,
-                            &config,
-                            logical.as_slice(),
-                            QueryKind::Measure,
-                        ));
-                    });
+                    let speedup = median_ratio(
+                        RATIO_ROUNDS,
+                        || {
+                            black_box(batch::answer(
+                                &flat,
+                                &config,
+                                logical.as_slice(),
+                                QueryKind::Measure,
+                            ));
+                        },
+                        || {
+                            book.update(victim, replacement.clone()).expect("live id");
+                            black_box(book.answer(QueryKind::Measure));
+                        },
+                    );
                     bench.ratio(
                         "warm_query_speedup_vs_batch",
-                        batch_secs / warm,
+                        speedup,
                         format!(
                             "batch measure query at 1 thread over {path} at {threads} \
-                             thread(s), seconds, {size} offers"
+                             thread(s), seconds, {size} offers, median of {RATIO_ROUNDS} \
+                             alternated rounds"
                         ),
                     );
                 }
@@ -456,13 +489,23 @@ fn serving(host_cpus: usize, quick: bool) -> Bench {
         }
     }
     if !quick {
-        // Per-event seconds are the inverse of the events/s rate.
-        let path = "replay churn 10%";
-        let growth = bench.recorded(path, 10_000, 1).rate / bench.recorded(path, 100_000, 1).rate;
+        let (small, large) = (stream(10_000, 0.10), stream(100_000, 0.10));
+        let per_event = median_ratio(
+            RATIO_ROUNDS,
+            || {
+                black_box(replay(Engine::sequential(), &large));
+            },
+            || {
+                black_box(replay(Engine::sequential(), &small));
+            },
+        );
         bench.ratio(
             "churn_cost_growth",
-            growth,
-            format!("per-event seconds of {path} at 1 thread, 100000 offers over 10000 offers"),
+            per_event * small.len() as f64 / large.len() as f64,
+            format!(
+                "per-event seconds of replay churn 10% at 1 thread, 100000 offers over 10000 \
+                 offers, median of {RATIO_ROUNDS} alternated rounds"
+            ),
         );
     }
     bench

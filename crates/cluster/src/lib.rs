@@ -31,9 +31,9 @@
 //!
 //! The cluster inherits the serving tier's contract: `serve --workers N`
 //! answers bitwise equal to the in-process book and to the batch oracle,
-//! at any workers × threads × kernel budget, with or without a worker
+//! at any workers × threads budget, with or without a worker
 //! being killed mid-stream. This is pinned by the crate's proptests
-//! (random event interleavings × worker counts × kernels, plus a
+//! (random event interleavings × worker counts × threads, plus a
 //! kill-a-worker-at-a-random-event case).
 
 #![warn(missing_docs)]

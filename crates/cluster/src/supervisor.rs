@@ -21,7 +21,7 @@
 //! Queries then answer straight off the merged book — the merge and the
 //! answer bytes come from the *same code* as the in-process tier, which
 //! is what makes cross-process answers byte-identical at any
-//! workers × threads × kernel budget, and a mostly-clean book pays for
+//! workers × threads budget, and a mostly-clean book pays for
 //! one dirty shard instead of K full exports. `import_shard`'s structural
 //! validation (placement, duplicate ids, digests, array shapes) doubles
 //! as wire-integrity checking on everything a worker ships back, and
@@ -332,7 +332,6 @@ fn try_boot(
     let mut conn = WorkerConn::spawn(spec).map_err(|e| ConnFailure::Io(e.to_string()))?;
     conn.roundtrip(&WorkerRequest::Init {
         threads: budget.threads(),
-        kernel: budget.kernel(),
     })?;
     conn.roundtrip(load)?;
     for request in suffix {

@@ -17,7 +17,7 @@
 //! one-shard executor:
 //!
 //! ```text
-//! {"id":N,"op":"init","threads":T,"kernel":"auto"}
+//! {"id":N,"op":"init","threads":T}
 //! {"id":N,"op":"add","offer_id":I,"offer":{…}}
 //! {"id":N,"op":"update","offer_id":I,"offer":{…}}
 //! {"id":N,"op":"remove","offer_id":I}
@@ -36,7 +36,6 @@
 //! same build, so a bare shard (no `digest` wrapper) is a malformed
 //! payload, not an older dialect.
 
-use flexoffers_engine::Kernel;
 use flexoffers_model::FlexOffer;
 use flexoffers_serving::ShardExport;
 use flexoffers_storage::{shard_to_value, value_to_shard};
@@ -51,12 +50,10 @@ pub const WORKER_PROTOCOL: &str = "flexoffers-worker/1";
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkerRequest {
     /// Create the worker's empty one-shard book under the evaluation
-    /// budget `threads`/`kernel`.
+    /// budget `threads`.
     Init {
         /// Worker-local thread budget.
         threads: usize,
-        /// Worker-local kernel selector.
-        kernel: Kernel,
     },
     /// Insert an offer under a supervisor-assigned global id.
     Add {
@@ -134,10 +131,9 @@ pub fn write_request_line(buf: &mut String, id: u64, request: &WorkerRequest) {
     let mut fields = vec![("id", Value::U64(id))];
     let op = |name: &str| Value::Str(name.to_owned());
     match request {
-        WorkerRequest::Init { threads, kernel } => {
+        WorkerRequest::Init { threads } => {
             fields.push(("op", op("init")));
             fields.push(("threads", Value::U64(*threads as u64)));
-            fields.push(("kernel", Value::Str(kernel.label().to_owned())));
         }
         WorkerRequest::Add { offer_id, offer } => {
             fields.push(("op", op("add")));
@@ -202,17 +198,9 @@ pub fn parse_request(line: &str) -> Result<(u64, WorkerRequest), String> {
         .and_then(Value::as_str)
         .ok_or("missing or non-string `op`")?;
     let request = match op {
-        "init" => {
-            let kernel_label = value
-                .get("kernel")
-                .and_then(Value::as_str)
-                .ok_or("missing or non-string `kernel`")?;
-            WorkerRequest::Init {
-                threads: get_usize(&value, "threads")?,
-                kernel: Kernel::parse(kernel_label)
-                    .ok_or_else(|| format!("unknown kernel `{kernel_label}`"))?,
-            }
-        }
+        "init" => WorkerRequest::Init {
+            threads: get_usize(&value, "threads")?,
+        },
         "add" => WorkerRequest::Add {
             offer_id: get_u64(&value, "offer_id")?,
             offer: get_offer(&value)?,
@@ -378,13 +366,7 @@ mod tests {
     #[test]
     fn requests_round_trip_through_their_lines() {
         for (id, request) in [
-            (
-                0,
-                WorkerRequest::Init {
-                    threads: 2,
-                    kernel: Kernel::Columnar,
-                },
-            ),
+            (0, WorkerRequest::Init { threads: 2 }),
             (
                 1,
                 WorkerRequest::Add {

@@ -99,10 +99,9 @@ fn handle(
         state.as_mut().ok_or_else(no_book)
     }
     match request {
-        WorkerRequest::Init { threads, kernel } => {
-            let budget = Budget::with_threads(threads)
-                .map_err(|e| ("bad_request", e.to_string()))?
-                .with_kernel(kernel);
+        WorkerRequest::Init { threads } => {
+            let budget =
+                Budget::with_threads(threads).map_err(|e| ("bad_request", e.to_string()))?;
             // The config shapes query *answers*, and answers happen at the
             // supervisor merge, so the default serves.
             let book = LiveBook::new(ServeConfig::default(), 1, Engine::new(budget))
@@ -189,7 +188,6 @@ mod tests {
     use crate::wire::{
         parse_export_payload, parse_reply, request_line, ExportPayload, WorkerReply,
     };
-    use flexoffers_engine::Kernel;
     use flexoffers_model::{FlexOffer, Slice};
     use flexoffers_serving::ShardExport;
 
@@ -198,10 +196,7 @@ mod tests {
     }
 
     fn init() -> WorkerRequest {
-        WorkerRequest::Init {
-            threads: 1,
-            kernel: Kernel::Auto,
-        }
+        WorkerRequest::Init { threads: 1 }
     }
 
     /// Drives a scripted request sequence through an in-memory worker and
@@ -378,13 +373,7 @@ mod tests {
         let script = [
             request_line(0, &WorkerRequest::Remove { offer_id: 3 }),
             "this is not json".to_owned(),
-            request_line(
-                1,
-                &WorkerRequest::Init {
-                    threads: 0,
-                    kernel: Kernel::Auto,
-                },
-            ),
+            request_line(1, &WorkerRequest::Init { threads: 0 }),
             request_line(2, &init()),
             request_line(
                 3,

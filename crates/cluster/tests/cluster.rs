@@ -2,8 +2,8 @@
 //! cluster tier.
 //!
 //! A [`ClusterBook`] must answer bitwise equal to the in-process
-//! [`LiveBook`] fed the same event stream, at any workers × threads ×
-//! kernel budget — and killing a worker process at a random event must be
+//! [`LiveBook`] fed the same event stream, at any workers × threads
+//! budget — and killing a worker process at a random event must be
 //! invisible in the answer stream (the supervisor respawns and replays
 //! behind the scenes). The durable composition must recover, seed the
 //! fleet, and write snapshots the single-process tier can adopt.
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use flexoffers_cluster::{ClusterBook, ClusterError, WorkerSpec};
-use flexoffers_engine::{Budget, Engine, Kernel};
+use flexoffers_engine::{Budget, Engine};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::{
     DurabilityConfig, Event, EventSink, LiveBook, LiveServer, QueryKind, ServeConfig,
@@ -131,17 +131,15 @@ proptest! {
 
     /// The flagship property: every answer a cluster produces — mid-stream
     /// and final, across all query kinds — byte-matches the in-process
-    /// book fed the same events, at any workers × threads × kernel.
+    /// book fed the same events, at any workers × threads.
     #[test]
     fn cluster_answers_byte_match_the_in_process_book(
         ops in arb_ops(),
         workers_pick in 0usize..3,
         threads in 1usize..3,
-        kernel_pick in 0usize..3,
     ) {
         let workers = [1, 2, 4][workers_pick];
-        let kernel = [Kernel::Scalar, Kernel::Columnar, Kernel::Auto][kernel_pick];
-        let budget = Budget::with_threads(threads).unwrap().with_kernel(kernel);
+        let budget = Budget::with_threads(threads).unwrap();
         let config = ServeConfig::default();
         let events = resolve(ops);
 
@@ -220,13 +218,11 @@ proptest! {
     fn delta_gathers_match_the_full_gather_oracle_and_cache_clean_shards(
         ops in arb_ops(),
         workers_pick in 0usize..3,
-        kernel_pick in 0usize..3,
         kill_frac in 0usize..=100,
         victim_pick in 0usize..4,
     ) {
         let workers = [1, 2, 4][workers_pick];
-        let kernel = [Kernel::Scalar, Kernel::Columnar, Kernel::Auto][kernel_pick];
-        let budget = Budget::sequential().with_kernel(kernel);
+        let budget = Budget::sequential();
         let victim = victim_pick % workers;
         let config = ServeConfig::default();
         let events = resolve(ops);

@@ -35,9 +35,10 @@
 //! Every kernel replicates the scalar measure's arithmetic operation for
 //! operation — same integer expressions, same `f64` accumulation order,
 //! same error precedence — so for any offer the columnar value (or error)
-//! is **bitwise identical** to [`Measure::of_prepared`]. The engine's
-//! proptests pin this for all eight measures and the baseline at arbitrary
-//! shards × threads × chunking.
+//! is **bitwise identical** to [`Measure::of_prepared`]. That is what
+//! lets the portfolio engine evaluate every pass through a batch; its
+//! proptests pin the identity for all eight measures, the kernel-less
+//! fallback and the baseline at arbitrary threads × chunking.
 
 use std::borrow::Borrow;
 
@@ -126,6 +127,12 @@ impl MonoDeque {
 /// arena the kernels run in — see the module docs for the layout
 /// invariants. Create once ([`ColumnarBatch::new`]), [`load`] per chunk;
 /// all buffers retain capacity across loads.
+///
+/// The portfolio engine's only evaluation route: every measure pass
+/// ([`columns`](ColumnarBatch::columns), [`rows`](ColumnarBatch::rows))
+/// and every baseline pass
+/// ([`baseline_partial`](ColumnarBatch::baseline_partial)) runs through a
+/// batch, with kernel-less measures evaluated per offer inside it.
 ///
 /// [`load`]: ColumnarBatch::load
 #[derive(Debug, Default)]

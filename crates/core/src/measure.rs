@@ -61,7 +61,7 @@ pub trait Measure: Send + Sync {
     /// count) and must run through the scalar [`Measure::of_prepared`]
     /// fallback. An implementation may only return a kernel whose batch
     /// evaluation is bitwise identical to `of_prepared` — the engine
-    /// switches paths freely on that contract.
+    /// evaluates every measure through a batch on that contract.
     fn columnar_kernel(&self) -> Option<crate::columnar::ColumnarKernel> {
         None
     }

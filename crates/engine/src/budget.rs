@@ -33,67 +33,17 @@ impl fmt::Display for EngineError {
 
 impl Error for EngineError {}
 
-/// Which measure/baseline kernel implementation the engine runs.
-///
-/// Like every other budget knob this selects *how* the work runs, never
-/// what it computes: the columnar kernels are bitwise identical to the
-/// scalar path (the measures crate's contract, pinned by the engine's
-/// proptests), so the knob is purely a throughput/compatibility switch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Kernel {
-    /// The row-oriented per-offer loop: one
-    /// [`PreparedOffer`](flexoffers_measures::PreparedOffer) per offer, all
-    /// measures evaluated against it.
-    Scalar,
-    /// The struct-of-arrays batch kernels
-    /// ([`flexoffers_measures::columnar`]): each chunk is flattened into
-    /// columns once and every measure runs as one pass over a column.
-    /// Measures without a columnar form fall back to the scalar path
-    /// per offer inside the batch.
-    Columnar,
-    /// Pick per call: columnar when every requested measure advertises a
-    /// columnar kernel (the baseline always does), scalar otherwise — so
-    /// mixed measure sets never pay for a batch load that mostly falls
-    /// back.
-    #[default]
-    Auto,
-}
-
-impl Kernel {
-    /// Parses the CLI spelling (`"scalar"`, `"columnar"`, `"auto"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(Kernel::Scalar),
-            "columnar" => Some(Kernel::Columnar),
-            "auto" => Some(Kernel::Auto),
-            _ => None,
-        }
-    }
-
-    /// The stable CLI/report spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Columnar => "columnar",
-            Kernel::Auto => "auto",
-        }
-    }
-}
-
-/// A worker budget: thread count, an optional explicit chunk size, and the
-/// kernel selector.
+/// A worker budget: thread count and an optional explicit chunk size.
 ///
 /// The chunk size is the number of offers a worker claims at a time. Left
 /// unset, [`Budget::chunk_size_for`] derives one that yields roughly four
 /// chunks per thread — small enough to balance uneven per-offer cost,
 /// large enough to amortise dispatch. No knob affects results, only
-/// throughput; the engine's merge order is deterministic regardless, and
-/// the [`Kernel`] paths are bitwise identical.
+/// throughput; the engine's merge order is deterministic regardless.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Budget {
     threads: usize,
     chunk_size: Option<usize>,
-    kernel: Kernel,
 }
 
 impl Budget {
@@ -102,7 +52,6 @@ impl Budget {
         Self {
             threads: 1,
             chunk_size: None,
-            kernel: Kernel::Auto,
         }
     }
 
@@ -114,7 +63,6 @@ impl Budget {
         Ok(Self {
             threads,
             chunk_size: None,
-            kernel: Kernel::Auto,
         })
     }
 
@@ -125,7 +73,6 @@ impl Budget {
         Self {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             chunk_size: None,
-            kernel: Kernel::Auto,
         }
     }
 
@@ -136,17 +83,6 @@ impl Budget {
         }
         self.chunk_size = Some(chunk_size);
         Ok(self)
-    }
-
-    /// Selects the measure/baseline kernel ([`Kernel::Auto`] by default).
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The selected measure/baseline kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Number of worker threads.
@@ -222,19 +158,5 @@ mod tests {
         assert!(EngineError::ZeroShards
             .to_string()
             .contains("shard count must be at least 1"));
-    }
-
-    #[test]
-    fn kernel_knob_defaults_to_auto_and_round_trips() {
-        assert_eq!(Budget::sequential().kernel(), Kernel::Auto);
-        assert_eq!(Budget::detected().kernel(), Kernel::Auto);
-        let b = Budget::with_threads(2)
-            .unwrap()
-            .with_kernel(Kernel::Columnar);
-        assert_eq!(b.kernel(), Kernel::Columnar);
-        for k in [Kernel::Scalar, Kernel::Columnar, Kernel::Auto] {
-            assert_eq!(Kernel::parse(k.label()), Some(k));
-        }
-        assert_eq!(Kernel::parse("vectorised"), None);
     }
 }

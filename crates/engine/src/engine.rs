@@ -4,10 +4,8 @@ use std::borrow::Borrow;
 use std::time::Instant;
 
 use flexoffers_aggregation::{aggregate_indices, group_indices, Aggregate, GroupingParams};
-use flexoffers_market::{baseline_load, Aggregator, LotDecision, SpotMarket};
-use flexoffers_measures::{
-    all_measures, ColumnarBatch, Measure, MeasureError, PreparedOffer, SetAggregation,
-};
+use flexoffers_market::{Aggregator, LotDecision, SpotMarket};
+use flexoffers_measures::{all_measures, ColumnarBatch, Measure, MeasureError, SetAggregation};
 use flexoffers_model::{Assignment, FlexOffer, Portfolio};
 use flexoffers_scheduling::{
     assemble_member_schedule, realize_aggregate, PipelineOutcome, Scheduler, SchedulingError,
@@ -16,7 +14,7 @@ use flexoffers_scheduling::{
 use flexoffers_timeseries::ops::sum_series;
 use flexoffers_timeseries::Series;
 
-use crate::budget::{Budget, Kernel};
+use crate::budget::Budget;
 use crate::chunk::{chunk_ranges, parallel_map};
 use crate::report::{MeasureSummary, PortfolioReport};
 
@@ -33,10 +31,12 @@ pub struct TradeOutcome {
 
 /// A portfolio-scale evaluator with a fixed [`Budget`].
 ///
-/// The engine is a pure scheduler: all semantics live in the per-offer
-/// primitives it drives ([`Measure::of_prepared`],
-/// [`aggregate_indices`]), and every knob changes throughput only — see
-/// the crate docs for the determinism guarantee.
+/// The engine is a pure scheduler: all semantics live in the primitives
+/// it drives ([`ColumnarBatch`], whose kernels and per-offer
+/// [`Measure::of_prepared`] fallback are bitwise identical to the
+/// prepared-offer loop, and [`aggregate_indices`]). Every measure and
+/// baseline pass takes the one columnar route; the [`Budget`] changes
+/// throughput only — see the crate docs for the determinism guarantee.
 #[derive(Clone, Copy, Debug)]
 pub struct Engine {
     budget: Budget,
@@ -67,10 +67,10 @@ impl Engine {
     /// values, exactly as the sequential
     /// [`Measure::of_set`] loop would — same values, same errors, same
     /// floating-point addition order — but with the per-offer work chunked
-    /// across worker threads and each offer prepared once
-    /// ([`PreparedOffer`]) for all measures. `offers` may be owned or a
-    /// borrowed view (`&[&FlexOffer]`); the live book passes its id-ordered
-    /// view, so no offer is cloned to answer a query.
+    /// across worker threads, each chunk evaluated as one [`ColumnarBatch`]
+    /// pass. `offers` may be owned or a borrowed view (`&[&FlexOffer]`);
+    /// the live book passes its id-ordered view, so no offer is cloned to
+    /// answer a query.
     pub fn measure_portfolio<O: Borrow<FlexOffer> + Sync>(
         &self,
         offers: &[O],
@@ -78,31 +78,26 @@ impl Engine {
     ) -> PortfolioReport {
         let started = Instant::now();
         let chunk_size = self.budget.chunk_size_for(offers.len());
-        let summaries = if self.use_columnar(measures) {
-            // Columnar fast path: workers hand back measure-major columns
-            // per chunk and each measure's fold walks the chunks in range
-            // order — the same per-offer value sequence the row-major
-            // reduction sees, without ever materialising a row.
-            let ranges = chunk_ranges(offers.len(), chunk_size);
-            let chunked: Vec<Vec<Vec<Result<f64, MeasureError>>>> =
-                parallel_map(&ranges, self.budget.threads(), |range| {
-                    ColumnarBatch::new().columns(&offers[range.clone()], measures)
-                });
-            measures
-                .iter()
-                .enumerate()
-                .map(|(j, m)| {
-                    reduce_measure_values(
-                        m.as_ref(),
-                        offers.len(),
-                        chunked.iter().flat_map(|columns| columns[j].iter()),
-                    )
-                })
-                .collect()
-        } else {
-            let rows = self.per_offer_rows(offers, measures);
-            reduce_measure_rows(measures, &rows)
-        };
+        // Workers hand back measure-major columns per chunk and each
+        // measure's fold walks the chunks in range order — the per-offer
+        // value sequence of the sequential loop, without ever
+        // materialising a row.
+        let ranges = chunk_ranges(offers.len(), chunk_size);
+        let chunked: Vec<Vec<Vec<Result<f64, MeasureError>>>> =
+            parallel_map(&ranges, self.budget.threads(), |range| {
+                ColumnarBatch::new().columns(&offers[range.clone()], measures)
+            });
+        let summaries = measures
+            .iter()
+            .enumerate()
+            .map(|(j, m)| {
+                reduce_measure_values(
+                    m.as_ref(),
+                    offers.len(),
+                    chunked.iter().flat_map(|columns| columns[j].iter()),
+                )
+            })
+            .collect();
 
         PortfolioReport {
             offers: offers.len(),
@@ -121,11 +116,11 @@ impl Engine {
         self.measure_portfolio(offers, &all_measures())
     }
 
-    /// Per-offer values of `measures` over `offers` — each offer prepared
-    /// once ([`PreparedOffer`]), work chunked across workers, rows merged
-    /// in portfolio order. The single prepared-evaluation hot loop behind
-    /// both the measurement pass and the scenario correlations; nothing is
-    /// reduced off the calling thread.
+    /// Per-offer values of `measures` over `offers` — each chunk evaluated
+    /// as one [`ColumnarBatch`] pass across workers, rows merged in
+    /// portfolio order. Each value is bitwise identical to the measure's
+    /// [`Measure::of_prepared`] on that offer; nothing is reduced off the
+    /// calling thread.
     ///
     /// Public because the Scenario 1 correlations need the rows themselves
     /// (see [`flatten_rows`](crate::scenario::flatten_rows)): the batch
@@ -138,38 +133,10 @@ impl Engine {
     ) -> Vec<Vec<Result<f64, MeasureError>>> {
         let chunk_size = self.budget.chunk_size_for(offers.len());
         let ranges = chunk_ranges(offers.len(), chunk_size);
-        type Row = Vec<Result<f64, MeasureError>>;
-        let chunks: Vec<Vec<Row>> = if self.use_columnar(measures) {
-            parallel_map(&ranges, self.budget.threads(), |range| {
-                ColumnarBatch::new().rows(&offers[range.clone()], measures)
-            })
-        } else {
-            parallel_map(&ranges, self.budget.threads(), |range| {
-                offers[range.clone()]
-                    .iter()
-                    .map(|fo| {
-                        let prepared = PreparedOffer::new(fo.borrow());
-                        measures.iter().map(|m| m.of_prepared(&prepared)).collect()
-                    })
-                    .collect()
-            })
-        };
+        let chunks = parallel_map(&ranges, self.budget.threads(), |range| {
+            ColumnarBatch::new().rows(&offers[range.clone()], measures)
+        });
         chunks.into_iter().flatten().collect()
-    }
-
-    /// Whether this budget's [`Kernel`] resolves to the columnar path for
-    /// the given measure set: never for [`Kernel::Scalar`], always for
-    /// [`Kernel::Columnar`] (kernel-less measures fall back per offer
-    /// inside the batch), and for [`Kernel::Auto`] only when the set is
-    /// non-empty and every measure advertises a columnar kernel.
-    fn use_columnar(&self, measures: &[Box<dyn Measure>]) -> bool {
-        match self.budget.kernel() {
-            Kernel::Scalar => false,
-            Kernel::Columnar => true,
-            Kernel::Auto => {
-                !measures.is_empty() && measures.iter().all(|m| m.columnar_kernel().is_some())
-            }
-        }
     }
 
     /// Groups `offers` under `params` and start-alignment-aggregates each
@@ -289,48 +256,25 @@ impl Engine {
 
     /// The portfolio's no-flexibility baseline load, chunked across
     /// workers. Partial sums are integer series, so the chunked total is
-    /// exactly [`baseline_load`] over the whole slice — and exactly the
-    /// fold of any other partition's partials (the live book keeps one
-    /// partial per shard, refreshed only when the shard is dirty, and sums
-    /// them on every trade query).
+    /// exactly [`flexoffers_market::baseline_load`] over the whole slice —
+    /// and exactly the fold of any other partition's partials (the live
+    /// book keeps one partial per shard, refreshed only when the shard is
+    /// dirty, and sums them on every trade query).
     pub fn baseline_load_parallel(&self, offers: &[FlexOffer]) -> Series<i64> {
         let chunk_size = self.budget.chunk_size_for(offers.len());
         let ranges = chunk_ranges(offers.len(), chunk_size);
-        let partials = if self.budget.kernel() == Kernel::Scalar {
-            parallel_map(&ranges, self.budget.threads(), |range| {
-                baseline_load(&offers[range.clone()])
-            })
-        } else {
-            // The baseline always has a columnar form, so Auto picks it.
-            parallel_map(&ranges, self.budget.threads(), |range| {
-                ColumnarBatch::new().baseline_partial(&offers[range.clone()])
-            })
-        };
+        let partials = parallel_map(&ranges, self.budget.threads(), |range| {
+            ColumnarBatch::new().baseline_partial(&offers[range.clone()])
+        });
         sum_series(partials.iter())
     }
 }
 
-/// The row-major merge behind [`Engine::measure_portfolio`]'s scalar
-/// path: rows arrive in portfolio order, and each measure's reduction
-/// walks offers in that order, mirroring its [`Measure::of_set`]
-/// semantics (short-circuit on the first error; sum, or average for
-/// relative area).
-fn reduce_measure_rows(
-    measures: &[Box<dyn Measure>],
-    rows: &[Vec<Result<f64, MeasureError>>],
-) -> Vec<MeasureSummary> {
-    measures
-        .iter()
-        .enumerate()
-        .map(|(j, m)| reduce_measure_values(m.as_ref(), rows.len(), rows.iter().map(|row| &row[j])))
-        .collect()
-}
-
-/// One measure's reduction over its per-offer values in portfolio order —
-/// the shared fold behind [`reduce_measure_rows`] (row-major input) and
-/// the engine's columnar fast path (measure-major input). `offer_count`
-/// is the portfolio size the values were drawn from; the fold consumes
-/// exactly one value per offer.
+/// One measure's reduction over its per-offer values in portfolio order,
+/// mirroring its [`Measure::of_set`] semantics (short-circuit on the first
+/// error; sum, or average for relative area). `offer_count` is the
+/// portfolio size the values were drawn from; the fold consumes exactly
+/// one value per offer.
 fn reduce_measure_values<'a>(
     m: &dyn Measure,
     offer_count: usize,

@@ -45,10 +45,14 @@
 //!
 //! Evaluating all eight measures naively recomputes the assignment-union
 //! area (the dominant sub-computation) once per area measure. The engine
-//! wraps each offer in a
-//! [`PreparedOffer`](flexoffers_measures::PreparedOffer) exactly once per
-//! pass, and every measure's `of_prepared` path reuses the cached
-//! intermediates.
+//! evaluates every chunk of offers as one
+//! [`ColumnarBatch`](flexoffers_measures::ColumnarBatch) pass: the chunk
+//! is flattened into columns once, the union is swept once per offer and
+//! shared by both area kernels, and a measure without a columnar kernel
+//! runs per offer through
+//! [`Measure::of_prepared`](flexoffers_measures::Measure::of_prepared) on
+//! a [`PreparedOffer`](flexoffers_measures::PreparedOffer) seeded with
+//! that union.
 //!
 //! # Quickstart
 //!
@@ -78,7 +82,7 @@ pub mod scenario;
 pub mod scenario_report;
 pub mod shard;
 
-pub use budget::{Budget, EngineError, Kernel};
+pub use budget::{Budget, EngineError};
 pub use chunk::{chunk_ranges, parallel_map};
 pub use engine::{Engine, TradeOutcome};
 pub use report::{MeasureSummary, PortfolioReport};

@@ -2,14 +2,19 @@
 //!
 //! The engine's contract is that *no* scheduling knob is observable in its
 //! results: any thread count, any chunk size, and the plain sequential
-//! per-offer loop all produce bitwise-identical values and errors. These
+//! prepared-offer loop all produce bitwise-identical values and errors —
+//! including for measures without a columnar kernel, which the engine's
+//! batches evaluate per offer. These
 //! properties drive randomly shaped portfolios (mixed signs included, so
 //! the error paths get exercised) through every comparison.
 
 use flexoffers_aggregation::{aggregate_portfolio, GroupingParams};
-use flexoffers_engine::{Budget, Engine, Kernel};
+use flexoffers_engine::{Budget, Engine};
 use flexoffers_market::{Aggregator, SpotMarket};
-use flexoffers_measures::all_measures;
+use flexoffers_measures::{
+    all_measures, AbsoluteAreaFlexibility, AssignmentFlexibility, Measure, MeasureError,
+    PreparedOffer, RelativeAreaFlexibility, TimeFlexibility, WeightedMeasure,
+};
 use flexoffers_model::{FlexOffer, Portfolio, Slice};
 use flexoffers_scheduling::{schedule_via_aggregation, GreedyScheduler, SchedulingProblem};
 use flexoffers_timeseries::Series;
@@ -47,6 +52,37 @@ fn arb_target() -> impl Strategy<Value = Series<i64>> {
 fn arb_market() -> impl Strategy<Value = SpotMarket> {
     (prop::collection::vec(0.5f64..20.0, 1..10), 1.0f64..4.0)
         .prop_map(|(prices, penalty)| SpotMarket::new(Series::new(0, prices), penalty).unwrap())
+}
+
+/// Measures with a columnar kernel mixed with kernel-less ones (the
+/// constrained assignment count and a weighted combination), so a batch
+/// both runs columns and falls back per offer, area union shared between
+/// them.
+fn mixed_measures() -> Vec<Box<dyn Measure>> {
+    vec![
+        Box::new(TimeFlexibility),
+        Box::new(AssignmentFlexibility::exact()),
+        Box::new(AbsoluteAreaFlexibility::rejecting_mixed()),
+        Box::new(WeightedMeasure::new(vec![
+            (0.5, Box::new(TimeFlexibility)),
+            (2.0, Box::new(AbsoluteAreaFlexibility::new())),
+        ])),
+        Box::new(RelativeAreaFlexibility::new()),
+    ]
+}
+
+/// The scalar reference: one `PreparedOffer` per offer, every measure
+/// through `of_prepared`, on the calling thread.
+fn prepared_rows(
+    fos: &[FlexOffer],
+    measures: &[Box<dyn Measure>],
+) -> Vec<Vec<Result<f64, MeasureError>>> {
+    fos.iter()
+        .map(|fo| {
+            let prepared = PreparedOffer::new(fo);
+            measures.iter().map(|m| m.of_prepared(&prepared)).collect()
+        })
+        .collect()
 }
 
 /// A realistic seeded workload (not just the proptest shapes): regenerating
@@ -111,88 +147,85 @@ proptest! {
         }
     }
 
-    /// The kernel knob is a pure throughput switch: scalar, columnar and
-    /// auto produce bitwise-identical per-offer rows at any threads ×
-    /// chunk combination — including chunks larger than the portfolio,
-    /// empty portfolios, and singletons.
+    /// The engine's batches reproduce the direct prepared-offer loop bit
+    /// for bit at any threads × chunk combination — including chunks
+    /// larger than the portfolio, empty portfolios, and singletons — for
+    /// the eight measures and for a mixed set whose kernel-less measures
+    /// fall back per offer.
     #[test]
     fn kernel_never_changes_per_offer_rows(
         fos in arb_portfolio(),
         threads in 1usize..5,
         chunk in 1usize..40,
     ) {
-        let measures = all_measures();
-        let budget = |kernel| {
-            Budget::with_threads(threads)
-                .unwrap()
-                .with_chunk_size(chunk)
-                .unwrap()
-                .with_kernel(kernel)
-        };
-        let scalar = Engine::new(budget(Kernel::Scalar)).per_offer_rows(&fos, &measures);
-        let columnar = Engine::new(budget(Kernel::Columnar)).per_offer_rows(&fos, &measures);
-        let auto = Engine::new(budget(Kernel::Auto)).per_offer_rows(&fos, &measures);
-        prop_assert_eq!(scalar.len(), fos.len());
-        prop_assert_eq!(columnar.len(), fos.len());
-        for (i, (s_row, c_row)) in scalar.iter().zip(&columnar).enumerate() {
-            prop_assert_eq!(s_row.len(), c_row.len());
-            for (j, (s, c)) in s_row.iter().zip(c_row).enumerate() {
-                match (s, c) {
-                    (Ok(a), Ok(b)) => prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "offer {} measure {}: {} vs {}", i, j, a, b
-                    ),
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (a, b) => prop_assert!(
-                        false,
-                        "offer {} measure {}: {:?} vs {:?}", i, j, a, b
-                    ),
+        let engine = Engine::new(
+            Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap(),
+        );
+        for measures in [all_measures(), mixed_measures()] {
+            let reference = prepared_rows(&fos, &measures);
+            let rows = engine.per_offer_rows(&fos, &measures);
+            prop_assert_eq!(rows.len(), fos.len());
+            for (i, (r_row, e_row)) in reference.iter().zip(&rows).enumerate() {
+                prop_assert_eq!(r_row.len(), e_row.len());
+                for (j, (r, e)) in r_row.iter().zip(e_row).enumerate() {
+                    match (r, e) {
+                        (Ok(a), Ok(b)) => prop_assert_eq!(
+                            a.to_bits(), b.to_bits(),
+                            "offer {} measure {}: {} vs {}", i, j, a, b
+                        ),
+                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                        (a, b) => prop_assert!(
+                            false,
+                            "offer {} measure {}: {:?} vs {:?}", i, j, a, b
+                        ),
+                    }
                 }
             }
         }
-        prop_assert_eq!(&columnar, &auto);
     }
 
-    /// Every kernel's chunked baseline partials merge to exactly the
-    /// market crate's sequential earliest-start baseline.
+    /// The chunked baseline partials merge to exactly the market crate's
+    /// sequential earliest-start baseline.
     #[test]
     fn baseline_kernels_agree_with_the_market_baseline(
         fos in arb_portfolio(),
         threads in 1usize..5,
         chunk in 1usize..40,
     ) {
-        let reference = flexoffers_market::baseline_load(&fos);
-        for kernel in [Kernel::Scalar, Kernel::Columnar, Kernel::Auto] {
-            let engine = Engine::new(
-                Budget::with_threads(threads)
-                    .unwrap()
-                    .with_chunk_size(chunk)
-                    .unwrap()
-                    .with_kernel(kernel),
-            );
-            prop_assert_eq!(
-                engine.baseline_load_parallel(&fos),
-                reference.clone(),
-                "kernel {:?}", kernel
-            );
-        }
+        let engine = Engine::new(
+            Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap(),
+        );
+        prop_assert_eq!(
+            engine.baseline_load_parallel(&fos),
+            flexoffers_market::baseline_load(&fos)
+        );
     }
 
-    /// The columnar fast path's measure-major fold is kernel-blind: a
-    /// columnar measurement reproduces the scalar engine bit for bit at
-    /// any threads × chunk budget.
+    /// A mixed measure set — columnar kernels and per-offer fallbacks in
+    /// one batch — measures exactly like the sequential loops at any
+    /// threads × chunk budget: each value equals `of_set`, and
+    /// `evaluated`/`failed`/`min`/`max` equal the prepared-offer rows'.
     #[test]
     fn columnar_measure_matches_flat_scalar(
         fos in arb_portfolio(),
         threads in 1usize..5,
         chunk in 1usize..17,
     ) {
+        let measures = mixed_measures();
         let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
-        let scalar = Engine::new(budget.with_kernel(Kernel::Scalar)).measure_portfolio_all(&fos);
-        let columnar =
-            Engine::new(budget.with_kernel(Kernel::Columnar)).measure_portfolio_all(&fos);
-        prop_assert_eq!(columnar.summaries, scalar.summaries);
-        prop_assert_eq!(columnar.offers, fos.len());
+        let report = Engine::new(budget).measure_portfolio(&fos, &measures);
+        prop_assert_eq!(report.offers, fos.len());
+        let rows = prepared_rows(&fos, &measures);
+        for (j, (summary, m)) in report.summaries.iter().zip(&measures).enumerate() {
+            prop_assert_eq!(&summary.value, &m.of_set(&fos), "{}", summary.measure);
+            let values: Vec<f64> = rows.iter().filter_map(|row| row[j].clone().ok()).collect();
+            prop_assert_eq!(summary.evaluated, values.len());
+            prop_assert_eq!(summary.failed, fos.len() - values.len());
+            let min = values.iter().copied().reduce(f64::min);
+            let max = values.iter().copied().reduce(f64::max);
+            prop_assert_eq!(summary.min.map(f64::to_bits), min.map(f64::to_bits));
+            prop_assert_eq!(summary.max.map(f64::to_bits), max.map(f64::to_bits));
+        }
     }
 
     /// Parallel grouping + aggregation reproduces the sequential

@@ -30,7 +30,7 @@
 //!
 //! Recovery inherits the serving tier's contract: recover-then-query is
 //! bitwise equal to an uninterrupted run and to the batch oracle, at any
-//! shards × threads × kernel budget and any crash point. Snapshots store
+//! shards × threads budget and any crash point. Snapshots store
 //! baselines and offers as integers — nothing in the persistence path
 //! rounds.
 

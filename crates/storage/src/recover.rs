@@ -3,7 +3,7 @@
 //! The recovery invariant is byte-identity: the recovered book answers
 //! every query with exactly the bytes an uninterrupted run would have
 //! produced at the same point in the event stream — at any shards ×
-//! threads × kernel budget, because snapshots round-trip the book's state
+//! threads budget, because snapshots round-trip the book's state
 //! exactly and the replayed suffix goes through the book's ordinary
 //! mutation path.
 //!

@@ -4,14 +4,14 @@
 //! Kill a durable serving run at *any* event, recover, and every query
 //! answer must byte-match (a) an uninterrupted live run over the surviving
 //! mutation prefix, and (b) the from-scratch batch oracle — at any shards
-//! × threads × chunk × kernel budget. Separately, truncating the journal
+//! × threads × chunk budget. Separately, truncating the journal
 //! at *every byte offset* must either recover cleanly (torn line dropped)
 //! or fail with a named error, never panic.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flexoffers_engine::{Budget, Engine, Kernel};
+use flexoffers_engine::{Budget, Engine};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::batch;
 use flexoffers_serving::{DurabilityConfig, Event, EventSink, LiveBook, QueryKind, ServeConfig};
@@ -135,7 +135,7 @@ proptest! {
 
     /// The flagship property: run a durable book, kill it after a random
     /// number of events (no clean shutdown, snapshots possibly stale),
-    /// recover under a *different* shards × threads × chunk × kernel
+    /// recover under a *different* shards × threads × chunk
     /// budget (the shard count applies when no snapshot was cut), and every query answer byte-matches an uninterrupted
     /// memory-only run over the same mutation prefix — and the batch
     /// oracle.
@@ -146,7 +146,6 @@ proptest! {
         recover_shards in 1usize..5,
         threads in 1usize..4,
         chunk in 1usize..9,
-        kernel_pick in 0usize..3,
         snapshot_pick in 0u64..7,
     ) {
         // 0 = no periodic snapshots; otherwise snapshot every 1..=6 events.
@@ -166,12 +165,10 @@ proptest! {
         }
         drop(durable); // kill: no finish(), no shutdown snapshot
 
-        let kernel = [Kernel::Scalar, Kernel::Columnar, Kernel::Auto][kernel_pick];
         let budget = Budget::with_threads(threads)
             .unwrap()
             .with_chunk_size(chunk)
-            .unwrap()
-            .with_kernel(kernel);
+            .unwrap();
         let (mut recovered, report) =
             recover(&config, recover_shards, Engine::new(budget)).unwrap();
 

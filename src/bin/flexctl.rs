@@ -4,32 +4,29 @@
 //! flexctl measure <file.json|-> [measure-name ...]   measure a flex-offer
 //! flexctl measure --portfolio <file.json|->          measure a whole portfolio
 //!         [--threads N] [--json]                     (engine-parallel)
-//!         [--kernel scalar|columnar|auto]
 //!         [measure-name ...]
 //! flexctl measure --portfolio --city H [--seed S]    same, over a generated
 //!         [--threads N] [--json]                     city
-//!         [--kernel scalar|columnar|auto]
 //! flexctl simulate --scenario <schedule|market>      run a scenario pipeline
 //!         [--city H] [--seed S] [--threads N]        on a generated city
-//!         [--scheduler greedy|hillclimb]             (--households is an
-//!         [--kernel scalar|columnar|auto] [--json]    alias of --city)
+//!         [--scheduler greedy|hillclimb] [--json]    (--households is an
+//!                                                    alias of --city)
 //! flexctl serve --script <events.jsonl|->            replay an event stream
-//!         [--workers W] [--threads N]                through the live book;
-//!         [--seed S] [--kernel scalar|columnar|auto] one JSON line per query
-//!         [--batch]                                  (--workers W shards the
-//!         [--journal PATH [--snapshot-every N]       book across W worker
-//!          [--sync-every N]]                         OS processes)
+//!         [--workers W] [--threads N] [--seed S]     through the live book;
+//!         [--batch]                                  one JSON line per query
+//!         [--journal PATH [--snapshot-every N]       (--workers W shards the
+//!          [--sync-every N]]                         book across W worker
+//!                                                    OS processes)
 //! flexctl serve --listen ADDR [--max-conns N]        serve the framed JSONL
 //!         [--deadline-ms D] [--record PATH]          protocol over TCP
-//!         [--workers W] [--threads N]                (docs/PROTOCOL.md);
-//!         [--seed S] [--kernel scalar|columnar|auto] SIGTERM/ctrl-c drains
-//!         [--journal PATH [--snapshot-every N]       and snapshots cleanly
-//!          [--sync-every N]]
+//!         [--workers W] [--threads N] [--seed S]     (docs/PROTOCOL.md);
+//!         [--journal PATH [--snapshot-every N]       SIGTERM/ctrl-c drains
+//!          [--sync-every N]]                         and snapshots cleanly
 //! flexctl bomb --addr HOST:PORT [--conns N]          load-generate against a
 //!         [--events M] [--seed S]                    --listen server
 //! flexctl recover --journal PATH                     recover a killed serve
 //!         [--threads N] [--seed S]                   and answer the four
-//!         [--kernel scalar|columnar|auto]            query kinds
+//!                                                    query kinds
 //! flexctl events --city H [--seed S] [--churn PCT]   generate such a script
 //!         [--queries N]                              from the city workload
 //! flexctl render  <file.json|->                      ASCII-render it
@@ -54,11 +51,10 @@
 //! An in-process `serve` or `recover` runs a one-shard live book.
 //! `--threads N` is one budget for the whole book: every query pass runs over all live
 //! offers on `N` threads (answers never change — threads are
-//! throughput-only). `--kernel` picks the measure/baseline kernel
-//! implementation: `scalar` is the per-offer prepared loop, `columnar` the
-//! struct-of-arrays batch kernels, and the default `auto` picks columnar
-//! whenever every requested measure has a columnar form. All three produce
-//! bitwise-identical output.
+//! throughput-only).
+//!
+//! Every failure prints one `error: …` line (plus the usage where the
+//! arguments were at fault) to stderr and exits 1.
 //!
 //! `serve` replays a JSONL event script (see `flexctl events` and the
 //! serving crate's event schema: one `{"event": "add|update|remove|query",
@@ -82,7 +78,7 @@
 //! behind a supervisor (`flexoffers::cluster`): mutations scatter to the
 //! owning worker over stdio pipes, queries gather per-shard exports and
 //! merge them through the in-process engine, so the answers stay
-//! byte-identical to plain `serve` at any workers × threads × kernel. A
+//! byte-identical to plain `serve` at any workers × threads. A
 //! worker that dies is respawned and replayed invisibly (watch for
 //! `cluster worker W respawned` on stderr). Each worker is one shard;
 //! `--workers` composes with `--script`, `--listen`, `--journal`,
@@ -109,7 +105,7 @@ use std::process::ExitCode;
 
 use flexoffers::area::{render_flexoffer, render_union};
 use flexoffers::cluster::{ClusterBook, WorkerSpec};
-use flexoffers::engine::{Budget, Engine, Kernel};
+use flexoffers::engine::{Budget, Engine};
 use flexoffers::measures::{all_measures, available_names, measure_by_name, Measure};
 use flexoffers::net::{percentile, signal, NetClient, NetConfig, NetServer, Reply};
 use flexoffers::serving::batch::BatchBook;
@@ -132,25 +128,24 @@ fn main() -> ExitCode {
     }
 }
 
+/// What a subcommand returns: `Err` carries the message [`run`] prints
+/// after `error: `.
+type Outcome = Result<(), String>;
+
 const USAGE: &str = "usage:
   flexctl measure <file.json|-> [measure-name ...]
-  flexctl measure --portfolio <file.json|-> [--threads N]
-                  [--kernel scalar|columnar|auto] [--json] [measure-name ...]
-  flexctl measure --portfolio --city H [--seed S] [--threads N]
-                  [--kernel scalar|columnar|auto] [--json]
+  flexctl measure --portfolio <file.json|-> [--threads N] [--json]
+                  [measure-name ...]
+  flexctl measure --portfolio --city H [--seed S] [--threads N] [--json]
   flexctl simulate --scenario <schedule|market> [--city H] [--seed S]
-                   [--threads N] [--scheduler greedy|hillclimb]
-                   [--kernel scalar|columnar|auto] [--json]
-  flexctl serve --script <events.jsonl|-> [--workers W]
-                [--threads N] [--seed S] [--kernel scalar|columnar|auto]
+                   [--threads N] [--scheduler greedy|hillclimb] [--json]
+  flexctl serve --script <events.jsonl|-> [--workers W] [--threads N] [--seed S]
                 [--batch] [--journal PATH [--snapshot-every N] [--sync-every N]]
   flexctl serve --listen ADDR [--max-conns N] [--deadline-ms D] [--record PATH]
                 [--workers W] [--threads N] [--seed S]
-                [--kernel scalar|columnar|auto]
                 [--journal PATH [--snapshot-every N] [--sync-every N]]
   flexctl bomb --addr HOST:PORT [--conns N] [--events M] [--seed S]
   flexctl recover --journal PATH [--threads N] [--seed S]
-                  [--kernel scalar|columnar|auto]
   flexctl events --city H [--seed S] [--churn PCT] [--queries N]
   flexctl render  <file.json|->
   flexctl count   <file.json|->
@@ -160,9 +155,7 @@ const USAGE: &str = "usage:
 
 measure --portfolio and simulate run one flat batch path, parallel by
 --threads; for serve and recover, --threads is one budget for the whole
-live book. --kernel selects the measure/baseline kernel (default
-auto = columnar whenever every requested measure has a columnar form);
-scalar, columnar and auto produce bitwise-identical output.
+live book. Answers never depend on --threads.
 
 serve flag combinations: --script and --listen are exclusive modes — give
 exactly one. --batch applies only to --script (the from-scratch oracle);
@@ -174,11 +167,13 @@ connection worker pool; --snapshot-every/--sync-every need --journal, and
 both take N >= 1 (--sync-every N fsyncs every Nth mutation, 1 = every
 mutation; --snapshot-every N snapshots every Nth mutation — omit it for
 shutdown-only snapshots). --workers W (W >= 1) runs the book as W shard
-worker OS processes and composes with every other serve flag. --threads,
---seed and --kernel apply to every serve mode.";
+worker OS processes and composes with every other serve flag. --threads
+and --seed apply to every serve mode.";
 
+/// Dispatches one subcommand and prints its failure, if any, as the one
+/// `error: …` line of the run.
 fn run(cmd: &str, rest: &[String]) -> ExitCode {
-    match cmd {
+    let outcome = match cmd {
         "help" | "--help" | "-h" => with_stdout(|out| writeln!(out, "{USAGE}")),
         "names" => with_stdout(|out| {
             available_names()
@@ -199,43 +194,40 @@ fn run(cmd: &str, rest: &[String]) -> ExitCode {
         // Internal (not in USAGE): the shard-worker loop `serve --workers`
         // spawns via the current executable. Speaks the supervisor wire
         // protocol on stdin/stdout; useless interactively.
-        "shard-worker" => match flexoffers::cluster::run_stdio_worker() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: shard worker io: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        "shard-worker" => {
+            flexoffers::cluster::run_stdio_worker().map_err(|e| format!("shard worker io: {e}"))
+        }
         "simulate" => simulate(rest),
         "serve" => serve(rest),
         "recover" => recover(rest),
         "events" => events(rest),
         "bomb" => bomb(rest),
         "measure" if rest.iter().any(|a| a == "--portfolio") => measure_portfolio(rest),
-        "measure" | "render" | "count" => {
-            let Some(path) = rest.first() else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let fo = match load(path) {
-                Ok(fo) => fo,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match cmd {
-                "measure" => measure(&fo, &rest[1..]),
-                "render" => {
-                    with_stdout(|out| write!(out, "{}{}", render_flexoffer(&fo), render_union(&fo)))
-                }
-                _ => count(&fo),
-            }
-        }
-        _ => {
-            eprintln!("unknown command {cmd}\n{USAGE}");
+        "measure" | "render" | "count" => single_offer(cmd, rest),
+        _ => Err(format!("unknown command {cmd}\n{USAGE}")),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// `measure`, `render` and `count` over one flex-offer read from a file
+/// or stdin.
+fn single_offer(cmd: &str, rest: &[String]) -> Outcome {
+    let path = rest
+        .first()
+        .ok_or_else(|| format!("{cmd} needs a flex-offer file (or - for stdin)\n{USAGE}"))?;
+    let fo = load(path)?;
+    match cmd {
+        "measure" => measure(&fo, &rest[1..]),
+        "render" => {
+            with_stdout(|out| write!(out, "{}{}", render_flexoffer(&fo), render_union(&fo)))
+        }
+        _ => count(&fo),
     }
 }
 
@@ -289,14 +281,9 @@ fn budget_for(threads: Option<usize>) -> Result<Budget, String> {
     }
 }
 
-/// Parses the value of a `--kernel` flag — the one spelling across
-/// `measure`/`simulate`/`serve`.
-fn kernel_flag(args: &mut std::slice::Iter<'_, String>) -> Result<Kernel, String> {
-    let Some(value) = args.next() else {
-        return Err("--kernel needs a value (scalar, columnar or auto)".to_owned());
-    };
-    Kernel::parse(value)
-        .ok_or_else(|| format!("unknown kernel {value}; expected scalar, columnar or auto"))
+/// The value of a flag that takes a string, or `missing` as the error.
+fn string_flag(args: &mut std::slice::Iter<'_, String>, missing: &str) -> Result<String, String> {
+    args.next().cloned().ok_or_else(|| missing.to_owned())
 }
 
 fn resolve_measures(names: &[String]) -> Result<Vec<Box<dyn Measure>>, String> {
@@ -317,35 +304,19 @@ fn resolve_measures(names: &[String]) -> Result<Vec<Box<dyn Measure>>, String> {
 /// batched pass over a file or a generated city, and print the report
 /// (text or `--json`; the JSON mirror is byte-identical at any thread
 /// count).
-fn measure_portfolio(rest: &[String]) -> ExitCode {
+fn measure_portfolio(rest: &[String]) -> Outcome {
     let mut positionals: Vec<String> = Vec::new();
     let mut threads: Option<usize> = None;
     let mut city: Option<usize> = None;
     let mut seed: Option<u64> = None;
-    let mut kernel = Kernel::Auto;
     let mut json = false;
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--portfolio" => {}
             "--json" => json = true,
-            "--kernel" => {
-                kernel = match kernel_flag(&mut args) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             flag @ ("--threads" | "--city" | "--seed") => {
-                let n = match count_flag(flag, &mut args) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let n = count_flag(flag, &mut args)?;
                 match flag {
                     "--threads" => threads = Some(n as usize),
                     "--city" => city = Some(n as usize),
@@ -353,8 +324,7 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
                 }
             }
             other if other.starts_with("--") => {
-                eprintln!("error: unknown measure argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
+                return Err(format!("unknown measure argument {other}\n{USAGE}"));
             }
             other => positionals.push(other.to_owned()),
         }
@@ -371,46 +341,24 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
         (Some(positionals.remove(0)), positionals)
     };
     if seed.is_some() && city.is_none() {
-        eprintln!("error: --seed only applies to a generated portfolio; pair it with --city");
-        return ExitCode::FAILURE;
+        return Err("--seed only applies to a generated portfolio; pair it with --city".to_owned());
     }
     let seed = seed.unwrap_or(7);
 
-    let budget = match budget_for(threads) {
-        Ok(b) => b.with_kernel(kernel),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let measures = match resolve_measures(&names) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let engine = Engine::new(budget);
-
-    let loaded = match (city, path) {
-        (Some(households), _) => Ok(city_stream(seed, households).collect()),
-        (None, Some(path)) => load_portfolio(&path),
+    let engine = Engine::new(budget_for(threads)?);
+    let measures = resolve_measures(&names)?;
+    let portfolio: Portfolio = match (city, path) {
+        (Some(households), _) => city_stream(seed, households).collect(),
+        (None, Some(path)) => load_portfolio(&path)?,
         (None, None) => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "measure --portfolio needs a portfolio file (or - for stdin) or --city H\n{USAGE}"
+            ))
         }
     };
-    let portfolio: Portfolio = match loaded {
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        Ok(portfolio) if portfolio.is_empty() => {
-            eprintln!("error: empty portfolio — nothing to measure");
-            return ExitCode::FAILURE;
-        }
-        Ok(portfolio) => portfolio,
-    };
+    if portfolio.is_empty() {
+        return Err("empty portfolio — nothing to measure".to_owned());
+    }
     let report = engine.measure_portfolio(portfolio.as_slice(), &measures);
     let text = if json {
         serde_json::to_string_pretty(&report.json()).expect("report serializes") + "\n"
@@ -424,7 +372,7 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
 /// city (the portfolio `measure --portfolio --city` measures; `--city` and
 /// `--households` name the same knob), print the report (text or
 /// `--json`; the JSON mirror is deterministic across thread counts).
-fn simulate(rest: &[String]) -> ExitCode {
+fn simulate(rest: &[String]) -> Outcome {
     // ~3.4 offers per household puts the default portfolio above the
     // 10k-offer scale the engine pipelines are sized for.
     let mut households: Option<usize> = None;
@@ -433,56 +381,28 @@ fn simulate(rest: &[String]) -> ExitCode {
     let mut kind: Option<ScenarioKind> = None;
     let mut scheduler = SchedulerChoice::Greedy;
     let mut threads: Option<usize> = None;
-    let mut kernel = Kernel::Auto;
     let mut json = false;
 
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--kernel" => {
-                kernel = match kernel_flag(&mut args) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             "--scenario" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --scenario needs a value (schedule or market)");
-                    return ExitCode::FAILURE;
-                };
-                match ScenarioKind::parse(value) {
-                    Some(k) => kind = Some(k),
-                    None => {
-                        eprintln!("error: unknown scenario {value}; expected schedule or market");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let value =
+                    string_flag(&mut args, "--scenario needs a value (schedule or market)")?;
+                kind = Some(ScenarioKind::parse(&value).ok_or_else(|| {
+                    format!("unknown scenario {value}; expected schedule or market")
+                })?);
             }
             "--scheduler" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --scheduler needs a value (greedy or hillclimb)");
-                    return ExitCode::FAILURE;
-                };
-                match SchedulerChoice::parse(value) {
-                    Some(s) => scheduler = s,
-                    None => {
-                        eprintln!("error: unknown scheduler {value}; expected greedy or hillclimb");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let value =
+                    string_flag(&mut args, "--scheduler needs a value (greedy or hillclimb)")?;
+                scheduler = SchedulerChoice::parse(&value).ok_or_else(|| {
+                    format!("unknown scheduler {value}; expected greedy or hillclimb")
+                })?;
             }
             flag @ ("--city" | "--households" | "--seed" | "--threads") => {
-                let n = match count_flag(flag, &mut args) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let n = count_flag(flag, &mut args)?;
                 match flag {
                     "--city" => city = Some(n as usize),
                     "--households" => households = Some(n as usize),
@@ -490,55 +410,35 @@ fn simulate(rest: &[String]) -> ExitCode {
                     _ => threads = Some(n as usize),
                 }
             }
-            other => {
-                eprintln!("error: unknown simulate argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown simulate argument {other}\n{USAGE}")),
         }
     }
-    let Some(kind) = kind else {
-        eprintln!("error: simulate needs --scenario schedule|market\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
+    let kind = kind.ok_or_else(|| format!("simulate needs --scenario schedule|market\n{USAGE}"))?;
     let households = match (city, households) {
         (Some(_), Some(_)) => {
-            eprintln!("error: --city and --households name the same knob; give one");
-            return ExitCode::FAILURE;
+            return Err("--city and --households name the same knob; give one".to_owned())
         }
         (Some(h), None) | (None, Some(h)) => h,
         (None, None) => 3_000,
     };
-    let budget = match budget_for(threads) {
-        Ok(b) => b.with_kernel(kernel),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let engine = Engine::new(budget_for(threads)?);
 
     let mut scenario = Scenario::city_portfolio(kind, households).with_seed(seed);
     scenario.scheduler = scheduler;
-    match Engine::new(budget).simulate(&scenario) {
-        Ok(report) => {
-            let text = if json {
-                serde_json::to_string_pretty(&report.json()).expect("report serializes") + "\n"
-            } else {
-                report.render()
-            };
-            with_stdout(|out| out.write_all(text.as_bytes()))
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let report = engine.simulate(&scenario).map_err(|e| e.to_string())?;
+    let text = if json {
+        serde_json::to_string_pretty(&report.json()).expect("report serializes") + "\n"
+    } else {
+        report.render()
+    };
+    with_stdout(|out| out.write_all(text.as_bytes()))
 }
 
 /// The `serve` path: parse and statically validate a JSONL event script,
 /// then replay it — through the live mpsc serving loop (default), or
 /// through the from-scratch batch oracle (`--batch`). Every query prints
 /// one JSON line; the two modes are byte-identical.
-fn serve(rest: &[String]) -> ExitCode {
+fn serve(rest: &[String]) -> Outcome {
     let mut script: Option<String> = None;
     let mut listen: Option<String> = None;
     let mut record: Option<String> = None;
@@ -547,7 +447,6 @@ fn serve(rest: &[String]) -> ExitCode {
     let mut workers: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
-    let mut kernel = Kernel::Auto;
     let mut batch = false;
     let mut journal: Option<String> = None;
     let mut snapshot_every: Option<u64> = None;
@@ -557,52 +456,23 @@ fn serve(rest: &[String]) -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--batch" => batch = true,
-            "--kernel" => {
-                kernel = match kernel_flag(&mut args) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             "--script" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --script needs a path (or - for stdin)");
-                    return ExitCode::FAILURE;
-                };
-                script = Some(value.clone());
+                script = Some(string_flag(
+                    &mut args,
+                    "--script needs a path (or - for stdin)",
+                )?);
             }
             "--listen" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --listen needs an address (e.g. 127.0.0.1:7070)");
-                    return ExitCode::FAILURE;
-                };
-                listen = Some(value.clone());
+                listen = Some(string_flag(
+                    &mut args,
+                    "--listen needs an address (e.g. 127.0.0.1:7070)",
+                )?);
             }
-            "--record" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --record needs a path");
-                    return ExitCode::FAILURE;
-                };
-                record = Some(value.clone());
-            }
-            "--journal" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --journal needs a path");
-                    return ExitCode::FAILURE;
-                };
-                journal = Some(value.clone());
-            }
+            "--record" => record = Some(string_flag(&mut args, "--record needs a path")?),
+            "--journal" => journal = Some(string_flag(&mut args, "--journal needs a path")?),
             flag @ ("--workers" | "--threads" | "--seed" | "--snapshot-every" | "--sync-every"
             | "--max-conns" | "--deadline-ms") => {
-                let n = match count_flag(flag, &mut args) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let n = count_flag(flag, &mut args)?;
                 match flag {
                     "--workers" => workers = Some(n as usize),
                     "--threads" => threads = Some(n as usize),
@@ -613,74 +483,66 @@ fn serve(rest: &[String]) -> ExitCode {
                     _ => seed = Some(n),
                 }
             }
-            other => {
-                eprintln!("error: unknown serve argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown serve argument {other}\n{USAGE}")),
         }
     }
-    if script.is_some() && listen.is_some() {
-        eprintln!("error: --script and --listen are exclusive serve modes; give exactly one");
-        return ExitCode::FAILURE;
-    }
-    if batch && listen.is_some() {
+    // The flag matrix, each rule with the message it fails with.
+    let conflicts = [
+        (
+            script.is_some() && listen.is_some(),
+            "--script and --listen are exclusive serve modes; give exactly one",
+        ),
         // The batch oracle replays a finished script; a live socket has no
         // script until it is recorded (serve --listen --record, then
         // replay that through --script --batch).
-        eprintln!("error: --batch does not apply to --listen (record a session with --record and replay it through --script --batch)");
-        return ExitCode::FAILURE;
-    }
-    if listen.is_none() && (record.is_some() || max_conns.is_some() || deadline_ms.is_some()) {
-        eprintln!("error: --record/--max-conns/--deadline-ms need --listen ADDR");
-        return ExitCode::FAILURE;
-    }
-    if batch && journal.is_some() {
+        (
+            batch && listen.is_some(),
+            "--batch does not apply to --listen (record a session with --record and replay it through --script --batch)",
+        ),
+        (
+            listen.is_none() && (record.is_some() || max_conns.is_some() || deadline_ms.is_some()),
+            "--record/--max-conns/--deadline-ms need --listen ADDR",
+        ),
         // The batch oracle rebuilds from scratch per query; journaling it
         // would record a history no recovery could resume.
-        eprintln!("error: --journal does not apply to --batch (durability is the live tier's)");
-        return ExitCode::FAILURE;
-    }
-    if journal.is_none() && (snapshot_every.is_some() || sync_every.is_some()) {
-        eprintln!("error: --snapshot-every/--sync-every need --journal PATH");
-        return ExitCode::FAILURE;
-    }
-    if batch && workers.is_some() {
-        eprintln!(
-            "error: --workers does not apply to --batch (the batch oracle is the flat in-process engine)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if workers == Some(0) {
-        eprintln!("error: --workers must be at least 1 (each worker is one shard process)");
-        return ExitCode::FAILURE;
-    }
-    if max_conns == Some(0) {
-        eprintln!(
-            "error: --max-conns must be at least 1 (each connection slot is one worker thread)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if sync_every == Some(0) {
-        eprintln!("error: --sync-every must be at least 1 (1 fsyncs every mutation)");
-        return ExitCode::FAILURE;
-    }
-    if snapshot_every == Some(0) {
-        eprintln!(
-            "error: --snapshot-every must be at least 1 (omit it for shutdown-only snapshots)"
-        );
-        return ExitCode::FAILURE;
+        (
+            batch && journal.is_some(),
+            "--journal does not apply to --batch (durability is the live tier's)",
+        ),
+        (
+            journal.is_none() && (snapshot_every.is_some() || sync_every.is_some()),
+            "--snapshot-every/--sync-every need --journal PATH",
+        ),
+        (
+            batch && workers.is_some(),
+            "--workers does not apply to --batch (the batch oracle is the flat in-process engine)",
+        ),
+        (
+            workers == Some(0),
+            "--workers must be at least 1 (each worker is one shard process)",
+        ),
+        (
+            max_conns == Some(0),
+            "--max-conns must be at least 1 (each connection slot is one worker thread)",
+        ),
+        (
+            sync_every == Some(0),
+            "--sync-every must be at least 1 (1 fsyncs every mutation)",
+        ),
+        (
+            snapshot_every == Some(0),
+            "--snapshot-every must be at least 1 (omit it for shutdown-only snapshots)",
+        ),
+    ];
+    if let Some((_, message)) = conflicts.iter().find(|(conflict, _)| *conflict) {
+        return Err((*message).to_owned());
     }
     if script.is_none() && listen.is_none() {
-        eprintln!("error: serve needs --script <events.jsonl|-> or --listen ADDR\n{USAGE}");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "serve needs --script <events.jsonl|-> or --listen ADDR\n{USAGE}"
+        ));
     }
-    let budget = match budget_for(threads) {
-        Ok(b) => b.with_kernel(kernel),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let budget = budget_for(threads)?;
     let mut config = ServeConfig::default();
     if let Some(seed) = seed {
         config.seed = seed;
@@ -705,13 +567,7 @@ fn serve(rest: &[String]) -> ExitCode {
             },
         ),
         (None, script) => {
-            let text = match read_input(&script.expect("checked above")) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let text = read_input(&script.expect("checked above"))?;
             if batch {
                 return serve_batch(&text, BatchBook::new(config, engine));
             }
@@ -723,29 +579,29 @@ fn serve(rest: &[String]) -> ExitCode {
     // journaled — then drive it through the front. A journaled sink
     // recovers first, so the front continues the recovered id history.
     let durable = config.durability.is_some();
-    let served = match workers {
-        None if durable => Durable::<LiveBook>::open(config, engine, ())
-            .map(|opened| serve_sink(resumed(opened), front))
-            .map_err(|e| e.to_string()),
-        None => LiveBook::new(config, 1, engine)
-            .map(|book| serve_sink(book, front))
-            .map_err(|e| e.to_string()),
-        Some(workers) => shard_worker_spec().and_then(|spec| {
+    match workers {
+        None if durable => {
+            let opened =
+                Durable::<LiveBook>::open(config, engine, ()).map_err(|e| e.to_string())?;
+            serve_sink(resumed(opened), front)
+        }
+        None => {
+            let book = LiveBook::new(config, 1, engine).map_err(|e| e.to_string())?;
+            serve_sink(book, front)
+        }
+        Some(workers) => {
+            let spec = shard_worker_spec()?;
             if durable {
-                Durable::<ClusterBook>::open(config, engine, (workers, spec))
-                    .map(|opened| serve_sink(resumed(opened), front))
-                    .map_err(|e| e.to_string())
+                let opened = Durable::<ClusterBook>::open(config, engine, (workers, spec))
+                    .map_err(|e| e.to_string())?;
+                serve_sink(resumed(opened), front)
             } else {
-                ClusterBook::spawn(config, budget, workers, spec)
-                    .map(|cluster| serve_sink(cluster, front))
-                    .map_err(|e| e.to_string())
+                let cluster =
+                    ClusterBook::spawn(config, budget, workers, spec).map_err(|e| e.to_string())?;
+                serve_sink(cluster, front)
             }
-        }),
-    };
-    served.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        ExitCode::FAILURE
-    })
+        }
+    }
 }
 
 /// Where `serve` takes its events from.
@@ -758,45 +614,30 @@ enum Front {
 
 /// `serve --script --batch`: the from-scratch oracle, one answer line per
 /// query.
-fn serve_batch(text: &str, mut book: BatchBook) -> ExitCode {
-    let events = match parse_script(text) {
-        Ok(events) => events,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for event in events {
-        match book.apply(event) {
-            Ok(Some(line)) => println!("{line}"),
-            Ok(None) => {}
-            Err(e) => {
-                // Unreachable for a validated script; kept as a guard.
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+fn serve_batch(text: &str, mut book: BatchBook) -> Outcome {
+    for event in parse_script(text).map_err(|e| e.to_string())? {
+        // Unreachable for a validated script; kept as a guard.
+        if let Some(line) = book.apply(event).map_err(|e| e.to_string())? {
+            println!("{line}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Drives a built sink through `front` on the serving loop. Both fronts
 /// validate ids against the sink's own [`Sequencer`]. A script that fails
 /// validation drops the sink unserved (a fleet's workers are killed and
 /// reaped with it).
-fn serve_sink<S: EventSink>(sink: S, front: Front) -> ExitCode
+fn serve_sink<S: EventSink>(sink: S, front: Front) -> Outcome
 where
     S::Error: std::fmt::Debug + std::fmt::Display,
 {
     let ids = sink.sequencer();
     match front {
-        Front::Script(text) => match parse_script_from(&text, ids) {
-            Ok(events) => drive(LiveServer::spawn_sink(sink), events),
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        Front::Script(text) => {
+            let events = parse_script_from(&text, ids).map_err(|e| e.to_string())?;
+            drive(LiveServer::spawn_sink(sink), events)
+        }
         Front::Listen(addr, config) => {
             listen_serve(&addr, config, LiveServer::spawn_sink(sink), ids)
         }
@@ -831,7 +672,7 @@ fn resumed<S>((sink, report): (S, RecoveryReport)) -> S {
 
 /// Feeds a parsed script through a spawned serving loop, printing one line
 /// per query, and reports how the loop shut down.
-fn drive<E: std::fmt::Display>(mut handle: LiveHandle<E>, events: Vec<Event>) -> ExitCode {
+fn drive<E: std::fmt::Display>(mut handle: LiveHandle<E>, events: Vec<Event>) -> Outcome {
     for event in events {
         match handle.send(event) {
             Ok(Some(line)) => println!("{line}"),
@@ -839,13 +680,7 @@ fn drive<E: std::fmt::Display>(mut handle: LiveHandle<E>, events: Vec<Event>) ->
             Err(_) => break, // the loop died; shutdown() reports why
         }
     }
-    match handle.shutdown() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    handle.shutdown().map_err(|e| e.to_string())
 }
 
 /// The `serve --listen` path: bind the TCP front over a spawned serving
@@ -858,14 +693,9 @@ fn listen_serve<E: std::fmt::Debug + std::fmt::Display + Send + 'static>(
     config: NetConfig,
     handle: LiveHandle<E>,
     ids: Sequencer,
-) -> ExitCode {
-    let server = match NetServer::bind(addr, config, handle, ids) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot serve on {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+) -> Outcome {
+    let server = NetServer::bind(addr, config, handle, ids)
+        .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     // Flushed line-by-line so a harness can scrape the bound port even
     // when --listen 127.0.0.1:0 picked it.
     eprintln!("listening on {}", server.local_addr());
@@ -890,16 +720,9 @@ fn listen_serve<E: std::fmt::Debug + std::fmt::Display + Send + 'static>(
     let result = server.run(&stop, std::io::stdout());
     stop.store(true, std::sync::atomic::Ordering::SeqCst);
     let _ = watcher.join();
-    match result {
-        Ok(summary) => {
-            eprintln!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let summary = result.map_err(|e| e.to_string())?;
+    eprintln!("{summary}");
+    Ok(())
 }
 
 /// What one `bomb` connection observed: per-request wall latencies plus
@@ -911,8 +734,9 @@ struct BombReport {
 
 /// The `bomb` load generator: N concurrent connections, each sending a
 /// deterministic seeded mix of adds, updates/removes of its own offers,
-/// and queries, timing every request round trip.
-fn bomb(rest: &[String]) -> ExitCode {
+/// and queries, timing every request round trip. Fails after printing the
+/// summary when a connection failed or any reply was an error.
+fn bomb(rest: &[String]) -> Outcome {
     let mut addr: Option<String> = None;
     let mut conns: usize = 4;
     let mut events_per_conn: u64 = 256;
@@ -921,40 +745,21 @@ fn bomb(rest: &[String]) -> ExitCode {
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --addr needs HOST:PORT");
-                    return ExitCode::FAILURE;
-                };
-                addr = Some(value.clone());
-            }
+            "--addr" => addr = Some(string_flag(&mut args, "--addr needs HOST:PORT")?),
             flag @ ("--conns" | "--events" | "--seed") => {
-                let n = match count_flag(flag, &mut args) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let n = count_flag(flag, &mut args)?;
                 match flag {
                     "--conns" => conns = n as usize,
                     "--events" => events_per_conn = n,
                     _ => seed = n,
                 }
             }
-            other => {
-                eprintln!("error: unknown bomb argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown bomb argument {other}\n{USAGE}")),
         }
     }
-    let Some(addr) = addr else {
-        eprintln!("error: bomb needs --addr HOST:PORT\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
+    let addr = addr.ok_or_else(|| format!("bomb needs --addr HOST:PORT\n{USAGE}"))?;
     if conns == 0 || events_per_conn == 0 {
-        eprintln!("error: --conns and --events must be at least 1");
-        return ExitCode::FAILURE;
+        return Err("--conns and --events must be at least 1".to_owned());
     }
 
     let started = std::time::Instant::now();
@@ -979,17 +784,14 @@ fn bomb(rest: &[String]) -> ExitCode {
 
     let mut latencies = Vec::new();
     let mut errors = 0u64;
-    let mut failed = false;
+    let mut failures = Vec::new();
     for (c, report) in reports.into_iter().enumerate() {
         match report {
             Ok(report) => {
                 latencies.extend(report.latencies_ms);
                 errors += report.errors;
             }
-            Err(e) => {
-                eprintln!("error: connection {c}: {e}");
-                failed = true;
-            }
+            Err(e) => failures.push(format!("connection {c}: {e}")),
         }
     }
     let requests = latencies.len();
@@ -998,7 +800,7 @@ fn bomb(rest: &[String]) -> ExitCode {
     } else {
         0.0
     };
-    let printed = with_stdout(|out| {
+    with_stdout(|out| {
         writeln!(
             out,
             "bomb: {conns} conns x {events_per_conn} events -> {requests} requests in {elapsed:.3}s ({rate:.0} req/s), {errors} error replies"
@@ -1009,11 +811,15 @@ fn bomb(rest: &[String]) -> ExitCode {
             }
         }
         Ok(())
-    });
-    if failed || errors > 0 {
-        return ExitCode::FAILURE;
+    })?;
+    if errors > 0 {
+        failures.push(format!("{errors} error replies"));
     }
-    printed
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 /// One bomb connection: adds dominate; every 8th request updates and
@@ -1067,74 +873,34 @@ fn bomb_connection(addr: &str, seed: u64, events: u64) -> Result<BombReport, Str
 /// snapshot + journal suffix, print a recovery summary to stderr, and
 /// answer the four query kinds in wire order on stdout — byte-identical
 /// to what the uninterrupted run would have answered.
-fn recover(rest: &[String]) -> ExitCode {
+fn recover(rest: &[String]) -> Outcome {
     let mut journal: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
-    let mut kernel = Kernel::Auto;
 
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--kernel" => {
-                kernel = match kernel_flag(&mut args) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--journal" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --journal needs a path");
-                    return ExitCode::FAILURE;
-                };
-                journal = Some(value.clone());
-            }
+            "--journal" => journal = Some(string_flag(&mut args, "--journal needs a path")?),
             flag @ ("--threads" | "--seed") => {
-                let n = match count_flag(flag, &mut args) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let n = count_flag(flag, &mut args)?;
                 match flag {
                     "--threads" => threads = Some(n as usize),
                     _ => seed = Some(n),
                 }
             }
-            other => {
-                eprintln!("error: unknown recover argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown recover argument {other}\n{USAGE}")),
         }
     }
-    let Some(journal) = journal else {
-        eprintln!("error: recover needs --journal PATH\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let budget = match budget_for(threads) {
-        Ok(b) => b.with_kernel(kernel),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let journal = journal.ok_or_else(|| format!("recover needs --journal PATH\n{USAGE}"))?;
+    let engine = Engine::new(budget_for(threads)?);
     let mut config = ServeConfig::default();
     if let Some(seed) = seed {
         config.seed = seed;
     }
     config.durability = Some(DurabilityConfig::new(journal));
 
-    let (mut book, report) = match recover_book(&config, 1, Engine::new(budget)) {
-        Ok(recovered) => recovered,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (mut book, report) = recover_book(&config, 1, engine).map_err(|e| e.to_string())?;
     eprintln!(
         "recovered {} events ({} bytes{}) from {}; replayed {}",
         report.journal_events,
@@ -1161,7 +927,7 @@ fn recover(rest: &[String]) -> ExitCode {
 /// the city workload ([`event_stream`]) with `--queries` query events
 /// (cycling measure/aggregate/schedule/trade) spread evenly through the
 /// stream — the input `flexctl serve` replays and CI diffs live-vs-batch.
-fn events(rest: &[String]) -> ExitCode {
+fn events(rest: &[String]) -> Outcome {
     let mut city: Option<usize> = None;
     let mut seed: u64 = 7;
     let mut churn_pct: f64 = 0.0;
@@ -1171,44 +937,29 @@ fn events(rest: &[String]) -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--churn" => {
-                let Some(value) = args.next() else {
-                    eprintln!("error: --churn needs a value (percent of offers)");
-                    return ExitCode::FAILURE;
-                };
-                let Ok(pct) = value.parse::<f64>() else {
-                    eprintln!("error: --churn takes a number, got {value}");
-                    return ExitCode::FAILURE;
-                };
+                let value = string_flag(&mut args, "--churn needs a value (percent of offers)")?;
+                let pct = value
+                    .parse::<f64>()
+                    .map_err(|_| format!("--churn takes a number, got {value}"))?;
                 if !pct.is_finite() || !(0.0..=100.0).contains(&pct) {
-                    eprintln!("error: --churn is a percentage between 0 and 100, got {value}");
-                    return ExitCode::FAILURE;
+                    return Err(format!(
+                        "--churn is a percentage between 0 and 100, got {value}"
+                    ));
                 }
                 churn_pct = pct;
             }
             flag @ ("--city" | "--seed" | "--queries") => {
-                let n = match count_flag(flag, &mut args) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let n = count_flag(flag, &mut args)?;
                 match flag {
                     "--city" => city = Some(n as usize),
                     "--seed" => seed = n,
                     _ => queries = n as usize,
                 }
             }
-            other => {
-                eprintln!("error: unknown events argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown events argument {other}\n{USAGE}")),
         }
     }
-    let Some(households) = city else {
-        eprintln!("error: events needs --city H\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
+    let households = city.ok_or_else(|| format!("events needs --city H\n{USAGE}"))?;
     let churn = churn_pct / 100.0;
     let total = event_stream_len(households, churn);
     // Queries go out every `stride` mutations (and any remainder at the
@@ -1237,14 +988,8 @@ fn events(rest: &[String]) -> ExitCode {
     })
 }
 
-fn measure(fo: &FlexOffer, names: &[String]) -> ExitCode {
-    let measures = match resolve_measures(names) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn measure(fo: &FlexOffer, names: &[String]) -> Outcome {
+    let measures = resolve_measures(names)?;
     with_stdout(|out| {
         writeln!(out, "flex-offer: {fo}")?;
         for m in measures {
@@ -1257,7 +1002,7 @@ fn measure(fo: &FlexOffer, names: &[String]) -> ExitCode {
     })
 }
 
-fn count(fo: &FlexOffer) -> ExitCode {
+fn count(fo: &FlexOffer) -> Outcome {
     with_stdout(|out| {
         match fo.unconstrained_assignment_count() {
             Some(n) => writeln!(out, "unconstrained assignments (Def. 8): {n}")?,
@@ -1282,16 +1027,12 @@ fn count(fo: &FlexOffer) -> ExitCode {
 /// closes early (`flexctl names | head -1`, `flexctl events ... | head`)
 /// is a normal way to stop consuming output, so `BrokenPipe` ends the
 /// command cleanly instead of panicking the way `println!` does; any
-/// other write error is reported and fails the command.
-fn with_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> ExitCode {
+/// other write error fails the command.
+fn with_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Outcome {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     match write(&mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: writing stdout: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
     }
 }

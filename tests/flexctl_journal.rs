@@ -264,11 +264,16 @@ fn durability_flag_misuse_is_rejected_with_named_errors() {
     let err = stderr_of_failure(&["recover"], None);
     assert!(err.contains("recover needs --journal"), "{err}");
 
-    let err = stderr_of_failure(
-        &["recover", "--journal", path_str(&journal), "--shards", "2"],
-        None,
-    );
-    assert!(err.contains("unknown recover argument --shards"), "{err}");
+    for (flag, value) in [("--shards", "2"), ("--kernel", "auto")] {
+        let err = stderr_of_failure(
+            &["recover", "--journal", path_str(&journal), flag, value],
+            None,
+        );
+        assert!(
+            err.contains(&format!("unknown recover argument {flag}")),
+            "{err}"
+        );
+    }
 
     let err = stderr_of_failure(&["serve", "--script", "-", "--journal"], Some(""));
     assert!(err.contains("--journal needs a path"), "{err}");

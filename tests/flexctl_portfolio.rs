@@ -154,6 +154,38 @@ fn portfolio_json_output_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn a_mixed_measure_set_is_byte_identical_across_thread_counts() {
+    // `assignments-exact` has no columnar kernel, so the engine's batches
+    // evaluate it per offer beside the columnar `time` and `abs-area`
+    // passes; the 10k-offer city spreads that over several chunks.
+    let json = |threads: &str| {
+        stdout_of(
+            &[
+                "measure",
+                "--portfolio",
+                "--city",
+                "2956",
+                "time",
+                "abs-area",
+                "assignments-exact",
+                "--json",
+                "--threads",
+                threads,
+            ],
+            None,
+        )
+    };
+    let one = json("1");
+    assert!(
+        one.contains("\"offers\": 10003"),
+        "city sizing drifted:\n{one}"
+    );
+    let report: JsonReport = serde_json::from_str(&one).expect("--json output parses");
+    assert_eq!(report.measures.len(), 3);
+    assert_eq!(one, json("2"));
+}
+
+#[test]
 fn portfolio_measure_honours_a_measure_subset() {
     let template = portfolio_template();
     let out = flexctl(
@@ -217,7 +249,11 @@ fn unknown_measure_is_rejected() {
     let out = flexctl(&["measure", "--portfolio", "-", "entropy"], Some(&template));
     assert!(!out.status.success(), "unknown measure must fail");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(stderr.contains("unknown measure"), "stderr: {stderr}");
+    // Printed like every other failure: one `error:` line.
+    assert!(
+        stderr.starts_with("error: unknown measure entropy; see `flexctl names`"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -264,19 +300,21 @@ fn seed_without_city_is_rejected() {
 
 #[test]
 fn batch_commands_have_no_shards_flag() {
-    // A batch portfolio has one path (flat, parallel by --threads); no
-    // command takes a shard count.
-    let stderr = stderr_of_failure(
-        &["measure", "--portfolio", "--city", "10", "--shards", "4"],
-        None,
-    );
-    assert!(
-        stderr.contains("unknown measure argument --shards"),
-        "stderr: {stderr}"
-    );
-    let stderr = stderr_of_failure(&["simulate", "--scenario", "market", "--shards", "4"], None);
-    assert!(
-        stderr.contains("unknown simulate argument --shards"),
-        "stderr: {stderr}"
-    );
+    // A batch portfolio has one path (flat, parallel by --threads, one
+    // evaluation route): no command takes a shard count or a kernel.
+    for (flag, value) in [("--shards", "4"), ("--kernel", "columnar")] {
+        let stderr = stderr_of_failure(
+            &["measure", "--portfolio", "--city", "10", flag, value],
+            None,
+        );
+        assert!(
+            stderr.contains(&format!("error: unknown measure argument {flag}")),
+            "stderr: {stderr}"
+        );
+        let stderr = stderr_of_failure(&["simulate", "--scenario", "market", flag, value], None);
+        assert!(
+            stderr.contains(&format!("error: unknown simulate argument {flag}")),
+            "stderr: {stderr}"
+        );
+    }
 }

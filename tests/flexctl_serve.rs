@@ -186,12 +186,15 @@ fn serve_flag_errors_are_named() {
     let stderr = stderr_of_failure(&["serve", "--script", "/no/such/file.jsonl"], None);
     assert!(stderr.contains("reading"), "stderr: {stderr}");
 
-    // An in-process book is one shard; the shard count is no knob.
-    let stderr = stderr_of_failure(&["serve", "--script", "-", "--shards", "2"], Some(script));
-    assert!(
-        stderr.contains("unknown serve argument --shards"),
-        "stderr: {stderr}"
-    );
+    // An in-process book is one shard and the engine has one evaluation
+    // route; neither the shard count nor the kernel is a knob.
+    for (flag, value) in [("--shards", "2"), ("--kernel", "scalar")] {
+        let stderr = stderr_of_failure(&["serve", "--script", "-", flag, value], Some(script));
+        assert!(
+            stderr.contains(&format!("unknown serve argument {flag}")),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 #[test]
