@@ -300,21 +300,20 @@ fn seed_without_city_is_rejected() {
 
 #[test]
 fn batch_commands_have_no_shards_flag() {
-    // A batch portfolio has one path (flat, parallel by --threads, one
-    // evaluation route): no command takes a shard count or a kernel.
-    for (flag, value) in [("--shards", "4"), ("--kernel", "columnar")] {
-        let stderr = stderr_of_failure(
-            &["measure", "--portfolio", "--city", "10", flag, value],
-            None,
-        );
-        assert!(
-            stderr.contains(&format!("error: unknown measure argument {flag}")),
-            "stderr: {stderr}"
-        );
-        let stderr = stderr_of_failure(&["simulate", "--scenario", "market", flag, value], None);
-        assert!(
-            stderr.contains(&format!("error: unknown simulate argument {flag}")),
-            "stderr: {stderr}"
-        );
-    }
+    // A batch portfolio has one path (flat, parallel by --threads): no
+    // command takes a shard count. `--kernel` has its own rejection tests
+    // in tests/flexctl_kernel.rs.
+    let stderr = stderr_of_failure(
+        &["measure", "--portfolio", "--city", "10", "--shards", "4"],
+        None,
+    );
+    assert!(
+        stderr.contains("error: unknown measure argument --shards"),
+        "stderr: {stderr}"
+    );
+    let stderr = stderr_of_failure(&["simulate", "--scenario", "market", "--shards", "4"], None);
+    assert!(
+        stderr.contains("error: unknown simulate argument --shards"),
+        "stderr: {stderr}"
+    );
 }
