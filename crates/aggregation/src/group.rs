@@ -7,6 +7,7 @@
 //! times and time flexibilities stay within configured tolerances — the
 //! knobs the flexibility-loss experiment sweeps.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
@@ -61,11 +62,18 @@ impl GroupingParams {
 /// current group while its `tes` stays within `est_tolerance` of the group's
 /// first `tes`, its `tf` within `tf_tolerance` of the group's first `tf`,
 /// and the size cap is not hit. Groups are returned in sweep order; indices
-/// refer to the *input* slice.
-pub fn group_indices(offers: &[FlexOffer], params: &GroupingParams) -> Vec<Vec<usize>> {
+/// refer to the *input* slice, which may be owned or a borrowed view
+/// (`&[&FlexOffer]`).
+pub fn group_indices<O: Borrow<FlexOffer>>(
+    offers: &[O],
+    params: &GroupingParams,
+) -> Vec<Vec<usize>> {
     let keys: Vec<(i64, i64)> = offers
         .iter()
-        .map(|fo| (fo.earliest_start(), fo.time_flexibility()))
+        .map(|fo| {
+            let fo = fo.borrow();
+            (fo.earliest_start(), fo.time_flexibility())
+        })
         .collect();
     group_keys(&keys, params)
 }
@@ -255,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_input_empty_output() {
-        assert!(group_indices(&[], &GroupingParams::single_group()).is_empty());
+        assert!(group_indices::<FlexOffer>(&[], &GroupingParams::single_group()).is_empty());
         assert!(group_offers(&[], &GroupingParams::strict()).is_empty());
     }
 

@@ -1,5 +1,7 @@
 //! Start-alignment aggregation (Šikšnys et al., SSDBM 2012).
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 
 use flexoffers_model::{FlexOffer, Slice, TimeSlot};
@@ -53,50 +55,28 @@ impl Aggregate {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
-
-    /// A new aggregate with `member` added — incremental maintenance for
-    /// aggregators that receive flex-offers one at a time (the MIRABEL
-    /// setting). Start-alignment state is a pure function of the member
-    /// set, so this rebuilds; the method exists to keep call sites
-    /// intention-revealing and to centralise the invariant.
-    pub fn with_member(&self, member: FlexOffer) -> Self {
-        let mut members = self.members.clone();
-        members.push(member);
-        aggregate(&members).expect("non-empty by construction")
-    }
-
-    /// A new aggregate with the member at `index` removed, or `None` when
-    /// removing the last member (an empty aggregate is not a thing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn without_member(&self, index: usize) -> Option<Self> {
-        assert!(index < self.members.len(), "member index out of bounds");
-        if self.members.len() == 1 {
-            return None;
-        }
-        let mut members = self.members.clone();
-        members.remove(index);
-        Some(aggregate(&members).expect("still non-empty"))
-    }
 }
 
 /// Aggregates the group selected by `indices` out of a shared offer slice —
 /// the parallel-safe grouping entry point: workers aggregating disjoint
 /// index groups share `offers` immutably and touch no other state, so a
 /// batch engine can fan groups out across threads and merge results in
-/// group order.
+/// group order. `offers` may be owned or a borrowed view
+/// (`&[&FlexOffer]`); each member is cloned once, into the aggregate.
 ///
 /// # Panics
 ///
 /// Panics if any index is out of bounds for `offers`.
-pub fn aggregate_indices(
-    offers: &[FlexOffer],
+pub fn aggregate_indices<O: Borrow<FlexOffer>>(
+    offers: &[O],
     indices: &[usize],
 ) -> Result<Aggregate, AggregationError> {
-    let members: Vec<FlexOffer> = indices.iter().map(|&i| offers[i].clone()).collect();
-    aggregate(&members)
+    from_members(
+        indices
+            .iter()
+            .map(|&i| offers[i].borrow().clone())
+            .collect(),
+    )
 }
 
 /// Aggregates a group of flex-offers by start alignment.
@@ -106,6 +86,11 @@ pub fn aggregate_indices(
 ///   contribute nothing);
 /// * `cmin_A = sum(cmin_i)`, `cmax_A = sum(cmax_i)`.
 pub fn aggregate(members: &[FlexOffer]) -> Result<Aggregate, AggregationError> {
+    from_members(members.to_vec())
+}
+
+/// [`aggregate`] over an owned member list, which moves into the result.
+fn from_members(members: Vec<FlexOffer>) -> Result<Aggregate, AggregationError> {
     if members.is_empty() {
         return Err(AggregationError::EmptyGroup);
     }
@@ -150,7 +135,7 @@ pub fn aggregate(members: &[FlexOffer]) -> Result<Aggregate, AggregationError> {
         .expect("aggregation preserves flex-offer invariants");
     Ok(Aggregate {
         flexoffer,
-        members: members.to_vec(),
+        members,
         offsets,
     })
 }
@@ -195,6 +180,8 @@ mod tests {
         let by_index = aggregate_indices(&offers, &[0, 1]).unwrap();
         let direct = aggregate(&offers[..2]).unwrap();
         assert_eq!(by_index, direct);
+        let view: Vec<&FlexOffer> = offers.iter().rev().collect();
+        assert_eq!(aggregate_indices(&view, &[2, 1]).unwrap(), direct);
         assert_eq!(
             aggregate_indices(&offers, &[]),
             Err(AggregationError::EmptyGroup)
@@ -283,37 +270,6 @@ mod tests {
         let a = aggregate(&[consumer, producer]).unwrap();
         assert_eq!(a.flexoffer().sign(), flexoffers_model::SignClass::Mixed);
         assert_eq!(a.flexoffer().slices()[0], Slice::new(-1, 3).unwrap());
-    }
-
-    #[test]
-    fn with_member_equals_batch_aggregation() {
-        let a = fo(0, 2, vec![(1, 2)]);
-        let b = fo(1, 4, vec![(0, 3)]);
-        let c = fo(0, 3, vec![(2, 2), (1, 1)]);
-        let incremental = aggregate(std::slice::from_ref(&a))
-            .unwrap()
-            .with_member(b.clone())
-            .with_member(c.clone());
-        let batch = aggregate(&[a, b, c]).unwrap();
-        assert_eq!(incremental, batch);
-    }
-
-    #[test]
-    fn without_member_inverts_with_member() {
-        let a = fo(0, 2, vec![(1, 2)]);
-        let b = fo(1, 4, vec![(0, 3)]);
-        let base = aggregate(std::slice::from_ref(&a)).unwrap();
-        let grown = base.with_member(b);
-        let shrunk = grown.without_member(1).expect("two members");
-        assert_eq!(shrunk, base);
-        assert_eq!(shrunk.without_member(0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "member index out of bounds")]
-    fn without_member_bounds_checked() {
-        let a = aggregate(&[fo(0, 2, vec![(1, 2)])]).unwrap();
-        let _ = a.without_member(5);
     }
 
     #[test]

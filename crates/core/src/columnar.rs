@@ -564,7 +564,7 @@ impl ColumnarBatch {
     /// arithmetic throughout; the returned series matches the scalar fold
     /// representation exactly (same anchor, same stored span), so chunked
     /// partials merge bitwise identically.
-    pub fn baseline_partial(&mut self, offers: &[FlexOffer]) -> Series<i64> {
+    pub fn baseline_partial<O: Borrow<FlexOffer>>(&mut self, offers: &[O]) -> Series<i64> {
         self.load(offers);
         if self.is_empty() {
             return Series::empty();
@@ -727,7 +727,7 @@ mod tests {
     fn empty_batch_yields_no_rows_and_an_empty_baseline() {
         let mut batch = ColumnarBatch::new();
         assert!(batch.rows::<FlexOffer>(&[], &all_measures()).is_empty());
-        assert!(batch.baseline_partial(&[]).is_empty());
+        assert!(batch.baseline_partial::<FlexOffer>(&[]).is_empty());
     }
 
     #[test]

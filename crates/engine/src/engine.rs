@@ -122,10 +122,9 @@ impl Engine {
     /// [`Measure::of_prepared`] on that offer; nothing is reduced off the
     /// calling thread.
     ///
-    /// Public because the Scenario 1 correlations need the rows themselves
-    /// (see [`flatten_rows`](crate::scenario::flatten_rows)): the batch
-    /// report runs it over the portfolio, and the live book over its
-    /// id-ordered borrowed view — the same rows, bit for bit.
+    /// The Scenario 1 correlations read these rows
+    /// ([`Engine::simulate_grouped`]), over an owned portfolio or a
+    /// borrowed view alike.
     pub fn per_offer_rows<O: Borrow<FlexOffer> + Sync>(
         &self,
         offers: &[O],
@@ -139,6 +138,25 @@ impl Engine {
         chunks.into_iter().flatten().collect()
     }
 
+    /// Start-alignment-aggregates each of `groups` (index lists into
+    /// `offers`, e.g. from [`group_indices`]), groups fanned out across
+    /// worker threads and merged in group order — the one parallel
+    /// per-group aggregation behind every pipeline. `offers` may be owned
+    /// or a borrowed view; each member is cloned once, into its aggregate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a group is empty or names an index outside `offers`.
+    pub fn aggregate_groups<O: Borrow<FlexOffer> + Sync>(
+        &self,
+        offers: &[O],
+        groups: &[Vec<usize>],
+    ) -> Vec<Aggregate> {
+        parallel_map(groups, self.budget.threads(), |indices| {
+            aggregate_indices(offers, indices).expect("grouping never yields empty groups")
+        })
+    }
+
     /// Groups `offers` under `params` and start-alignment-aggregates each
     /// group, groups fanned out across worker threads. Output order (and
     /// content) is identical to the sequential
@@ -148,10 +166,7 @@ impl Engine {
         offers: &[FlexOffer],
         params: &GroupingParams,
     ) -> Vec<Aggregate> {
-        let groups = group_indices(offers, params);
-        parallel_map(&groups, self.budget.threads(), |indices| {
-            aggregate_indices(offers, indices).expect("grouping never yields empty groups")
-        })
+        self.aggregate_groups(offers, &group_indices(offers, params))
     }
 
     /// The full Scenario 1 pipeline at portfolio scale: group with
@@ -177,33 +192,19 @@ impl Engine {
     ) -> Result<PipelineOutcome, SchedulingError> {
         let offers = problem.offers();
         let groups = group_indices(offers, params);
-        let aggregates: Vec<Aggregate> = parallel_map(&groups, self.budget.threads(), |indices| {
-            aggregate_indices(offers, indices).expect("grouping never yields empty groups")
-        });
-        let outcome = self.schedule_aggregates(
-            &aggregates,
-            &groups,
-            offers.len(),
-            problem.target(),
-            scheduler,
-        )?;
-        debug_assert!(problem.is_feasible(&outcome.schedule));
-        Ok(outcome)
+        let aggregates = self.aggregate_groups(offers, &groups);
+        self.schedule_aggregates(offers, &aggregates, &groups, problem.target(), scheduler)
     }
 
-    /// The back half of the Scenario 1 pipeline, starting from
-    /// already-computed aggregates and their member groups: schedule the
-    /// reduced problem on the calling thread, realize every aggregate's
-    /// plan at member level in parallel, and scatter the member
-    /// assignments back to input positions. One implementation behind
-    /// [`Engine::schedule_portfolio`] and the serving tier's incremental
-    /// schedule query — so the pipeline's stages cannot drift between the
-    /// batch and live paths.
-    pub fn schedule_aggregates(
+    /// The back half of the Scenario 1 pipeline, from the aggregates of
+    /// `groups` over `offers`: schedule the reduced problem on the calling
+    /// thread, realize every aggregate's plan at member level in parallel,
+    /// and scatter the member assignments back to input positions.
+    pub(crate) fn schedule_aggregates<O: Borrow<FlexOffer>>(
         &self,
+        offers: &[O],
         aggregates: &[Aggregate],
         groups: &[Vec<usize>],
-        offers_len: usize,
         target: &Series<i64>,
         scheduler: &dyn Scheduler,
     ) -> Result<PipelineOutcome, SchedulingError> {
@@ -222,7 +223,15 @@ impl Engine {
                 realize_aggregate(agg, assignment)
             });
 
-        Ok(assemble_member_schedule(offers_len, groups, realized))
+        let outcome = assemble_member_schedule(offers.len(), groups, realized);
+        debug_assert!(
+            offers
+                .iter()
+                .zip(outcome.schedule.assignments())
+                .all(|(fo, a)| fo.borrow().is_valid_assignment(a)),
+            "every member assignment is feasible"
+        );
+        Ok(outcome)
     }
 
     /// The full Scenario 2 pipeline at portfolio scale: group and
@@ -260,7 +269,7 @@ impl Engine {
     /// and exactly the fold of any other partition's partials (the live
     /// book keeps one partial per shard, refreshed only when the shard is
     /// dirty, and sums them on every trade query).
-    pub fn baseline_load_parallel(&self, offers: &[FlexOffer]) -> Series<i64> {
+    pub fn baseline_load_parallel<O: Borrow<FlexOffer> + Sync>(&self, offers: &[O]) -> Series<i64> {
         let chunk_size = self.budget.chunk_size_for(offers.len());
         let ranges = chunk_ranges(offers.len(), chunk_size);
         let partials = parallel_map(&ranges, self.budget.threads(), |range| {

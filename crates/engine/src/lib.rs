@@ -10,7 +10,8 @@
 //!   chunked across `std::thread::scope` workers with a deterministic merge
 //!   order, producing a [`PortfolioReport`];
 //! * [`Engine::aggregate_portfolio`] — tolerance grouping plus per-group
-//!   start-alignment aggregation, each group aggregated in parallel;
+//!   start-alignment aggregation, each group aggregated in parallel by
+//!   [`Engine::aggregate_groups`], the one per-group aggregation;
 //! * [`Engine::schedule_portfolio`] — the full Scenario 1 pipeline
 //!   (group → aggregate → schedule → realize) with the per-group and
 //!   per-aggregate stages fanned out, bitwise identical to the sequential
@@ -23,8 +24,10 @@
 //!   market knobs, scheduler choice) run end to end into a
 //!   [`ScenarioReport`] with text/JSON rendering —
 //!   [`Engine::simulate_portfolio`] runs the same pipelines over a
-//!   caller-supplied portfolio (the seam the serving tier's batch oracle
-//!   and the CLI share);
+//!   caller-supplied portfolio, and both go through
+//!   [`Engine::simulate_grouped`], the one scenario pipeline, which also
+//!   answers the serving tier's schedule and trade queries from a grouping
+//!   and a baseline the caller supplies;
 //! * [`stable_shard`] — the one stable hash placement the serving tier's
 //!   live book and the cluster route offers by (a batch portfolio has one
 //!   path: flat, parallel by the [`Budget`]'s thread count);

@@ -5,27 +5,29 @@
 //! portfolio toward a target profile, Scenario 2 trading aggregates on a
 //! balancing market — share a workload (a seeded city portfolio), knobs
 //! (grouping tolerances, scheduler, market parameters) and a reporting
-//! shape. [`Scenario`] bundles the knobs, [`Engine::simulate`] runs the
-//! selected pipeline through the parallel engine
-//! ([`Engine::schedule_portfolio`] / [`Engine::trade_portfolio`]) and
-//! returns a [`ScenarioReport`].
+//! shape. [`Scenario`] bundles the knobs, and [`Engine::simulate_grouped`]
+//! runs the selected pipeline through the parallel engine over a grouped
+//! portfolio and returns a [`ScenarioReport`] — bitwise the outcome of
+//! [`Engine::schedule_portfolio`] / [`Engine::trade_portfolio`].
+//! [`Engine::simulate`] feeds it the scenario's own city.
 //!
 //! Everything is deterministic: the portfolio, target and price traces are
 //! pure functions of the scenario's seed, and the engine's pipelines are
 //! bitwise identical at any thread count, so two simulations of the same
 //! scenario agree byte for byte regardless of the budget.
 
+use std::borrow::Borrow;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
 
-use flexoffers_aggregation::GroupingParams;
+use flexoffers_aggregation::{group_indices, GroupingParams};
 use flexoffers_market::{baseline_load, Aggregator, LotDecision, SpotMarket};
-use flexoffers_measures::all_measures;
-use flexoffers_model::Portfolio;
+use flexoffers_measures::{all_measures, PreparedOffer};
+use flexoffers_model::{FlexOffer, Portfolio};
 use flexoffers_scheduling::{
-    EarliestStartScheduler, GreedyScheduler, HillClimbScheduler, Scheduler, SchedulingError,
-    SchedulingProblem,
+    earliest_start_assignment, GreedyScheduler, HillClimbScheduler, Schedule, Scheduler,
+    SchedulingError,
 };
 use flexoffers_timeseries::Series;
 use flexoffers_workloads::city;
@@ -238,22 +240,14 @@ impl From<SchedulingError> for ScenarioError {
 
 impl Engine {
     /// Runs `scenario` end to end through the parallel pipelines and
-    /// reports the outcome.
-    ///
-    /// * [`ScenarioKind::Schedule`]: generate the portfolio and target,
-    ///   run [`Engine::schedule_portfolio`], compare against the
-    ///   earliest-start baseline, and correlate each measure's per-offer
-    ///   value with the start shift the schedule realized.
-    /// * [`ScenarioKind::Market`]: generate the portfolio and market, run
-    ///   the [`Engine::trade_portfolio`] pipeline, and correlate each
-    ///   measure's per-aggregate value with the aggregate's realized
-    ///   savings over its members' baseline cost.
+    /// reports the outcome: [`Engine::simulate_portfolio`] over
+    /// [`Scenario::portfolio`].
     ///
     /// Reports are bitwise identical across thread counts and chunk sizes
     /// (the [`ScenarioReport::json`](crate::ScenarioReport::json) mirror
     /// excludes wall-clock fields for exactly this reason).
     pub fn simulate(&self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
-        self.simulate_portfolio(scenario, scenario.portfolio())
+        self.simulate_portfolio(scenario, scenario.portfolio().as_slice())
     }
 
     /// Runs `scenario`'s pipeline over a *caller-supplied* portfolio
@@ -261,210 +255,178 @@ impl Engine {
     /// portfolios that arrived some other way (a file, a replayed event
     /// stream). The scenario still contributes every knob and derived
     /// trace: grouping, scheduler, target profile (scaled to the given
-    /// portfolio's size), spot market. [`Engine::simulate`] is exactly
-    /// this over [`Scenario::portfolio`].
-    ///
-    /// The portfolio is taken by value: Scenario 1 moves its offers into
-    /// the [`SchedulingProblem`] instead of cloning the whole book.
-    pub fn simulate_portfolio(
+    /// portfolio's size), spot market. This is [`group_indices`] and
+    /// [`Engine::baseline_load_parallel`] over `offers`, fed to
+    /// [`Engine::simulate_grouped`].
+    pub fn simulate_portfolio<O: Borrow<FlexOffer> + Sync>(
         &self,
         scenario: &Scenario,
-        portfolio: Portfolio,
+        offers: &[O],
+    ) -> Result<ScenarioReport, ScenarioError> {
+        let groups = group_indices(offers, &scenario.grouping);
+        self.simulate_grouped(scenario, offers, &groups, || {
+            self.baseline_load_parallel(offers)
+        })
+    }
+
+    /// Runs `scenario`'s pipeline over `offers` (the logical portfolio, in
+    /// order, owned or borrowed), already grouped under the scenario's
+    /// tolerances, with `baseline` giving the portfolio's no-flexibility
+    /// load — the one scenario pipeline behind the CLI, the batch oracle
+    /// and the live book, which differ only in how they supply the
+    /// grouping and the baseline. `baseline` is called only by Scenario 2.
+    ///
+    /// * [`ScenarioKind::Schedule`]: aggregate each group, schedule the
+    ///   aggregates toward the target, realize the plans at member level,
+    ///   compare against the earliest-start baseline, and correlate each
+    ///   measure's per-offer value with the start shift the schedule
+    ///   realized. The outcome is bitwise identical to
+    ///   [`Engine::schedule_portfolio`].
+    /// * [`ScenarioKind::Market`]: aggregate each group, evaluate every
+    ///   aggregate against the spot market, settle in aggregate order, and
+    ///   correlate each measure's per-aggregate value with the aggregate's
+    ///   realized savings over its members' baseline cost. The settlement
+    ///   is bitwise identical to [`Engine::trade_portfolio`].
+    ///
+    /// `groups` must be [`group_indices`] of `offers` under
+    /// `scenario.grouping` (or the same partition reached another way) and
+    /// `baseline` must be [`flexoffers_market::baseline_load`] of `offers`
+    /// (any partition of it summed, since integer addition is exact).
+    pub fn simulate_grouped<O: Borrow<FlexOffer> + Sync>(
+        &self,
+        scenario: &Scenario,
+        offers: &[O],
+        groups: &[Vec<usize>],
+        baseline: impl FnOnce() -> Series<i64>,
     ) -> Result<ScenarioReport, ScenarioError> {
         let started = Instant::now();
-        if portfolio.is_empty() {
+        if offers.is_empty() {
             return Err(ScenarioError::EmptyPortfolio);
         }
-        match scenario.kind {
-            ScenarioKind::Schedule => self.simulate_schedule(scenario, portfolio, started),
-            ScenarioKind::Market => Ok(self.simulate_market(scenario, &portfolio, started)),
-        }
-    }
+        let aggregates = self.aggregate_groups(offers, groups);
+        let (schedule, market, correlations) = match scenario.kind {
+            ScenarioKind::Schedule => {
+                let target = scenario.target_for(offers.len());
+                let scheduler = scenario.scheduler.build();
+                let outcome = self.schedule_aggregates(
+                    offers,
+                    &aggregates,
+                    groups,
+                    &target,
+                    scheduler.as_ref(),
+                )?;
+                let earliest = Schedule::new(
+                    offers
+                        .iter()
+                        .map(|fo| earliest_start_assignment(fo.borrow()))
+                        .collect(),
+                );
 
-    fn simulate_schedule(
-        &self,
-        scenario: &Scenario,
-        portfolio: Portfolio,
-        started: Instant,
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let target = scenario.target_for(portfolio.len());
-        let problem = SchedulingProblem::new(portfolio.into_offers(), target);
-        let offers = problem.offers();
-        let scheduler = scenario.scheduler.build();
-        let outcome = self.schedule_portfolio(&problem, &scenario.grouping, scheduler.as_ref())?;
-        let baseline = EarliestStartScheduler.schedule(&problem)?;
-        let imbalance_before = baseline.imbalance(problem.target());
-        let imbalance_after = outcome.schedule.imbalance(problem.target());
-
-        // Which measure predicted how much an offer's flexibility got
-        // used? Per-offer measure values (parallel, merged in portfolio
-        // order) against the realized start shift.
-        let rows = flatten_rows(self.per_offer_rows(offers, &all_measures()));
-        let shifts: Vec<f64> = outcome
-            .schedule
-            .assignments()
-            .iter()
-            .zip(offers)
-            .map(|(a, fo)| (a.start() - fo.earliest_start()) as f64)
-            .collect();
-        Ok(self.schedule_report(
-            scenario,
-            offers.len(),
-            &outcome,
-            imbalance_before,
-            imbalance_after,
-            &rows,
-            &shifts,
-            started,
-        ))
-    }
-
-    /// Assembles the Scenario 1 report from an already-run pipeline — one
-    /// code path for the batch and live-serving paths, so their reports
-    /// cannot drift. `rows` are the per-offer measure values
-    /// (errors flattened, see [`flatten_rows`]) and `shifts` the realized
-    /// start shifts, both in portfolio order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_report(
-        &self,
-        scenario: &Scenario,
-        offers: usize,
-        outcome: &flexoffers_scheduling::PipelineOutcome,
-        imbalance_before: flexoffers_scheduling::Imbalance,
-        imbalance_after: flexoffers_scheduling::Imbalance,
-        rows: &[Vec<Option<f64>>],
-        shifts: &[f64],
-        started: Instant,
-    ) -> ScenarioReport {
-        ScenarioReport {
-            scenario: scenario.kind,
-            seed: scenario.seed,
-            households: scenario.households,
-            offers,
-            aggregates: outcome.aggregates,
-            threads: self.budget().threads(),
-            elapsed: started.elapsed(),
-            schedule: Some(ScheduleSummary {
-                scheduler: scenario.scheduler.name(),
-                unrealizable_plans: outcome.unrealizable_plans,
-                imbalance_before,
-                imbalance_after,
-            }),
-            market: None,
-            correlations: correlate(rows, shifts),
-        }
-    }
-
-    fn simulate_market(
-        &self,
-        scenario: &Scenario,
-        portfolio: &Portfolio,
-        started: Instant,
-    ) -> ScenarioReport {
-        let offers = portfolio.as_slice();
-        let aggregator = scenario.aggregator();
-        let aggregates = self.aggregate_portfolio(offers, &aggregator.grouping);
-        let baseline = self.baseline_load_parallel(offers);
-        self.market_report(scenario, offers.len(), &aggregates, &baseline, started)
-    }
-
-    /// Runs the market evaluation over already-gathered aggregates and
-    /// assembles the Scenario 2 report — one code path for the batch and
-    /// live-serving paths, so their reports cannot drift. `baseline` is
-    /// the portfolio's no-flexibility load (the live book folds per-shard
-    /// partials; integer series addition makes any partition exact).
-    pub fn market_report(
-        &self,
-        scenario: &Scenario,
-        offers: usize,
-        aggregates: &[flexoffers_aggregation::Aggregate],
-        baseline: &Series<i64>,
-        started: Instant,
-    ) -> ScenarioReport {
-        let market = scenario.spot_market();
-        let aggregator = scenario.aggregator();
-
-        // One parallel pass per aggregate: the market decision, the eight
-        // measure values of the aggregate flex-offer, and — for admitted
-        // lots only — the members' baseline cost (the reference their
-        // savings are quoted against; rejected lots never trade, and their
-        // baseline was already priced inside `evaluate`).
-        let measures = all_measures();
-        type Evaluated = (LotDecision, Vec<Option<f64>>, Option<f64>);
-        let evaluated: Vec<Evaluated> = parallel_map(aggregates, self.budget().threads(), |agg| {
-            let decision = aggregator.evaluate(agg, &market);
-            let prepared = flexoffers_measures::PreparedOffer::new(agg.flexoffer());
-            let values = measures
-                .iter()
-                .map(|m| m.of_prepared(&prepared).ok())
-                .collect();
-            let member_baseline = match &decision {
-                LotDecision::Admitted(_) => Some(market.cost_of(&baseline_load(agg.members()))),
-                LotDecision::Rejected { .. } => None,
-            };
-            (decision, values, member_baseline)
-        });
-
-        // Correlate per-aggregate measure values with realized savings.
-        let mut rows = Vec::new();
-        let mut savings = Vec::new();
-        for (decision, values, member_baseline) in &evaluated {
-            if let LotDecision::Admitted(order) = decision {
-                rows.push(values.clone());
-                let member_baseline = member_baseline.expect("admitted lots carry a baseline");
-                savings
-                    .push(member_baseline - (order.cost + market.imbalance_cost(order.imbalance)));
+                // Which measure predicted how much an offer's flexibility
+                // got used? Per-offer measure values (parallel, merged in
+                // portfolio order) against the realized start shift.
+                let rows: Vec<Vec<Option<f64>>> = self
+                    .per_offer_rows(offers, &all_measures())
+                    .into_iter()
+                    .map(|row| row.into_iter().map(Result::ok).collect())
+                    .collect();
+                let shifts: Vec<f64> = outcome
+                    .schedule
+                    .assignments()
+                    .iter()
+                    .zip(offers)
+                    .map(|(a, fo)| (a.start() - fo.borrow().earliest_start()) as f64)
+                    .collect();
+                let summary = ScheduleSummary {
+                    scheduler: scenario.scheduler.name(),
+                    unrealizable_plans: outcome.unrealizable_plans,
+                    imbalance_before: earliest.imbalance(&target),
+                    imbalance_after: outcome.schedule.imbalance(&target),
+                };
+                (Some(summary), None, correlate(&rows, &shifts))
             }
-        }
-        let correlations = correlate(&rows, &savings);
+            ScenarioKind::Market => {
+                let market = scenario.spot_market();
+                let aggregator = scenario.aggregator();
 
-        let baseline_cost = market.cost_of(baseline);
-        let outcome = Aggregator::settle(
-            evaluated.into_iter().map(|(decision, _, _)| decision),
-            baseline_cost,
-            &market,
-        );
+                // One parallel pass per aggregate: the market decision, the
+                // eight measure values of the aggregate flex-offer, and —
+                // for admitted lots only — the members' baseline cost (the
+                // reference their savings are quoted against; rejected
+                // lots never trade, and their baseline was already priced
+                // inside `evaluate`).
+                let measures = all_measures();
+                type Evaluated = (LotDecision, Vec<Option<f64>>, Option<f64>);
+                let evaluated: Vec<Evaluated> =
+                    parallel_map(&aggregates, self.budget().threads(), |agg| {
+                        let decision = aggregator.evaluate(agg, &market);
+                        let prepared = PreparedOffer::new(agg.flexoffer());
+                        let values = measures
+                            .iter()
+                            .map(|m| m.of_prepared(&prepared).ok())
+                            .collect();
+                        let member_baseline = match &decision {
+                            LotDecision::Admitted(_) => {
+                                Some(market.cost_of(&baseline_load(agg.members())))
+                            }
+                            LotDecision::Rejected { .. } => None,
+                        };
+                        (decision, values, member_baseline)
+                    });
 
-        ScenarioReport {
+                // Correlate per-aggregate measure values with realized
+                // savings.
+                let mut rows = Vec::new();
+                let mut savings = Vec::new();
+                for (decision, values, member_baseline) in &evaluated {
+                    if let LotDecision::Admitted(order) = decision {
+                        rows.push(values.clone());
+                        let member_baseline =
+                            member_baseline.expect("admitted lots carry a baseline");
+                        savings.push(
+                            member_baseline - (order.cost + market.imbalance_cost(order.imbalance)),
+                        );
+                    }
+                }
+                let correlations = correlate(&rows, &savings);
+
+                let outcome = Aggregator::settle(
+                    evaluated.into_iter().map(|(decision, _, _)| decision),
+                    market.cost_of(&baseline()),
+                    &market,
+                );
+                let summary = MarketSummary {
+                    orders: outcome.orders.len(),
+                    rejected_lots: outcome.rejected_lots,
+                    procurement_cost: outcome.procurement_cost,
+                    imbalance_cost: outcome.imbalance_cost,
+                    rejected_cost: outcome.rejected_cost,
+                    baseline_cost: outcome.baseline_cost,
+                    savings: outcome.savings(),
+                    relative_savings: outcome.relative_savings(),
+                };
+                (None, Some(summary), correlations)
+            }
+        };
+        Ok(ScenarioReport {
             scenario: scenario.kind,
             seed: scenario.seed,
             households: scenario.households,
-            offers,
+            offers: offers.len(),
             aggregates: aggregates.len(),
             threads: self.budget().threads(),
             elapsed: started.elapsed(),
-            schedule: None,
-            market: Some(MarketSummary {
-                orders: outcome.orders.len(),
-                rejected_lots: outcome.rejected_lots,
-                procurement_cost: outcome.procurement_cost,
-                imbalance_cost: outcome.imbalance_cost,
-                rejected_cost: outcome.rejected_cost,
-                baseline_cost: outcome.baseline_cost,
-                savings: outcome.savings(),
-                relative_savings: outcome.relative_savings(),
-            }),
+            schedule,
+            market,
             correlations,
-        }
+        })
     }
-}
-
-/// Errors flattened to `None` for the correlation filter — the adapter
-/// between [`Engine::per_offer_rows`] output and [`correlate`]. Public so
-/// the live book's schedule answer, which runs the rows pass over its own
-/// id-ordered view, feeds the exact pipeline the scenario reports use.
-pub fn flatten_rows(
-    rows: Vec<Vec<Result<f64, flexoffers_measures::MeasureError>>>,
-) -> Vec<Vec<Option<f64>>> {
-    rows.into_iter()
-        .map(|row| row.into_iter().map(Result::ok).collect())
-        .collect()
 }
 
 /// Pearson correlation of each measure's column in `rows` against `ys`,
 /// skipping rows where the measure errored or either side is non-finite.
-/// One implementation for the batch and live-serving report paths, so
-/// their correlation tables cannot drift.
+/// Both scenarios' correlation tables come from here; public so tests can
+/// build a sequential reference table.
 pub fn correlate(rows: &[Vec<Option<f64>>], ys: &[f64]) -> Vec<CorrelationSummary> {
     all_measures()
         .iter()
@@ -561,37 +523,68 @@ mod tests {
 
     #[test]
     fn market_summary_pins_to_trade_portfolio_exactly() {
-        // The simulate path re-wires the same building blocks as
-        // trade_portfolio for correlation access; this pins the two market
-        // paths to each other so they cannot silently diverge.
+        // The grouped entry point re-wires the same building blocks as
+        // trade_portfolio for correlation access; this pins its settlement
+        // to the parallel trade pipeline and to the sequential
+        // Aggregator::run, so the market paths cannot silently diverge.
         let s = Scenario::city_portfolio(ScenarioKind::Market, 40);
+        let portfolio = s.portfolio();
+        let offers = portfolio.as_slice();
         let engine = Engine::new(Budget::with_threads(3).unwrap());
-        let report = engine.simulate(&s).unwrap();
-        let traded = engine.trade_portfolio(&s.portfolio(), &s.aggregator(), &s.spot_market());
+        let groups = group_indices(offers, &s.grouping);
+        let report = engine
+            .simulate_grouped(&s, offers, &groups, || baseline_load(offers))
+            .unwrap();
+        let traded = engine.trade_portfolio(&portfolio, &s.aggregator(), &s.spot_market());
+        let sequential = s.aggregator().run(&portfolio, &s.spot_market());
+        assert_eq!(traded.outcome, sequential);
         let m = report.market.expect("market summary");
-        assert_eq!(m.orders, traded.outcome.orders.len());
-        assert_eq!(m.rejected_lots, traded.outcome.rejected_lots);
-        assert_eq!(m.procurement_cost, traded.outcome.procurement_cost);
-        assert_eq!(m.imbalance_cost, traded.outcome.imbalance_cost);
-        assert_eq!(m.rejected_cost, traded.outcome.rejected_cost);
-        assert_eq!(m.baseline_cost, traded.outcome.baseline_cost);
-        assert_eq!(m.savings, traded.outcome.savings());
-        assert_eq!(m.relative_savings, traded.outcome.relative_savings());
+        assert_eq!(m.orders, sequential.orders.len());
+        assert_eq!(m.rejected_lots, sequential.rejected_lots);
+        assert_eq!(m.procurement_cost, sequential.procurement_cost);
+        assert_eq!(m.imbalance_cost, sequential.imbalance_cost);
+        assert_eq!(m.rejected_cost, sequential.rejected_cost);
+        assert_eq!(m.baseline_cost, sequential.baseline_cost);
+        assert_eq!(m.savings, sequential.savings());
+        assert_eq!(m.relative_savings, sequential.relative_savings());
         assert_eq!(report.aggregates, traded.aggregates);
     }
 
     #[test]
     fn simulate_is_bitwise_identical_across_thread_counts() {
+        // The grouped entry point over an owned slice on one thread, and
+        // over a borrowed view on four threads with the baseline folded
+        // from two partials (as a sharded book supplies it), against the
+        // sequential reference: the grouping and baseline of the
+        // aggregation and market crates.
         for kind in [ScenarioKind::Schedule, ScenarioKind::Market] {
             let s = Scenario::city_portfolio(kind, 40);
-            let one = Engine::sequential().simulate(&s).unwrap();
-            let four = Engine::new(Budget::with_threads(4).unwrap())
-                .simulate(&s)
+            let portfolio = s.portfolio();
+            let offers = portfolio.as_slice();
+            let groups = group_indices(offers, &s.grouping);
+            let one = Engine::sequential()
+                .simulate_grouped(&s, offers, &groups, || baseline_load(offers))
                 .unwrap();
+            let view: Vec<&FlexOffer> = offers.iter().collect();
+            let (left, right) = offers.split_at(offers.len() / 2);
+            let four = Engine::new(Budget::with_threads(4).unwrap())
+                .simulate_grouped(&s, &view, &groups, || {
+                    &baseline_load(left) + &baseline_load(right)
+                })
+                .unwrap();
+            let json = |r: &ScenarioReport| serde_json::to_string(&r.json()).unwrap();
             assert_eq!(
-                serde_json::to_string(&one.json()).unwrap(),
-                serde_json::to_string(&four.json()).unwrap(),
+                json(&one),
+                json(&four),
                 "{kind} scenario diverged across thread counts"
+            );
+            assert_eq!(
+                json(&one),
+                json(
+                    &Engine::new(Budget::with_threads(2).unwrap())
+                        .simulate(&s)
+                        .unwrap()
+                )
             );
         }
     }

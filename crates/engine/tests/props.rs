@@ -8,15 +8,18 @@
 //! properties drive randomly shaped portfolios (mixed signs included, so
 //! the error paths get exercised) through every comparison.
 
-use flexoffers_aggregation::{aggregate_portfolio, GroupingParams};
-use flexoffers_engine::{Budget, Engine};
-use flexoffers_market::{Aggregator, SpotMarket};
+use flexoffers_aggregation::{aggregate_portfolio, group_indices, GroupingParams};
+use flexoffers_engine::scenario::correlate;
+use flexoffers_engine::{Budget, Engine, Scenario, ScenarioError, ScenarioKind};
+use flexoffers_market::{baseline_load, Aggregator, SpotMarket};
 use flexoffers_measures::{
     all_measures, AbsoluteAreaFlexibility, AssignmentFlexibility, Measure, MeasureError,
     PreparedOffer, RelativeAreaFlexibility, TimeFlexibility, WeightedMeasure,
 };
 use flexoffers_model::{FlexOffer, Portfolio, Slice};
-use flexoffers_scheduling::{schedule_via_aggregation, GreedyScheduler, SchedulingProblem};
+use flexoffers_scheduling::{
+    schedule_via_aggregation, EarliestStartScheduler, GreedyScheduler, Scheduler, SchedulingProblem,
+};
 use flexoffers_timeseries::Series;
 use proptest::prelude::*;
 
@@ -316,5 +319,81 @@ proptest! {
             traded.aggregates,
             traded.outcome.orders.len() + traded.outcome.rejected_lots
         );
+    }
+
+    /// The grouped scenario entry point — the one pipeline behind the CLI,
+    /// the batch oracle and the live book — matches the sequential library
+    /// references over a borrowed view at any threads × chunk budget.
+    /// Scenario 1's aggregate and unrealizable counts, both imbalances and
+    /// the correlation table equal `schedule_via_aggregation`, the
+    /// earliest-start scheduler and the prepared-offer rows; Scenario 2's
+    /// settlement equals `Aggregator::run`.
+    #[test]
+    fn simulate_grouped_matches_sequential_references(
+        fos in arb_portfolio(),
+        est in 0i64..6,
+        tft in 0i64..6,
+        threads in 1usize..5,
+        chunk in 1usize..17,
+    ) {
+        let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
+        let engine = Engine::new(budget);
+        let view: Vec<&FlexOffer> = fos.iter().collect();
+        for kind in [ScenarioKind::Schedule, ScenarioKind::Market] {
+            let mut scenario = Scenario::city_portfolio(kind, 0);
+            scenario.grouping = GroupingParams::with_tolerances(est, tft);
+            let groups = group_indices(&fos, &scenario.grouping);
+            let result = engine.simulate_grouped(&scenario, &view, &groups, || baseline_load(&fos));
+            if fos.is_empty() {
+                prop_assert_eq!(result.unwrap_err(), ScenarioError::EmptyPortfolio);
+                continue;
+            }
+            let report = result.unwrap();
+            match kind {
+                ScenarioKind::Schedule => {
+                    let target = scenario.target_for(fos.len());
+                    let problem = SchedulingProblem::new(fos.clone(), target.clone());
+                    let outcome =
+                        schedule_via_aggregation(&problem, &scenario.grouping, &GreedyScheduler::new())
+                            .unwrap();
+                    let earliest = EarliestStartScheduler.schedule(&problem).unwrap();
+                    let summary = report.schedule.expect("schedule summary");
+                    prop_assert_eq!(report.aggregates, outcome.aggregates);
+                    prop_assert_eq!(summary.unrealizable_plans, outcome.unrealizable_plans);
+                    prop_assert_eq!(summary.imbalance_after, outcome.schedule.imbalance(&target));
+                    prop_assert_eq!(summary.imbalance_before, earliest.imbalance(&target));
+                    let rows: Vec<Vec<Option<f64>>> = prepared_rows(&fos, &all_measures())
+                        .into_iter()
+                        .map(|row| row.into_iter().map(Result::ok).collect())
+                        .collect();
+                    let shifts: Vec<f64> = outcome
+                        .schedule
+                        .assignments()
+                        .iter()
+                        .zip(&fos)
+                        .map(|(a, fo)| (a.start() - fo.earliest_start()) as f64)
+                        .collect();
+                    prop_assert_eq!(
+                        format!("{:?}", report.correlations),
+                        format!("{:?}", correlate(&rows, &shifts))
+                    );
+                }
+                ScenarioKind::Market => {
+                    let portfolio = Portfolio::from_offers(fos.clone());
+                    let sequential = scenario.aggregator().run(&portfolio, &scenario.spot_market());
+                    let m = report.market.expect("market summary");
+                    prop_assert_eq!(
+                        report.aggregates,
+                        sequential.orders.len() + sequential.rejected_lots
+                    );
+                    prop_assert_eq!(m.orders, sequential.orders.len());
+                    prop_assert_eq!(m.rejected_lots, sequential.rejected_lots);
+                    prop_assert_eq!(m.procurement_cost.to_bits(), sequential.procurement_cost.to_bits());
+                    prop_assert_eq!(m.imbalance_cost.to_bits(), sequential.imbalance_cost.to_bits());
+                    prop_assert_eq!(m.rejected_cost.to_bits(), sequential.rejected_cost.to_bits());
+                    prop_assert_eq!(m.baseline_cost.to_bits(), sequential.baseline_cost.to_bits());
+                }
+            }
+        }
     }
 }

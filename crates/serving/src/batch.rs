@@ -5,43 +5,36 @@
 //! against the live replay, and the property suite does the same per
 //! event.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use flexoffers_engine::{Engine, ScenarioKind};
-use flexoffers_model::{FlexOffer, Portfolio};
+use flexoffers_aggregation::group_indices;
+use flexoffers_engine::Engine;
+use flexoffers_model::FlexOffer;
 
 use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
 use crate::live::LiveError;
-use crate::report::{aggregate_report, answer_line, error_line};
+use crate::report;
 
 /// Answers one query over `offers` (the logical portfolio, in id order) by
 /// running the flat engine from scratch — the batch-restart cost the
-/// serving tier exists to avoid, kept as the correctness oracle.
-pub fn answer(
+/// serving tier exists to avoid, kept as the correctness oracle. The
+/// grouping and the baseline are computed over `offers` itself.
+pub fn answer<O: Borrow<FlexOffer> + Sync>(
     engine: &Engine,
     config: &ServeConfig,
-    offers: &[FlexOffer],
+    offers: &[O],
     kind: QueryKind,
 ) -> String {
-    match kind {
-        QueryKind::Measure => answer_line(kind, &engine.measure_portfolio_all(offers).json()),
-        QueryKind::Aggregate => {
-            let aggregates = engine.aggregate_portfolio(offers, &config.grouping);
-            answer_line(kind, &aggregate_report(offers.len(), &aggregates))
-        }
-        QueryKind::Schedule | QueryKind::Trade => {
-            let scenario_kind = match kind {
-                QueryKind::Schedule => ScenarioKind::Schedule,
-                _ => ScenarioKind::Market,
-            };
-            let scenario = config.scenario(scenario_kind);
-            match engine.simulate_portfolio(&scenario, Portfolio::from_offers(offers.to_vec())) {
-                Ok(report) => answer_line(kind, &report.json()),
-                Err(e) => error_line(kind, &e.to_string()),
-            }
-        }
-    }
+    report::answer(
+        engine,
+        config,
+        offers,
+        kind,
+        || group_indices(offers, &config.grouping),
+        || engine.baseline_load_parallel(offers),
+    )
 }
 
 /// A replay sink with the exact event contract of
@@ -99,8 +92,8 @@ impl BatchBook {
                 None => Err(LiveError::UnknownId { id }),
             },
             Event::Query(kind) => {
-                let flat: Vec<FlexOffer> = self.offers.values().cloned().collect();
-                Ok(Some(answer(&self.engine, &self.config, &flat, kind)))
+                let view: Vec<&FlexOffer> = self.offers.values().collect();
+                Ok(Some(answer(&self.engine, &self.config, &view, kind)))
             }
         }
     }
@@ -144,7 +137,7 @@ mod tests {
 
     #[test]
     fn empty_scenario_queries_refuse_like_the_engine() {
-        let book_answer = answer(
+        let book_answer = answer::<FlexOffer>(
             &Engine::sequential(),
             &ServeConfig::default(),
             &[],

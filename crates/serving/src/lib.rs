@@ -12,9 +12,8 @@
 //! * [`LiveBook`] — the event-driven book. Adds route to a shard by the
 //!   stable hash placement
 //!   ([`stable_shard`](flexoffers_engine::stable_shard)). Queries read
-//!   the offers in place through one id-ordered borrowed view and run the
-//!   flat engine's own passes over it — the measure answer *is*
-//!   [`Engine::measure_portfolio_all`](flexoffers_engine::Engine::measure_portfolio_all).
+//!   the offers in place through one id-ordered borrowed view and answer
+//!   through the same query path as the batch oracle.
 //!   Each shard caches only its integer **baseline partial**, guarded by
 //!   a dirty bit, so a trade query recomputes dirtied shards only. A
 //!   per-shard **group-key digest** spots updates that leave the `(tes,
@@ -38,12 +37,16 @@
 //!
 //! Every query answer is **byte-identical** to rebuilding the book from
 //! scratch at that point and running the flat engine ([`batch::answer`]),
-//! at any shards × threads × chunk budget. The measure pass, the rows
-//! behind the correlation tables, and the scenario report assembly are the
-//! engine's own public functions — the live path runs them over its
-//! borrowed view of the same offers, and the property suite in
-//! `tests/props.rs` pins the bytes across random Add/Update/Remove/Query
-//! interleavings.
+//! at any shards × threads × chunk budget. Both books answer through one
+//! query path, written once over three inputs: the logical portfolio as
+//! a borrowed slice in id order, its tolerance grouping, and its
+//! no-flexibility baseline. The batch oracle computes the grouping and
+//! the baseline from scratch; the live book supplies its cached grouping
+//! and its folded shard partials. The property suite in `tests/props.rs`
+//! pins live against batch across random Add/Update/Remove/Query
+//! interleavings, which checks the incremental inputs. Since the two
+//! share the assembly code, `tests/golden.rs` pins both to answers
+//! recorded from an earlier build.
 //!
 //! # Quickstart
 //!

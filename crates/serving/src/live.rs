@@ -10,13 +10,14 @@
 //!
 //! # Query path and cache architecture
 //!
-//! Every query reads the offers themselves: it builds one id-ordered
-//! borrowed view (`Vec<&FlexOffer>`, walked off the owner table) and runs
-//! the flat engine's own passes over it — the measure answer is
-//! [`Engine::measure_portfolio_all`], the schedule correlations are
-//! [`Engine::per_offer_rows`], the earliest-start baseline is mapped
-//! straight over the view. No offer is cloned for these, and no measure
-//! value is cached between queries.
+//! A query runs the same code as the batch oracle ([`crate::batch`]):
+//! the measure pass ([`Engine::measure_portfolio_all`]), the per-group
+//! aggregation ([`Engine::aggregate_groups`]) and the scenario pipeline
+//! ([`Engine::simulate_grouped`]). The book supplies only their three
+//! inputs: one id-ordered borrowed view of the offers (`Vec<&FlexOffer>`,
+//! walked off the owner table), its cached tolerance grouping, and its
+//! folded baseline partials. No offer is cloned for the view, and no
+//! measure value is cached between queries.
 //!
 //! Two layers of incremental state remain, each invalidated as narrowly
 //! as the mutation allows:
@@ -41,30 +42,24 @@
 //!   ship instead of its keys). Only key-changing mutations force the
 //!   re-sweep: one in-order pass over the key set, with no sort.
 //!
-//! Queries recombine this state through the engine's own passes and
-//! report-assembly functions, which is what makes every answer
-//! byte-identical to a batch rebuild ([`crate::batch::answer`]).
+//! The batch oracle computes the same two inputs from scratch, so every
+//! answer is byte-identical to a batch rebuild ([`crate::batch::answer`])
+//! as long as the cached grouping and partials are exact.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
-use flexoffers_aggregation::{aggregate, Aggregate, KeyIndex};
-use flexoffers_engine::scenario::{flatten_rows, ScenarioError};
-use flexoffers_engine::{
-    parallel_map, splitmix64, stable_shard, Budget, Engine, EngineError, ScenarioKind,
-};
-use flexoffers_measures::all_measures;
+use flexoffers_aggregation::KeyIndex;
+use flexoffers_engine::{splitmix64, stable_shard, Budget, Engine, EngineError};
 use flexoffers_model::{FlexOffer, Portfolio};
-use flexoffers_scheduling::{earliest_start_assignment, Schedule};
 use flexoffers_timeseries::ops::sum_series;
 use flexoffers_timeseries::Series;
 use flexoffers_workloads::OfferEvent;
 
 use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
-use crate::report::{aggregate_report, answer_line, error_line};
+use crate::report;
 
 /// Errors applying a mutation to a live book.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -614,113 +609,35 @@ impl LiveBook {
 
     /// Answers one query from the incremental state as a single JSON line
     /// — byte-identical to a from-scratch batch evaluation of the current
-    /// logical portfolio ([`crate::batch::answer`]).
+    /// logical portfolio ([`crate::batch::answer`]). Both run the same
+    /// query path; this book supplies its id-ordered view, its cached
+    /// grouping (every kind but measure) and its folded shard partials
+    /// (trade).
     pub fn answer(&mut self, kind: QueryKind) -> String {
-        match kind {
-            QueryKind::Measure => self.measure_answer(),
-            QueryKind::Aggregate => self.aggregate_answer(),
-            QueryKind::Schedule => self.schedule_answer(),
-            QueryKind::Trade => self.trade_answer(),
+        // An empty book refuses a trade before it reads a partial, so it
+        // leaves the partials as they are.
+        if kind == QueryKind::Trade && !self.is_empty() {
+            self.refresh();
         }
-    }
-
-    fn measure_answer(&self) -> String {
-        let report = self.engine.measure_portfolio_all(&self.view());
-        answer_line(QueryKind::Measure, &report.json())
-    }
-
-    fn aggregate_answer(&mut self) -> String {
-        self.ensure_groups();
-        let aggregates = self.aggregate_groups(&self.view(), self.cached_groups());
-        answer_line(
-            QueryKind::Aggregate,
-            &aggregate_report(self.len(), &aggregates),
+        if kind != QueryKind::Measure {
+            self.ensure_groups();
+        }
+        report::answer(
+            &self.engine,
+            &self.config,
+            &self.view(),
+            kind,
+            || self.cached_groups(),
+            // Integer series addition makes the folded partials the flat
+            // baseline bit for bit.
+            || {
+                sum_series(
+                    self.shards
+                        .iter()
+                        .map(|s| s.baseline.as_ref().expect("refreshed")),
+                )
+            },
         )
-    }
-
-    fn schedule_answer(&mut self) -> String {
-        let kind = QueryKind::Schedule;
-        if self.is_empty() {
-            return error_line(kind, &ScenarioError::EmptyPortfolio.to_string());
-        }
-        let started = Instant::now();
-        self.ensure_groups();
-        let groups = self.cached_groups();
-        let view = self.view();
-        let scenario = self.config.scenario(ScenarioKind::Schedule);
-        let n = view.len();
-        let target = scenario.target_for(n);
-
-        // The Scenario 1 pipeline over incrementally grouped state — the
-        // engine's own back half, so the stages cannot drift from the
-        // batch path.
-        let aggregates = self.aggregate_groups(&view, groups);
-        let scheduler = scenario.scheduler.build();
-        let outcome = match self.engine.schedule_aggregates(
-            &aggregates,
-            groups,
-            n,
-            &target,
-            scheduler.as_ref(),
-        ) {
-            Ok(outcome) => outcome,
-            Err(e) => return error_line(kind, &ScenarioError::from(e).to_string()),
-        };
-
-        let baseline = Schedule::new(
-            view.iter()
-                .copied()
-                .map(earliest_start_assignment)
-                .collect(),
-        );
-        let imbalance_before = baseline.imbalance(&target);
-        let imbalance_after = outcome.schedule.imbalance(&target);
-
-        // Correlations: the rows pass over the view, against each offer's
-        // realized shift from its earliest start.
-        let rows = flatten_rows(self.engine.per_offer_rows(&view, &all_measures()));
-        let shifts: Vec<f64> = outcome
-            .schedule
-            .assignments()
-            .iter()
-            .zip(&view)
-            .map(|(a, fo)| (a.start() - fo.earliest_start()) as f64)
-            .collect();
-
-        let report = self.engine.schedule_report(
-            &scenario,
-            n,
-            &outcome,
-            imbalance_before,
-            imbalance_after,
-            &rows,
-            &shifts,
-            started,
-        );
-        answer_line(kind, &report.json())
-    }
-
-    fn trade_answer(&mut self) -> String {
-        let kind = QueryKind::Trade;
-        if self.is_empty() {
-            return error_line(kind, &ScenarioError::EmptyPortfolio.to_string());
-        }
-        let started = Instant::now();
-        self.refresh();
-        self.ensure_groups();
-        let scenario = self.config.scenario(ScenarioKind::Market);
-        let aggregates = self.aggregate_groups(&self.view(), self.cached_groups());
-        // The baseline folds the cached per-shard partials — integer
-        // series addition makes this the flat baseline bit for bit.
-        let baseline = sum_series(
-            self.shards
-                .iter()
-                .map(|s| s.baseline.as_ref().expect("refreshed above")),
-        );
-        let report =
-            self.engine
-                .market_report(&scenario, self.len(), &aggregates, &baseline, started);
-        answer_line(kind, &report.json())
     }
 
     /// Recomputes the baseline partial of every dirty shard and bumps
@@ -777,16 +694,6 @@ impl LiveBook {
             .values()
             .map(|&(s, local)| &self.shards[s].offers[local])
             .collect()
-    }
-
-    /// Aggregates every group in parallel, members gathered from the view
-    /// in group order — the live counterpart of the batch book's per-group
-    /// aggregation, same output order and content.
-    fn aggregate_groups(&self, view: &[&FlexOffer], groups: &[Vec<usize>]) -> Vec<Aggregate> {
-        parallel_map(groups, self.engine.budget().threads(), |indices| {
-            let members: Vec<FlexOffer> = indices.iter().map(|&g| view[g].clone()).collect();
-            aggregate(&members).expect("grouping never yields empty groups")
-        })
     }
 }
 

@@ -1,4 +1,5 @@
-//! Query answer rendering: one deterministic JSON line per query.
+//! Query answers: the one query path both books run, rendered as one
+//! deterministic JSON line per query.
 //!
 //! Measure answers embed the engine's
 //! [`PortfolioReportJson`](flexoffers_engine::report::PortfolioReportJson),
@@ -10,11 +11,52 @@
 //! "report": ...}` envelope (or `{"query": ..., "error": ...}` when the
 //! underlying pipeline refuses, e.g. a schedule query over an empty book).
 
+use std::borrow::Borrow;
+
 use serde::{Serialize, Value};
 
 use flexoffers_aggregation::Aggregate;
+use flexoffers_engine::{Engine, ScenarioKind};
+use flexoffers_model::FlexOffer;
+use flexoffers_timeseries::Series;
 
+use crate::config::ServeConfig;
 use crate::event::QueryKind;
+
+/// Answers one query over `offers` (the logical portfolio, in id order)
+/// as one JSON line — the one query path of both books. A book supplies
+/// only its view of the offers and two lazy inputs, each asked for only
+/// by the kinds that read it: `groups`, the tolerance grouping under
+/// `config.grouping` as positions into `offers` (aggregate, schedule and
+/// trade), and `baseline`, the no-flexibility load (trade).
+pub(crate) fn answer<O, G>(
+    engine: &Engine,
+    config: &ServeConfig,
+    offers: &[O],
+    kind: QueryKind,
+    groups: impl FnOnce() -> G,
+    baseline: impl FnOnce() -> Series<i64>,
+) -> String
+where
+    O: Borrow<FlexOffer> + Sync,
+    G: Borrow<[Vec<usize>]>,
+{
+    let scenario = match kind {
+        QueryKind::Measure => {
+            return answer_line(kind, &engine.measure_portfolio_all(offers).json());
+        }
+        QueryKind::Aggregate => {
+            let aggregates = engine.aggregate_groups(offers, groups().borrow());
+            return answer_line(kind, &aggregate_report(offers.len(), &aggregates));
+        }
+        QueryKind::Schedule => config.scenario(ScenarioKind::Schedule),
+        QueryKind::Trade => config.scenario(ScenarioKind::Market),
+    };
+    match engine.simulate_grouped(&scenario, offers, groups().borrow(), baseline) {
+        Ok(report) => answer_line(kind, &report.json()),
+        Err(e) => error_line(kind, &e.to_string()),
+    }
+}
 
 /// Serialisable mirror of an aggregate-query result: the grouping outcome
 /// plus a per-aggregate summary, all pure functions of the logical
