@@ -4,7 +4,7 @@ use std::borrow::Borrow;
 use std::time::Instant;
 
 use flexoffers_aggregation::{aggregate_indices, group_indices, Aggregate, GroupingParams};
-use flexoffers_market::{Aggregator, LotDecision, SpotMarket};
+use flexoffers_market::{Aggregator, LotDecision, MarketOutcome, SpotMarket};
 use flexoffers_measures::{all_measures, ColumnarBatch, Measure, MeasureError, SetAggregation};
 use flexoffers_model::{Assignment, FlexOffer, Portfolio};
 use flexoffers_scheduling::{
@@ -24,7 +24,7 @@ use crate::report::{MeasureSummary, PortfolioReport};
 pub struct TradeOutcome {
     /// The settled market outcome — bitwise identical to the sequential
     /// [`Aggregator::run`] on the same inputs.
-    pub outcome: flexoffers_market::MarketOutcome,
+    pub outcome: MarketOutcome,
     /// Number of aggregates the grouping produced (admitted + rejected).
     pub aggregates: usize,
 }
@@ -253,14 +253,42 @@ impl Engine {
     ) -> TradeOutcome {
         let offers = portfolio.as_slice();
         let aggregates = self.aggregate_portfolio(offers, &aggregator.grouping);
-        let decisions: Vec<LotDecision> = parallel_map(&aggregates, self.budget.threads(), |agg| {
-            aggregator.evaluate(agg, market)
-        });
-        let baseline_cost = market.cost_of(&self.baseline_load_parallel(offers));
+        let (outcome, _) = self.trade_aggregates(
+            &aggregates,
+            aggregator,
+            market,
+            || self.baseline_load_parallel(offers),
+            |_, _| (),
+        );
         TradeOutcome {
-            outcome: Aggregator::settle(decisions, baseline_cost, market),
+            outcome,
             aggregates: aggregates.len(),
         }
+    }
+
+    /// Scenario 2's market stage, shared by [`Engine::trade_portfolio`]
+    /// and [`Engine::simulate_grouped`]: evaluate every aggregate against
+    /// the market in parallel (plus `per_lot`, on the same worker, with
+    /// the aggregate and its decision), then settle the decisions in
+    /// aggregate order against the cost of `baseline`. Returns the outcome
+    /// and `per_lot`'s values in aggregate order.
+    pub(crate) fn trade_aggregates<T: Send>(
+        &self,
+        aggregates: &[Aggregate],
+        aggregator: &Aggregator,
+        market: &SpotMarket,
+        baseline: impl FnOnce() -> Series<i64>,
+        per_lot: impl Fn(&Aggregate, &LotDecision) -> T + Sync,
+    ) -> (MarketOutcome, Vec<T>) {
+        let evaluated: Vec<(LotDecision, T)> =
+            parallel_map(aggregates, self.budget.threads(), |agg| {
+                let decision = aggregator.evaluate(agg, market);
+                let extra = per_lot(agg, &decision);
+                (decision, extra)
+            });
+        let (decisions, extras): (Vec<LotDecision>, Vec<T>) = evaluated.into_iter().unzip();
+        let outcome = Aggregator::settle(decisions, market.cost_of(&baseline()), market);
+        (outcome, extras)
     }
 
     /// The portfolio's no-flexibility baseline load, chunked across

@@ -34,7 +34,6 @@ use flexoffers_workloads::city;
 use flexoffers_workloads::price::{price_trace, PriceTraceConfig};
 use flexoffers_workloads::res::{res_production_trace, ResTraceConfig};
 
-use crate::chunk::parallel_map;
 use crate::engine::Engine;
 use crate::scenario_report::{CorrelationSummary, MarketSummary, ScenarioReport, ScheduleSummary};
 
@@ -349,52 +348,39 @@ impl Engine {
                 let market = scenario.spot_market();
                 let aggregator = scenario.aggregator();
 
-                // One parallel pass per aggregate: the market decision, the
-                // eight measure values of the aggregate flex-offer, and —
-                // for admitted lots only — the members' baseline cost (the
-                // reference their savings are quoted against; rejected
-                // lots never trade, and their baseline was already priced
+                // One parallel pass per aggregate beside its market
+                // decision: for admitted lots only, the eight measure
+                // values of the aggregate flex-offer and its realized
+                // savings over its members' baseline cost (rejected lots
+                // never trade, and their baseline was already priced
                 // inside `evaluate`).
                 let measures = all_measures();
-                type Evaluated = (LotDecision, Vec<Option<f64>>, Option<f64>);
-                let evaluated: Vec<Evaluated> =
-                    parallel_map(&aggregates, self.budget().threads(), |agg| {
-                        let decision = aggregator.evaluate(agg, &market);
+                let (outcome, admitted) = self.trade_aggregates(
+                    &aggregates,
+                    &aggregator,
+                    &market,
+                    baseline,
+                    |agg, decision| {
+                        let LotDecision::Admitted(order) = decision else {
+                            return None;
+                        };
                         let prepared = PreparedOffer::new(agg.flexoffer());
-                        let values = measures
+                        let values: Vec<Option<f64>> = measures
                             .iter()
                             .map(|m| m.of_prepared(&prepared).ok())
                             .collect();
-                        let member_baseline = match &decision {
-                            LotDecision::Admitted(_) => {
-                                Some(market.cost_of(&baseline_load(agg.members())))
-                            }
-                            LotDecision::Rejected { .. } => None,
-                        };
-                        (decision, values, member_baseline)
-                    });
+                        let member_baseline = market.cost_of(&baseline_load(agg.members()));
+                        let saved =
+                            member_baseline - (order.cost + market.imbalance_cost(order.imbalance));
+                        Some((values, saved))
+                    },
+                );
 
                 // Correlate per-aggregate measure values with realized
                 // savings.
-                let mut rows = Vec::new();
-                let mut savings = Vec::new();
-                for (decision, values, member_baseline) in &evaluated {
-                    if let LotDecision::Admitted(order) = decision {
-                        rows.push(values.clone());
-                        let member_baseline =
-                            member_baseline.expect("admitted lots carry a baseline");
-                        savings.push(
-                            member_baseline - (order.cost + market.imbalance_cost(order.imbalance)),
-                        );
-                    }
-                }
+                let (rows, savings): (Vec<_>, Vec<_>) = admitted.into_iter().flatten().unzip();
                 let correlations = correlate(&rows, &savings);
 
-                let outcome = Aggregator::settle(
-                    evaluated.into_iter().map(|(decision, _, _)| decision),
-                    market.cost_of(&baseline()),
-                    &market,
-                );
                 let summary = MarketSummary {
                     orders: outcome.orders.len(),
                     rejected_lots: outcome.rejected_lots,

@@ -19,15 +19,17 @@
 //!
 //! # Guarantees
 //!
-//! * **Serialization** — every mutation from every connection goes through
+//! * **Serialization** — every request from every connection goes through
 //!   one gate into the one serving loop; the order the server acknowledges
 //!   is the order the book applied, so a [`NetConfig::record`] log replayed
 //!   through `flexctl serve --script --batch` reproduces each answered
-//!   query byte-for-byte.
+//!   query byte-for-byte. The gate is held only to check, enqueue and
+//!   record; a query's answer is awaited outside it, so mutations on other
+//!   connections are acknowledged while a query runs.
 //! * **Deadlines** — [`NetConfig::deadline`] bounds each query's answer
 //!   wait; an expired wait returns a structured `deadline` error instead of
-//!   hanging the connection (the query itself still runs — queries never
-//!   mutate, so the recorded history is unaffected).
+//!   hanging the connection. The query itself still runs and keeps its
+//!   place in the record log and the answer stream.
 //! * **Graceful drain** — flipping the `stop` flag (wired to
 //!   SIGINT/SIGTERM via [`signal`]) stops accepting, drains requests
 //!   already received, then shuts the serving loop down — which runs the

@@ -80,4 +80,4 @@ pub use event::{parse_script, parse_script_from, Event, QueryKind, ScriptError};
 pub use live::{BookExport, ImportError, LiveBook, LiveError, ShardExport};
 pub use report::{AggregateReportJson, AggregateSummaryJson};
 pub use sequencer::{Checked, Sequencer, UnknownId};
-pub use server::{EventSink, LiveHandle, LiveServer, ServeError};
+pub use server::{EventSink, LiveHandle, LiveServer, PendingAnswer, ServeError};

@@ -6,10 +6,18 @@
 //! same for any [`EventSink`] — the durability tier wraps the book in a
 //! journaling sink and drives it through this exact loop. Mutations are
 //! fire-and-forget sends (the loop applies them in arrival order); queries
-//! carry a reply channel and block the *caller* — never the loop — until
-//! their answer line comes back. Because one thread owns all state,
-//! answers are linearisable: a query observes exactly the mutations sent
-//! before it.
+//! carry a reply channel. [`LiveHandle::enqueue_query`] takes the query's
+//! place in that order and returns a [`PendingAnswer`] at once;
+//! [`PendingAnswer::wait`] then blocks the *caller* — never the loop —
+//! until the answer line comes back, with an optional deadline.
+//! [`LiveHandle::query`] and [`LiveHandle::query_deadline`] are the two
+//! in one call. Splitting them is what lets the TCP front release its
+//! ordering gate before a query's answer is awaited. Because one thread
+//! owns all state, answers are linearisable: a query observes exactly the
+//! mutations sent before it.
+//!
+//! A sent mutation is queued, not yet applied or journaled: the loop (and
+//! a durable sink's journal append) runs after `send` returns.
 //!
 //! A sink error (an unknown id — impossible for scripts that went through
 //! [`parse_script`](crate::parse_script), which validates ids statically —
@@ -22,6 +30,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use flexoffers_engine::{Engine, EngineError};
 use flexoffers_model::FlexOffer;
@@ -41,7 +50,7 @@ pub enum ServeError {
     /// The loop terminated on its own — it stopped on a sink error
     /// ([`LiveHandle::shutdown`] reports which).
     Gone,
-    /// A [`LiveHandle::query_deadline`] wait expired before the answer
+    /// A [`PendingAnswer::wait`] deadline expired before the answer
     /// arrived. The query still runs to completion inside the loop (its
     /// slot in the serialization order is already taken); only the wait
     /// for its answer was abandoned.
@@ -194,11 +203,7 @@ impl<E> LiveHandle<E> {
     /// Runs a query against the state after every previously sent event
     /// and blocks until its one-line JSON answer arrives.
     pub fn query(&self, kind: QueryKind) -> Result<String, ServeError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.sender()?
-            .send(Request::Query(kind, reply_tx))
-            .map_err(|_| ServeError::Gone)?;
-        reply_rx.recv().map_err(|_| ServeError::Gone)
+        self.enqueue_query(kind)?.wait(None)
     }
 
     /// [`query`](Self::query), but waits at most `deadline` for the
@@ -210,17 +215,22 @@ impl<E> LiveHandle<E> {
     pub fn query_deadline(
         &self,
         kind: QueryKind,
-        deadline: std::time::Duration,
+        deadline: Duration,
     ) -> Result<String, ServeError> {
+        self.enqueue_query(kind)?.wait(Some(deadline))
+    }
+
+    /// Enqueues a query behind every previously sent event and returns at
+    /// once; the answer is collected later through the returned
+    /// [`PendingAnswer`]. The query's place in the serialization order is
+    /// taken here, so the caller may release whatever lock ordered the
+    /// send before it waits.
+    pub fn enqueue_query(&self, kind: QueryKind) -> Result<PendingAnswer, ServeError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         self.sender()?
             .send(Request::Query(kind, reply_tx))
             .map_err(|_| ServeError::Gone)?;
-        match reply_rx.recv_timeout(deadline) {
-            Ok(answer) => Ok(answer),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::Gone),
-        }
+        Ok(PendingAnswer(reply_rx))
     }
 
     /// Closes the channel, drains the loop, and reports how it ended:
@@ -235,6 +245,28 @@ impl<E> LiveHandle<E> {
         match thread.join() {
             Ok(result) => result,
             Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+}
+
+/// A query already enqueued by [`LiveHandle::enqueue_query`], whose
+/// answer line has not been collected yet. Dropping it abandons the
+/// answer; the query still runs in its place.
+#[derive(Debug)]
+pub struct PendingAnswer(mpsc::Receiver<String>);
+
+impl PendingAnswer {
+    /// Blocks until the answer line arrives, or at most `deadline` when
+    /// one is given ([`ServeError::DeadlineExceeded`] on expiry, with the
+    /// answer abandoned). [`ServeError::Gone`] means the loop stopped
+    /// before answering.
+    pub fn wait(self, deadline: Option<Duration>) -> Result<String, ServeError> {
+        match deadline {
+            None => self.0.recv().map_err(|_| ServeError::Gone),
+            Some(deadline) => self.0.recv_timeout(deadline).map_err(|e| match e {
+                mpsc::RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
+                mpsc::RecvTimeoutError::Disconnected => ServeError::Gone,
+            }),
         }
     }
 }

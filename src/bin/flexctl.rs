@@ -94,11 +94,13 @@
 //! that record through `serve --script --batch` reproduces the answers
 //! byte-for-byte, which CI asserts. `--max-conns` (at least 1) sizes the
 //! worker pool, `--deadline-ms` bounds each query's answer wait (expiries
-//! return a structured `deadline` error), and SIGTERM/ctrl-c drains
+//! return a structured `deadline` error; the query still ran and stays in
+//! the record and the answer stream), and SIGTERM/ctrl-c drains
 //! in-flight requests before the durable sink's final sync + snapshot.
 //! `flexctl bomb` is the matching load generator: `--conns` concurrent
 //! connections each sending `--events` add/update/remove/query requests,
-//! reporting throughput and latency percentiles.
+//! reporting throughput and latency percentiles for mutations and
+//! queries apart.
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
@@ -725,10 +727,13 @@ fn listen_serve<E: std::fmt::Debug + std::fmt::Display + Send + 'static>(
     Ok(())
 }
 
-/// What one `bomb` connection observed: per-request wall latencies plus
-/// how many replies came back as protocol errors.
+/// What one `bomb` connection observed: per-request wall latencies, kept
+/// apart for mutations and queries, plus how many replies came back as
+/// protocol errors.
+#[derive(Default)]
 struct BombReport {
-    latencies_ms: Vec<f64>,
+    mutation_ms: Vec<f64>,
+    query_ms: Vec<f64>,
     errors: u64,
 }
 
@@ -782,19 +787,20 @@ fn bomb(rest: &[String]) -> Outcome {
     });
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut latencies = Vec::new();
-    let mut errors = 0u64;
+    let mut total = BombReport::default();
     let mut failures = Vec::new();
     for (c, report) in reports.into_iter().enumerate() {
         match report {
             Ok(report) => {
-                latencies.extend(report.latencies_ms);
-                errors += report.errors;
+                total.mutation_ms.extend(report.mutation_ms);
+                total.query_ms.extend(report.query_ms);
+                total.errors += report.errors;
             }
             Err(e) => failures.push(format!("connection {c}: {e}")),
         }
     }
-    let requests = latencies.len();
+    let errors = total.errors;
+    let requests = total.mutation_ms.len() + total.query_ms.len();
     let rate = if elapsed > 0.0 {
         requests as f64 / elapsed
     } else {
@@ -805,10 +811,17 @@ fn bomb(rest: &[String]) -> Outcome {
             out,
             "bomb: {conns} conns x {events_per_conn} events -> {requests} requests in {elapsed:.3}s ({rate:.0} req/s), {errors} error replies"
         )?;
-        for (label, p) in [("p50", 50.0), ("p99", 99.0), ("p999", 99.9)] {
-            if let Some(ms) = percentile(&latencies, p) {
-                writeln!(out, "  {label} {ms:.3} ms")?;
+        for (class, latencies) in [("mutation", &total.mutation_ms), ("query", &total.query_ms)] {
+            if latencies.is_empty() {
+                continue;
             }
+            write!(out, "  {class} ({} requests):", latencies.len())?;
+            for (label, p) in [("p50", 50.0), ("p99", 99.0), ("p999", 99.9)] {
+                if let Some(ms) = percentile(latencies, p) {
+                    write!(out, " {label} {ms:.3} ms")?;
+                }
+            }
+            writeln!(out)?;
         }
         Ok(())
     })?;
@@ -830,8 +843,7 @@ fn bomb_connection(addr: &str, seed: u64, events: u64) -> Result<BombReport, Str
     let mut client = NetClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let offers: Vec<FlexOffer> = city_stream(seed, 8).collect();
     let mut owned: Vec<u64> = Vec::new();
-    let mut latencies_ms = Vec::with_capacity(events as usize);
-    let mut errors = 0u64;
+    let mut report = BombReport::default();
     let mut queries = 0usize;
     for i in 0..events {
         let event = if i % 16 == 9 {
@@ -849,24 +861,25 @@ fn bomb_connection(addr: &str, seed: u64, events: u64) -> Result<BombReport, Str
             Event::Add(offers[i as usize % offers.len()].clone())
         };
         let was_add = matches!(event, Event::Add(_));
+        let class = match event {
+            Event::Query(_) => &mut report.query_ms,
+            _ => &mut report.mutation_ms,
+        };
         let sent = std::time::Instant::now();
         let reply = client
             .send_event(&event)
             .map_err(|e| format!("request {i}: {e}"))?;
-        latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+        class.push(sent.elapsed().as_secs_f64() * 1e3);
         match reply {
             Reply::Ok { .. } if was_add => match reply.assigned_id() {
                 Some(id) => owned.push(id),
-                None => errors += 1,
+                None => report.errors += 1,
             },
             Reply::Ok { .. } => {}
-            Reply::Err { .. } => errors += 1,
+            Reply::Err { .. } => report.errors += 1,
         }
     }
-    Ok(BombReport {
-        latencies_ms,
-        errors,
-    })
+    Ok(report)
 }
 
 /// The `recover` path: rebuild a killed `serve --journal` run from its

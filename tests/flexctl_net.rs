@@ -434,7 +434,8 @@ fn a_resumed_listen_journal_continues_the_id_history() {
 }
 
 /// `flexctl bomb` drives a live server end to end and reports latency
-/// percentiles; the server survives it and drains cleanly.
+/// percentiles per request class; the server survives it and drains
+/// cleanly.
 #[test]
 fn bomb_load_generator_round_trips_against_a_live_server() {
     let server = Server::spawn(&["--max-conns", "2"]);
@@ -459,6 +460,13 @@ fn bomb_load_generator_round_trips_against_a_live_server() {
     assert!(stdout.contains("80 requests"), "{stdout}");
     assert!(stdout.contains("0 error replies"), "{stdout}");
     assert!(stdout.contains("p999"), "{stdout}");
+    // Mutations and queries report their latencies apart: of each
+    // connection's 40 requests, 2 are queries (every 16th, from the 10th).
+    assert!(
+        stdout.contains("  mutation (76 requests): p50 "),
+        "{stdout}"
+    );
+    assert!(stdout.contains("  query (4 requests): p50 "), "{stdout}");
     let (_, stderr) = server.terminate();
     assert!(stderr.contains("served 2 connections"), "{stderr}");
 }
