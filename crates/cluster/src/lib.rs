@@ -12,20 +12,19 @@
 //!   the persistence format are the same bytes.
 //! * [`worker`] ([`run_stdio_worker`]) — the shard executor loop: a
 //!   one-shard book of exactly the offers routed to the worker.
-//! * [`supervisor`] ([`ClusterBook`]) — scatter mutations by the owner
-//!   hash, delta-gather per query (conditional exports confirm clean
-//!   shards by state digest; only dirty shards ship), and splice the
-//!   dirty shards into a persistent merged book (one shard per worker) via
-//!   [`LiveBook::import_shard`](flexoffers_serving::LiveBook::import_shard)
-//!   so the answer comes from the same code as the in-process tier.
-//!   Worker death is repaired by respawn + merged-shard-and-suffix
-//!   replay, invisibly to the answer stream.
+//! * [`supervisor`] ([`ClusterBook`]) — route each mutation to its
+//!   worker by the owner hash, then apply it to a persistent merged book
+//!   (one shard per worker), so the answer comes from the same code as
+//!   the in-process tier. A query confirms each worker's live count and
+//!   key digest in O(1) and ships no shard. Worker death is repaired by
+//!   respawning from the merged book's copy of the shard, invisibly to
+//!   the answer stream.
 //! * Durability: [`ClusterBook`] is a storage
 //!   [`Book`](flexoffers_storage::Book), so
 //!   [`Durable`](flexoffers_storage::Durable)`<ClusterBook>` composes
 //!   cross-process sharding with the journal: recover in process, seed
 //!   the fleet, journal every mutation before it scatters, snapshot from
-//!   the gathered merged export.
+//!   the merged book's export.
 //!
 //! # Byte identity
 //!

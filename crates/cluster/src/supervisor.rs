@@ -1,46 +1,44 @@
-//! The cluster supervisor: scatter mutations, delta-gather shard exports,
-//! answer from a persistent merged book.
+//! The cluster supervisor: route each mutation to its worker and apply it
+//! to a persistent merged book; a query confirms the workers and answers
+//! from that book.
 //!
 //! A [`ClusterBook`] owns one OS process per shard. Each worker holds a
 //! one-shard [`LiveBook`] of the offers routed to it, so the supervisor's
 //! routing — the same [`flexoffers_engine::stable_shard`] placement the
-//! in-process book uses — keeps worker `w`'s shard byte-equal to shard `w`
-//! of an in-process K-shard book fed the same serialized mutation
-//! stream.
+//! merged book uses — keeps worker `w`'s shard byte-equal to shard `w`
+//! of the merged book.
 //!
-//! # Delta gather
+//! # The merged book
 //!
-//! The supervisor keeps a persistent **merged book** — a real in-process
-//! [`LiveBook`] holding every shard as of the last gather — plus, per
-//! slot, the worker's last confirmed state digest. A gather pipelines
-//! `export {if_digest}` to every worker; clean workers answer the tiny
-//! `not_modified` frame (digest equality over the canonical shard JSON
-//! implies content equality, so the merged book's copy is already exact),
-//! and only dirty workers ship their shard, which
-//! [`LiveBook::import_shard`] splices into the merged book in place.
-//! Queries then answer straight off the merged book — the merge and the
-//! answer bytes come from the *same code* as the in-process tier, which
-//! is what makes cross-process answers byte-identical at any
-//! workers × threads budget, and a mostly-clean book pays for
-//! one dirty shard instead of K full exports. `import_shard`'s structural
-//! validation (placement, duplicate ids, digests, array shapes) doubles
-//! as wire-integrity checking on everything a worker ships back, and
-//! [`answer_full`](ClusterBook::answer_full) keeps the old
-//! full-gather path alive as a byte-identity oracle.
+//! The supervisor keeps a **merged book** — a real in-process
+//! [`LiveBook`] with one shard per worker — and applies every mutation it
+//! routes to it once the owning worker has acknowledged. Queries answer
+//! straight off the merged book, so the answer bytes come from the
+//! *same code* as the in-process tier at any workers × threads budget.
+//!
+//! A query's gather ships no shard. It pipelines one O(1) `confirm` to
+//! every worker; each answers its shard's live count and key digest, and
+//! the supervisor compares them with the merged book's
+//! [`shard_sizes`](LiveBook::shard_sizes) and
+//! [`key_digests`](LiveBook::key_digests). The gather then refreshes the
+//! merged book's baseline partials, so a trade query finds them warm.
+//! [`answer_full`](ClusterBook::answer_full) keeps the full-gather path —
+//! every worker ships its whole shard into a fresh book — as the
+//! byte-identity oracle.
 //!
 //! # Failure handling
 //!
 //! Worker death is detected on the pipe (a failed write or an EOF read)
-//! and repaired in place: the supervisor respawns the process, rehydrates
-//! it from the merged book's copy of its shard plus a replay of the
-//! mutation suffix routed to it since the last gather, and retries the
-//! in-flight operation. The suffix is recorded *before* the pipe
-//! round-trip, so an op that killed the pipe mid-flight is replayed into
-//! the fresh process exactly once. A respawn also clears the slot's
-//! digest, so the next gather always pulls (and re-validates) a full
-//! export from the rebuilt process rather than trusting a cached hash.
+//! and repaired in place: the supervisor respawns the process and loads it
+//! with the merged book's copy of its shard. A mutation whose pipe failed
+//! is then replayed into the fresh process — it is the only request the
+//! merged book does not hold yet — and applied to the merged book once
+//! acknowledged. A gather whose confirm fails, or reads counters that
+//! disagree with the merged book, respawns that worker the same way.
 //! Respawn attempts are bounded; exhaustion surfaces as the structured
-//! [`ClusterError::WorkerLost`], never a panic or a hang.
+//! [`ClusterError::WorkerLost`], never a panic or a hang. A coded worker
+//! error is deterministic, so it is returned as [`ClusterError::Worker`]
+//! and leaves the id [`Sequencer`] and the merged book untouched.
 
 use std::error::Error;
 use std::fmt;
@@ -53,11 +51,10 @@ use flexoffers_model::FlexOffer;
 use flexoffers_serving::{
     BookExport, Checked, Event, EventSink, ImportError, LiveBook, QueryKind, Sequencer, ServeConfig,
 };
-use flexoffers_storage::Book;
+use flexoffers_storage::{value_to_shard, Book};
 
 use crate::wire::{
-    parse_export_payload, parse_reply, write_request_line, ExportPayload, WorkerReply,
-    WorkerRequest,
+    parse_confirm, parse_reply, write_request_line, Confirmed, WorkerReply, WorkerRequest,
 };
 
 /// How many consecutive boot attempts a single respawn may make before
@@ -98,8 +95,9 @@ pub enum ClusterError {
         /// The human-readable detail.
         message: String,
     },
-    /// A gathered shard failed [`LiveBook::import_shard`] validation — a
-    /// worker shipped a structurally corrupt shard.
+    /// A shard shipped to the full-gather oracle failed
+    /// [`LiveBook::import_shard`] validation — the worker shipped a
+    /// structurally corrupt shard.
     Import(ImportError),
     /// An update or remove referenced an id that is not live.
     UnknownId {
@@ -180,19 +178,20 @@ impl WorkerSpec {
     }
 }
 
-/// Cumulative gather-path counters — how much of the cluster's query
-/// traffic the delta path absorbed.
+/// Cumulative gather-path counters — what the cluster's queries moved
+/// over the pipes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GatherStats {
     /// How many gathers ran.
     pub gathers: u64,
-    /// Shard exports that shipped in full (digest miss or first contact).
+    /// Shards shipped to the supervisor on the query path. A gather
+    /// confirms shards instead of shipping them, so this stays 0.
     pub dirty_shards: u64,
-    /// Shard exports answered `not_modified` (digest hit; nothing
-    /// deserialized, nothing imported).
+    /// Shards a gather confirmed: the worker's live count and key digest
+    /// matched the merged book's copy.
     pub cached_shards: u64,
-    /// Total reply-line bytes of the full exports — what the delta path
-    /// actually moved over the pipes.
+    /// Reply bytes of the shards shipped on the query path; 0, like
+    /// [`dirty_shards`](Self::dirty_shards).
     pub dirty_bytes: u64,
 }
 
@@ -261,9 +260,7 @@ impl WorkerConn {
     /// Reads one reply line and checks it echoes `expect`. Anything that
     /// breaks the strict request/reply cadence — EOF, garbage, a stray
     /// id — means the stream can no longer be trusted and reads as a
-    /// repairable [`ConnFailure::Io`]. The raw line stays in `reply_buf`
-    /// until the next read, so [`last_reply_len`](Self::last_reply_len)
-    /// can meter what a full export actually cost on the wire.
+    /// repairable [`ConnFailure::Io`].
     fn read_reply(&mut self, expect: u64) -> Result<serde::Value, ConnFailure> {
         self.reply_buf.clear();
         let n = self
@@ -285,11 +282,6 @@ impl WorkerConn {
         }
     }
 
-    /// The byte length of the most recently read reply line.
-    fn last_reply_len(&self) -> usize {
-        self.reply_buf.trim_end().len()
-    }
-
     fn roundtrip(&mut self, request: &WorkerRequest) -> Result<serde::Value, ConnFailure> {
         let id = self
             .send(request)
@@ -307,34 +299,21 @@ impl Drop for WorkerConn {
     }
 }
 
-/// One worker slot: the live connection, the state digest the worker
-/// confirmed at the last gather (`None` until first contact and after
-/// every respawn — a `None` digest forces the next gather to pull a full
-/// export), and the mutation requests routed since the last gather (the
-/// replay unit for respawn). The respawn baseline is *not* stored here:
-/// the supervisor's merged book already holds every shard as of the last
-/// gather, so one copy serves both querying and worker rehydration.
-struct Slot {
-    conn: WorkerConn,
-    digest: Option<u64>,
-    suffix: Vec<WorkerRequest>,
-}
-
 /// Boots one worker process to operational state: spawn, `init`, `load`
-/// the shard image, replay the suffix. Free function so `respawn` can
-/// call it while borrowing slot state immutably.
+/// the shard image, then replay the one mutation the image does not hold
+/// yet, if any.
 fn try_boot(
     spec: &WorkerSpec,
     budget: Budget,
     load: &WorkerRequest,
-    suffix: &[WorkerRequest],
+    in_flight: Option<&WorkerRequest>,
 ) -> Result<WorkerConn, ConnFailure> {
     let mut conn = WorkerConn::spawn(spec).map_err(|e| ConnFailure::Io(e.to_string()))?;
     conn.roundtrip(&WorkerRequest::Init {
         threads: budget.threads(),
     })?;
     conn.roundtrip(load)?;
-    for request in suffix {
+    if let Some(request) = in_flight {
         conn.roundtrip(request)?;
     }
     Ok(conn)
@@ -349,32 +328,32 @@ fn load_request(merged: &LiveBook, w: usize) -> WorkerRequest {
     }
 }
 
-/// A worker shipped an export the supervisor cannot use.
-fn bad_export(worker: usize, message: String) -> ClusterError {
+/// A coded worker error, as the cluster reports it.
+fn fault(worker: usize, code: String, message: String) -> ClusterError {
     ClusterError::Worker {
         worker,
-        code: "bad_export".to_owned(),
+        code,
         message,
     }
 }
 
 /// The supervisor: a live book whose shards are worker processes.
 ///
-/// Mutations scatter to the owning worker synchronously (one pipe
-/// round-trip); queries delta-gather — conditional exports confirm clean
-/// shards by digest and ship only dirty ones, which are imported into the
-/// supervisor's persistent merged [`LiveBook`] before it answers. The
-/// public surface mirrors [`LiveBook`] — [`apply`](ClusterBook::apply)
-/// speaks the same [`Event`] stream, and [`EventSink`] lets
+/// Mutations go to the owning worker synchronously (one pipe round-trip)
+/// and then to the supervisor's persistent merged [`LiveBook`]; queries
+/// confirm every worker and answer from the merged book. The public
+/// surface mirrors [`LiveBook`] — [`apply`](ClusterBook::apply) speaks
+/// the same [`Event`] stream, and [`EventSink`] lets
 /// [`LiveServer::spawn_sink`](flexoffers_serving::LiveServer::spawn_sink)
 /// and the TCP tier drive a cluster exactly like a local book.
 pub struct ClusterBook {
     budget: Budget,
     spec: WorkerSpec,
-    slots: Vec<Slot>,
-    /// Every shard as of the last gather, behind the same engine the
-    /// in-process tier answers with. Doubles as the respawn baseline
-    /// store: worker `w` rehydrates from `merged.export_shard(w)`.
+    /// One connection per worker, by shard.
+    conns: Vec<WorkerConn>,
+    /// Every shard, current with every acknowledged mutation, behind the
+    /// same engine the in-process tier answers with. Doubles as the
+    /// respawn store: worker `w` rehydrates from `merged.export_shard(w)`.
     merged: LiveBook,
     ids: Sequencer,
     respawns: u64,
@@ -395,28 +374,20 @@ impl ClusterBook {
         }
         let merged = LiveBook::new(config, workers, Engine::new(budget))
             .expect("workers >= 1, so the merged book has shards");
-        let mut slots = Vec::with_capacity(workers);
+        let mut conns = Vec::with_capacity(workers);
         for w in 0..workers {
             let conn =
-                try_boot(&spec, budget, &load_request(&merged, w), &[]).map_err(|e| match e {
+                try_boot(&spec, budget, &load_request(&merged, w), None).map_err(|e| match e {
                     ConnFailure::Io(message) => ClusterError::Spawn { worker: w, message },
-                    ConnFailure::Fault { code, message } => ClusterError::Worker {
-                        worker: w,
-                        code,
-                        message,
-                    },
+                    ConnFailure::Fault { code, message } => fault(w, code, message),
                 })?;
             eprintln!("cluster worker {w} started (pid {})", conn.pid());
-            slots.push(Slot {
-                conn,
-                digest: None,
-                suffix: Vec::new(),
-            });
+            conns.push(conn);
         }
         Ok(Self {
             budget,
             spec,
-            slots,
+            conns,
             merged,
             ids: Sequencer::default(),
             respawns: 0,
@@ -426,7 +397,7 @@ impl ClusterBook {
 
     /// The number of worker processes (== the cluster shard count).
     pub fn workers(&self) -> usize {
-        self.slots.len()
+        self.conns.len()
     }
 
     /// The number of live offers.
@@ -454,14 +425,14 @@ impl ClusterBook {
         self.respawns
     }
 
-    /// Cumulative delta-gather counters.
+    /// Cumulative gather counters.
     pub fn gather_stats(&self) -> GatherStats {
         self.stats
     }
 
     /// The current worker process ids, by shard.
     pub fn worker_pids(&self) -> Vec<u32> {
-        self.slots.iter().map(|s| s.conn.pid()).collect()
+        self.conns.iter().map(WorkerConn::pid).collect()
     }
 
     /// Kills worker `w`'s process outright (SIGKILL) without telling the
@@ -469,23 +440,21 @@ impl ClusterBook {
     /// script. The next operation touching the shard detects the broken
     /// pipe and respawns.
     pub fn kill_worker(&mut self, w: usize) {
-        let _ = self.slots[w].conn.child.kill();
-        let _ = self.slots[w].conn.child.wait();
+        let _ = self.conns[w].child.kill();
+        let _ = self.conns[w].child.wait();
     }
 
-    /// Rebuilds worker `w` from the merged book's copy of its shard plus
-    /// the slot's suffix, and clears the slot digest — a rebuilt process
-    /// must prove its state with a full export on the next gather.
-    /// Bounded attempts; exhaustion is [`ClusterError::WorkerLost`].
-    fn respawn(&mut self, w: usize) -> Result<(), ClusterError> {
+    /// Rebuilds worker `w` from the merged book's copy of its shard, then
+    /// replays `in_flight` — a mutation whose round-trip failed, which
+    /// the merged book does not hold yet. Bounded attempts; exhaustion is
+    /// [`ClusterError::WorkerLost`].
+    fn respawn(&mut self, w: usize, in_flight: Option<&WorkerRequest>) -> Result<(), ClusterError> {
         let load = load_request(&self.merged, w);
         for _ in 0..RESPAWN_ATTEMPTS {
-            let boot = try_boot(&self.spec, self.budget, &load, &self.slots[w].suffix);
-            match boot {
+            match try_boot(&self.spec, self.budget, &load, in_flight) {
                 Ok(conn) => {
                     eprintln!("cluster worker {w} respawned (pid {})", conn.pid());
-                    self.slots[w].conn = conn;
-                    self.slots[w].digest = None;
+                    self.conns[w] = conn;
                     self.respawns += 1;
                     return Ok(());
                 }
@@ -494,37 +463,31 @@ impl ClusterBook {
                 Err(ConnFailure::Io(_)) => continue,
                 // A coded error replaying known-good state is a bug a
                 // retry cannot fix.
-                Err(ConnFailure::Fault { code, message }) => {
-                    return Err(ClusterError::Worker {
-                        worker: w,
-                        code,
-                        message,
-                    })
-                }
+                Err(ConnFailure::Fault { code, message }) => return Err(fault(w, code, message)),
             }
         }
         Err(ClusterError::WorkerLost { worker: w })
     }
 
-    /// Routes one mutation request for offer `id` to its owning worker.
-    /// The suffix entry is recorded *before* the round-trip so a pipe
-    /// failure respawns into a state that already includes this request.
+    /// Routes one mutation request for offer `id` to its owning worker,
+    /// then applies it to the merged book once the worker holds it. A
+    /// broken pipe respawns the worker with this request replayed; a
+    /// coded error returns before the merged book is touched.
     fn route(&mut self, id: u64, request: WorkerRequest) -> Result<(), ClusterError> {
-        let w = stable_shard(id, self.slots.len());
-        let slot = &mut self.slots[w];
-        slot.suffix.push(request);
-        match slot
-            .conn
-            .roundtrip(slot.suffix.last().expect("pushed above"))
-        {
-            Ok(_) => Ok(()),
-            Err(ConnFailure::Io(_)) => self.respawn(w),
-            Err(ConnFailure::Fault { code, message }) => Err(ClusterError::Worker {
-                worker: w,
-                code,
-                message,
-            }),
+        let w = stable_shard(id, self.conns.len());
+        match self.conns[w].roundtrip(&request) {
+            Ok(_) => {}
+            Err(ConnFailure::Io(_)) => self.respawn(w, Some(&request))?,
+            Err(ConnFailure::Fault { code, message }) => return Err(fault(w, code, message)),
         }
+        match request {
+            WorkerRequest::Add { offer_id, offer } => self.merged.add_at(offer_id, offer),
+            WorkerRequest::Update { offer_id, offer } => self.merged.update(offer_id, offer),
+            WorkerRequest::Remove { offer_id } => self.merged.remove(offer_id),
+            other => unreachable!("only mutations are routed, not {other:?}"),
+        }
+        .expect("the sequencer admitted the mutation, and the merged book holds its ids");
+        Ok(())
     }
 
     /// Inserts an offer under a caller-assigned id (the journal-replay
@@ -561,114 +524,52 @@ impl ClusterBook {
         self.apply(Event::Remove { id }).map(|_| ())
     }
 
-    /// Collects worker `w`'s export on a connection that just failed:
-    /// respawn, then one retry on the fresh process. The respawn cleared
-    /// the slot digest, so the retry is unconditional and must ship full.
-    fn regather_one(&mut self, w: usize) -> Result<serde::Value, ClusterError> {
-        self.respawn(w)?;
-        let request = WorkerRequest::Export { if_digest: None };
-        match self.slots[w].conn.roundtrip(&request) {
-            Ok(value) => Ok(value),
-            Err(ConnFailure::Io(_)) => Err(ClusterError::WorkerLost { worker: w }),
-            Err(ConnFailure::Fault { code, message }) => Err(ClusterError::Worker {
-                worker: w,
-                code,
-                message,
-            }),
-        }
-    }
-
-    /// The gather loop both query paths share: write one export request
-    /// to every worker (conditional on the slot's digest when
-    /// `conditional`) before reading any reply, so workers refresh their
-    /// caches (and hash their shards) in parallel; then hand each reply
-    /// payload to `take` in shard order. A worker whose pipe failed is
-    /// respawned and asked again, unconditionally.
-    fn collect(
-        &mut self,
-        conditional: bool,
-        mut take: impl FnMut(&mut Self, usize, ExportPayload) -> Result<(), ClusterError>,
-    ) -> Result<(), ClusterError> {
-        let pending: Vec<Option<u64>> = self
-            .slots
+    /// Writes `request` to every worker before reading any reply, so the
+    /// workers answer in parallel; returns the replies in shard order. A
+    /// failed write reads as a broken pipe.
+    fn broadcast(&mut self, request: &WorkerRequest) -> Vec<Result<serde::Value, ConnFailure>> {
+        let sent: Vec<io::Result<u64>> = self.conns.iter_mut().map(|c| c.send(request)).collect();
+        self.conns
             .iter_mut()
-            .map(|slot| {
-                let if_digest = slot.digest.filter(|_| conditional);
-                slot.conn.send(&WorkerRequest::Export { if_digest }).ok()
+            .zip(sent)
+            .map(|(conn, sent)| match sent {
+                Ok(id) => conn.read_reply(id),
+                Err(e) => Err(ConnFailure::Io(e.to_string())),
             })
-            .collect();
-        for (w, request) in pending.into_iter().enumerate() {
-            let first = match request {
-                Some(id) => self.slots[w].conn.read_reply(id),
-                None => Err(ConnFailure::Io("export request write failed".to_owned())),
-            };
-            let value = match first {
-                Ok(value) => value,
-                Err(ConnFailure::Io(_)) => self.regather_one(w)?,
-                Err(ConnFailure::Fault { code, message }) => {
-                    return Err(ClusterError::Worker {
-                        worker: w,
-                        code,
-                        message,
-                    })
-                }
-            };
-            let payload = parse_export_payload(&value).map_err(|e| bad_export(w, e))?;
-            take(self, w, payload)?;
-        }
-        Ok(())
+            .collect()
     }
 
-    /// Brings the merged book up to date with every worker: conditional
-    /// exports confirm clean shards by digest, and only the dirty ones
-    /// are imported. A gathered worker's slot resets (digest := confirmed
-    /// value, suffix := empty) — the merged book *is* the respawn
-    /// baseline, so the two advance together here and nowhere else. A
-    /// digest hit is sound because the digest covers the canonical shard
-    /// JSON: equal digest ⇒ equal canonical bytes ⇒ the merged book's
-    /// copy is the worker's exact state, suffix included.
+    /// Checks every worker against the merged book, then refreshes the
+    /// merged book's baseline partials. A worker whose `confirm` reads the
+    /// merged shard's live count and key digest is counted as confirmed;
+    /// one whose pipe failed, or whose counters disagree, is respawned
+    /// from the merged shard. Nothing is shipped or imported, so the
+    /// answer never depends on bytes a worker sends.
     fn gather(&mut self) -> Result<(), ClusterError> {
-        self.merged.reserve_ids(self.ids.next_id());
-        let (mut dirty, mut cached, mut dirty_bytes) = (0u64, 0u64, 0u64);
-        self.collect(true, |this, w, payload| {
-            let slot = &mut this.slots[w];
-            match payload {
-                ExportPayload::NotModified { digest } => {
-                    if slot.digest != Some(digest) {
-                        return Err(bad_export(
-                            w,
-                            format!(
-                                "not_modified confirmed digest {digest}, supervisor expected {:?}",
-                                slot.digest
-                            ),
-                        ));
-                    }
-                    cached += 1;
-                }
-                ExportPayload::Full { digest, shard } => {
-                    dirty_bytes += slot.conn.last_reply_len() as u64;
-                    this.merged
-                        .import_shard(w, shard)
-                        .map_err(ClusterError::Import)?;
-                    slot.digest = Some(digest);
-                    dirty += 1;
-                }
+        let replies = self.broadcast(&WorkerRequest::Confirm);
+        let sizes = self.merged.shard_sizes();
+        let digests = self.merged.key_digests();
+        let mut confirmed = 0u64;
+        for (w, reply) in replies.into_iter().enumerate() {
+            let expect = Confirmed {
+                len: sizes[w] as u64,
+                key_digest: digests[w],
+            };
+            match reply {
+                Ok(payload) if parse_confirm(&payload) == Ok(expect) => confirmed += 1,
+                Ok(_) | Err(ConnFailure::Io(_)) => self.respawn(w, None)?,
+                Err(ConnFailure::Fault { code, message }) => return Err(fault(w, code, message)),
             }
-            slot.suffix.clear();
-            Ok(())
-        })?;
+        }
+        self.merged.refresh();
         self.stats.gathers += 1;
-        self.stats.dirty_shards += dirty;
-        self.stats.cached_shards += cached;
-        self.stats.dirty_bytes += dirty_bytes;
-        eprintln!("cluster gather: {dirty} dirty / {cached} cached");
+        self.stats.cached_shards += confirmed;
         Ok(())
     }
 
-    /// Gathers and merges the cluster's current state into one
-    /// [`BookExport`] — what a snapshot of the cluster persists. Shards
-    /// arrive warm (workers refresh before exporting), so the export is
-    /// as query-ready as an in-process book's.
+    /// Confirms the workers and returns the merged book's export — what a
+    /// snapshot of the cluster persists. The gather refreshed every
+    /// shard, so the export is as query-ready as an in-process book's.
     pub fn export(&mut self) -> Result<BookExport, ClusterError> {
         self.gather()?;
         Ok(self.merged.export())
@@ -679,42 +580,51 @@ impl ClusterBook {
     /// ids) must not be reassigned.
     pub fn reserve_ids(&mut self, next_id: u64) {
         self.ids.reserve(next_id);
+        self.merged.reserve_ids(next_id);
     }
 
-    /// Answers one query: delta-gather, then answer off the merged book —
-    /// the very same [`LiveBook`] code the in-process tier runs, so the
-    /// byte-identity contract is enforced rather than re-implemented.
+    /// Answers one query: confirm the workers, then answer off the merged
+    /// book — the very same [`LiveBook`] code the in-process tier runs,
+    /// so the byte-identity contract is enforced rather than
+    /// re-implemented.
     pub fn answer(&mut self, kind: QueryKind) -> Result<String, ClusterError> {
         self.gather()?;
         Ok(self.merged.answer(kind))
     }
 
-    /// Answers one query over unconditional full exports from every
-    /// worker, rebuilding a fresh book from scratch — the pre-delta
-    /// gather path, kept as the byte-identity oracle the delta path is
-    /// tested (and benchmarked) against. Deliberately touches no slot
-    /// digest, no suffix, and not the merged book, so interleaving oracle
-    /// queries never helps the delta path.
+    /// Answers one query over full exports from every worker, rebuilt
+    /// into a fresh book — the byte-identity oracle the confirm gather is
+    /// tested against. Touches neither the merged book nor the gather
+    /// counters, so interleaving oracle queries never helps the query
+    /// path. A worker whose pipe failed is respawned from the merged
+    /// shard and asked once more.
     pub fn answer_full(&mut self, kind: QueryKind) -> Result<String, ClusterError> {
-        let mut shards = Vec::with_capacity(self.slots.len());
-        self.collect(false, |_, w, payload| match payload {
-            ExportPayload::Full { shard, .. } => {
-                shards.push(shard);
-                Ok(())
-            }
-            ExportPayload::NotModified { .. } => Err(bad_export(
-                w,
-                "worker answered not_modified to an unconditional export".to_owned(),
-            )),
-        })?;
-        let merged = BookExport {
+        let replies = self.broadcast(&WorkerRequest::Export);
+        let mut shards = Vec::with_capacity(replies.len());
+        for (w, reply) in replies.into_iter().enumerate() {
+            let reply = match reply {
+                Err(ConnFailure::Io(_)) => {
+                    self.respawn(w, None)?;
+                    self.conns[w]
+                        .roundtrip(&WorkerRequest::Export)
+                        .map_err(|e| match e {
+                            ConnFailure::Io(_) => ClusterError::WorkerLost { worker: w },
+                            ConnFailure::Fault { code, message } => fault(w, code, message),
+                        })
+                }
+                Err(ConnFailure::Fault { code, message }) => Err(fault(w, code, message)),
+                Ok(payload) => Ok(payload),
+            }?;
+            shards.push(value_to_shard(&reply).map_err(|e| fault(w, "bad_export".to_owned(), e))?);
+        }
+        let export = BookExport {
             next_id: self.ids.next_id(),
             shards,
         };
         let mut book = LiveBook::from_export(
             self.merged.config().clone(),
             Engine::new(self.budget),
-            merged,
+            export,
         )
         .map_err(ClusterError::Import)?;
         Ok(book.answer(kind))
@@ -748,13 +658,25 @@ impl ClusterBook {
     }
 
     /// Shuts every worker down gracefully (best effort — a worker that is
-    /// already dead is simply reaped by the connection's drop).
+    /// already dead is simply reaped by the connection's drop), then logs
+    /// the cluster's gather totals on stderr.
     pub fn shutdown(&mut self) {
-        for slot in &mut self.slots {
-            if slot.conn.roundtrip(&WorkerRequest::Shutdown).is_ok() {
-                let _ = slot.conn.child.wait();
+        for conn in &mut self.conns {
+            if conn.roundtrip(&WorkerRequest::Shutdown).is_ok() {
+                let _ = conn.child.wait();
             }
         }
+        let GatherStats {
+            gathers,
+            dirty_shards,
+            cached_shards,
+            ..
+        } = self.stats;
+        eprintln!(
+            "cluster gather totals: {gathers} gathers, {cached_shards} confirmed, \
+             {dirty_shards} shipped, {} respawns",
+            self.respawns
+        );
     }
 }
 

@@ -21,20 +21,17 @@
 //! {"id":N,"op":"add","offer_id":I,"offer":{…}}
 //! {"id":N,"op":"update","offer_id":I,"offer":{…}}
 //! {"id":N,"op":"remove","offer_id":I}
-//! {"id":N,"op":"export"}                 — unconditional full export
-//! {"id":N,"op":"export","if_digest":D}   — conditional (delta gather)
+//! {"id":N,"op":"confirm"}               — the shard's live count and key digest
+//! {"id":N,"op":"export"}                — the full shard (the oracle path)
 //! {"id":N,"op":"load","next_id":I,"shard":{…}}
 //! {"id":N,"op":"shutdown"}
 //! ```
 //!
-//! A conditional export is answered `{"not_modified":true,"digest":D}`
-//! when the worker's shard **state digest** — FNV-1a 64 over the
-//! canonical single-line JSON of its [`ShardExport`] body
-//! ([`flexoffers_storage::shard_digest`]), which embeds the commutative
-//! `key_digest` — still equals `D`; otherwise the worker ships
-//! `{"digest":D',"shard":{…}}`. Supervisor and workers are always the
-//! same build, so a bare shard (no `digest` wrapper) is a malformed
-//! payload, not an older dialect.
+//! `confirm` is the query path's only request: the worker answers
+//! `{"len":L,"key_digest":D}`, two counters its book already maintains,
+//! and the supervisor checks them against its own copy of the shard. An
+//! `export` is answered with the bare shard. Supervisor and workers are
+//! always the same build, so there is no older dialect to accept.
 
 use flexoffers_model::FlexOffer;
 use flexoffers_serving::ShardExport;
@@ -74,15 +71,12 @@ pub enum WorkerRequest {
         /// The global logical id.
         offer_id: u64,
     },
-    /// Refresh the baseline partial and reply with the worker's shard — unless
-    /// `if_digest` matches the worker's current shard state digest, in
-    /// which case the reply is the tiny `not_modified` frame. `None`
-    /// always ships the full export (respawn re-baselining, snapshots,
-    /// and the full-gather oracle use this).
-    Export {
-        /// The supervisor's last-seen state digest for this shard.
-        if_digest: Option<u64>,
-    },
+    /// Reply with the shard's live count and key digest ([`Confirmed`]) —
+    /// what a query's gather checks against the supervisor's copy.
+    Confirm,
+    /// Refresh the baseline partial and reply with the worker's whole
+    /// shard — the full-gather oracle's request.
+    Export,
     /// Replace the worker's shard with this image (respawn rehydration).
     Load {
         /// The cluster's id counter, strictly past every id in `shard`.
@@ -97,8 +91,8 @@ pub enum WorkerRequest {
 /// One worker → supervisor reply (without its echoed request id).
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkerReply {
-    /// Success; `export` replies carry the shard payload, everything else
-    /// `true`.
+    /// Success; `confirm` and `export` replies carry their payloads,
+    /// everything else `true`.
     Ok(Value),
     /// Failure, with a machine-readable code — any error is a supervisor
     /// bug or a poisoned worker, and the supervisor treats it as fatal for
@@ -149,15 +143,8 @@ pub fn write_request_line(buf: &mut String, id: u64, request: &WorkerRequest) {
             fields.push(("op", op("remove")));
             fields.push(("offer_id", Value::U64(*offer_id)));
         }
-        WorkerRequest::Export { if_digest } => {
-            fields.push(("op", op("export")));
-            // `None` serializes as an absent field, so an unconditional
-            // export is byte-identical to the pre-delta wire — and an old
-            // worker parsing a conditional one simply never sees the key.
-            if let Some(digest) = if_digest {
-                fields.push(("if_digest", Value::U64(*digest)));
-            }
-        }
+        WorkerRequest::Confirm => fields.push(("op", op("confirm"))),
+        WorkerRequest::Export => fields.push(("op", op("export"))),
         WorkerRequest::Load { next_id, shard } => {
             fields.push(("op", op("load")));
             fields.push(("next_id", Value::U64(*next_id)));
@@ -212,14 +199,8 @@ pub fn parse_request(line: &str) -> Result<(u64, WorkerRequest), String> {
         "remove" => WorkerRequest::Remove {
             offer_id: get_u64(&value, "offer_id")?,
         },
-        "export" => WorkerRequest::Export {
-            if_digest: match value.get("if_digest") {
-                None => None,
-                Some(field) => {
-                    Some(u64::from_value(field).map_err(|e| format!("`if_digest`: {e}"))?)
-                }
-            },
-        },
+        "confirm" => WorkerRequest::Confirm,
+        "export" => WorkerRequest::Export,
         "load" => WorkerRequest::Load {
             next_id: get_u64(&value, "next_id")?,
             shard: get_shard(&value)?,
@@ -237,8 +218,7 @@ pub fn ok_line(id: u64, payload: Value) -> String {
 }
 
 /// Renders a success reply line around an already-serialized payload —
-/// the worker's export path splices its cached shard JSON straight into
-/// the frame instead of re-serializing a value tree.
+/// the worker renders each payload once and splices it into the frame.
 pub fn ok_line_raw(id: u64, payload_json: &str) -> String {
     let mut line = String::with_capacity(payload_json.len() + 24);
     line.push_str("{\"id\":");
@@ -249,61 +229,31 @@ pub fn ok_line_raw(id: u64, payload_json: &str) -> String {
     line
 }
 
-/// The payload of a conditional export hit: `if_digest` still matches.
-pub fn not_modified_payload(digest: u64) -> String {
-    format!("{{\"not_modified\":true,\"digest\":{digest}}}")
+/// A `confirm` reply: what the worker's one-shard book holds, in the two
+/// counters every mutation already maintains.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Confirmed {
+    /// The shard's live offer count.
+    pub len: u64,
+    /// The shard's commutative `(tes, tf)` key digest.
+    pub key_digest: u64,
 }
 
-/// The payload of a conditional export miss: the digest of the worker's
-/// shard plus the shard itself, spliced in from `shard_json` (the exact
-/// bytes the digest was computed over — serialized once, hashed and
-/// shipped).
-pub fn full_export_payload(digest: u64, shard_json: &str) -> String {
-    let mut payload = String::with_capacity(shard_json.len() + 40);
-    payload.push_str("{\"digest\":");
-    payload.push_str(&digest.to_string());
-    payload.push_str(",\"shard\":");
-    payload.push_str(shard_json);
-    payload.push('}');
-    payload
+/// Renders a `confirm` reply's `ok` payload.
+pub fn confirm_payload(confirmed: Confirmed) -> String {
+    let payload = obj(vec![
+        ("len", Value::U64(confirmed.len)),
+        ("key_digest", Value::U64(confirmed.key_digest)),
+    ]);
+    serde_json::to_string(&payload).expect("confirm values serialize")
 }
 
-/// A parsed conditional-export reply payload.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ExportPayload {
-    /// The worker's shard still matches the supervisor's digest; nothing
-    /// was shipped.
-    NotModified {
-        /// The digest the worker confirmed.
-        digest: u64,
-    },
-    /// A full export with the worker's shard state digest.
-    Full {
-        /// The shipped shard's state digest.
-        digest: u64,
-        /// The worker's shard image.
-        shard: ShardExport,
-    },
-}
-
-/// Parses an export reply's `ok` payload: the `not_modified` frame or the
-/// digest-wrapped shard.
-pub fn parse_export_payload(payload: &Value) -> Result<ExportPayload, String> {
-    if payload
-        .get("not_modified")
-        .is_some_and(|flag| flag == &Value::Bool(true))
-    {
-        return Ok(ExportPayload::NotModified {
-            digest: get_u64(payload, "digest")?,
-        });
-    }
-    if payload.get("shard").is_some() {
-        return Ok(ExportPayload::Full {
-            digest: get_u64(payload, "digest")?,
-            shard: get_shard(payload)?,
-        });
-    }
-    Err("export payload is neither `not_modified` nor a digest-wrapped `shard`".to_owned())
+/// Parses a `confirm` reply's `ok` payload.
+pub fn parse_confirm(payload: &Value) -> Result<Confirmed, String> {
+    Ok(Confirmed {
+        len: get_u64(payload, "len")?,
+        key_digest: get_u64(payload, "key_digest")?,
+    })
 }
 
 /// Renders an error reply line; `id` is `None` when the request line was
@@ -382,13 +332,8 @@ mod tests {
                 },
             ),
             (3, WorkerRequest::Remove { offer_id: 9 }),
-            (4, WorkerRequest::Export { if_digest: None }),
-            (
-                5,
-                WorkerRequest::Export {
-                    if_digest: Some(0xdead_beef),
-                },
-            ),
+            (4, WorkerRequest::Confirm),
+            (5, WorkerRequest::Export),
             (
                 6,
                 WorkerRequest::Load {
@@ -407,16 +352,15 @@ mod tests {
 
     #[test]
     fn unconditional_exports_keep_the_pre_delta_line_bytes() {
-        // The compatibility rule's supervisor half: `None` must serialize
-        // with no `if_digest` key at all, so an old worker sees exactly
-        // the frame it always has.
+        // The oracle's export frame is the one it has always been, and
+        // the query path's confirm frame carries nothing but its op.
         assert_eq!(
-            request_line(4, &WorkerRequest::Export { if_digest: None }),
+            request_line(4, &WorkerRequest::Export),
             "{\"id\":4,\"op\":\"export\"}"
         );
-        assert!(
-            request_line(4, &WorkerRequest::Export { if_digest: Some(1) })
-                .contains("\"if_digest\":1")
+        assert_eq!(
+            request_line(5, &WorkerRequest::Confirm),
+            "{\"id\":5,\"op\":\"confirm\"}"
         );
     }
 
@@ -438,38 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn export_payloads_parse_in_all_three_shapes() {
-        let shard = shard();
-        let shard_json = serde_json::to_string(&shard_to_value(&shard)).unwrap();
-        let digest = flexoffers_storage::shard_digest(&shard);
-
-        // Hit.
-        let hit: Value = serde_json::from_str(&not_modified_payload(digest)).unwrap();
-        assert_eq!(
-            parse_export_payload(&hit).unwrap(),
-            ExportPayload::NotModified { digest }
-        );
-
-        // Miss: the spliced frame parses to the digest plus the shard.
-        let miss: Value = serde_json::from_str(&full_export_payload(digest, &shard_json)).unwrap();
-        assert_eq!(
-            parse_export_payload(&miss).unwrap(),
-            ExportPayload::Full {
-                digest,
-                shard: shard.clone()
-            }
-        );
-
-        // A bare shard (no digest wrapper) is a malformed payload, and so
-        // is a wrapped one without its digest.
-        let err = parse_export_payload(&shard_to_value(&shard)).unwrap_err();
-        assert!(err.contains("digest-wrapped"), "{err}");
-        let undigested = obj(vec![("shard", shard_to_value(&shard))]);
-        assert!(parse_export_payload(&undigested).is_err());
-
-        // Garbage is a message.
-        assert!(parse_export_payload(&Value::Bool(true)).is_err());
-        assert!(parse_export_payload(&obj(vec![("not_modified", Value::Bool(true))])).is_err());
+    fn confirm_payloads_round_trip_and_need_both_counters() {
+        let confirmed = Confirmed {
+            len: 3,
+            key_digest: u64::MAX,
+        };
+        let payload: Value = serde_json::from_str(&confirm_payload(confirmed)).unwrap();
+        assert_eq!(parse_confirm(&payload), Ok(confirmed));
+        assert!(parse_confirm(&obj(vec![("len", Value::U64(3))])).is_err());
+        assert!(parse_confirm(&obj(vec![("key_digest", Value::U64(3))])).is_err());
+        assert!(parse_confirm(&Value::Bool(true)).is_err());
     }
 
     #[test]

@@ -3,27 +3,12 @@
 //! A worker holds a one-shard [`LiveBook`] of exactly the offers routed to
 //! it — the supervisor routes each mutation to worker `stable_shard(id, K)`,
 //! so the worker's shard receives the same pushes and swap-removes, in the
-//! same order, as shard `w` of an in-process K-shard book fed the same
-//! serialized mutation stream, and its arrays, key digest, baseline
-//! partial and canonical JSON are byte-equal to that shard's. The worker
-//! never answers queries itself: `export` refreshes its baseline partial
-//! and ships the shard, and the supervisor imports it as shard `w` of its
-//! persistent merged book (whose placement check rejects a misrouted id),
-//! so answer bytes come from the same code path as the in-process tier.
-//!
-//! # The state digest
-//!
-//! Each worker maintains its shard **state digest** incrementally across
-//! events: any mutation (or `load`) invalidates it, and the next `export`
-//! recomputes it lazily — FNV-1a 64 over the canonical single-line JSON
-//! of the worker's [`ShardExport`](flexoffers_serving::ShardExport)
-//! body ([`flexoffers_storage::shard_digest`]), which embeds the
-//! commutative `key_digest`. While the worker is clean, a conditional
-//! `export {if_digest}` whose digest matches answers with the tiny
-//! `not_modified` frame and serializes nothing; on a miss the cached
-//! canonical JSON (the exact bytes the digest covers) is spliced straight
-//! into the reply, so the shard body is serialized once per state, not
-//! once per gather.
+//! same order, as shard `w` of the supervisor's merged K-shard book, which
+//! applies every mutation it routes. The worker never answers queries:
+//! a query's `confirm` reads the shard's live count and key digest, two
+//! counters the book maintains on every mutation, so it costs O(1) and
+//! ships nothing. `export` refreshes the baseline partial and ships the
+//! whole shard; only the full-gather oracle asks for it.
 //!
 //! The loop is strictly sequential request/reply (the supervisor pipelines
 //! at most one outstanding request per worker per operation), flushes
@@ -34,22 +19,11 @@ use std::io::{self, BufRead, Write};
 
 use flexoffers_engine::{Budget, Engine};
 use flexoffers_serving::{LiveBook, ServeConfig};
-use flexoffers_storage::{fnv1a64, shard_to_value};
+use flexoffers_storage::shard_to_value;
 
 use crate::wire::{
-    error_line, full_export_payload, not_modified_payload, ok_line_raw, parse_request,
-    WorkerRequest,
+    confirm_payload, error_line, ok_line_raw, parse_request, Confirmed, WorkerRequest,
 };
-
-/// The worker's post-`init` state: its one-shard book and the lazily
-/// (re)computed state digest with the canonical shard JSON it was
-/// computed over.
-struct WorkerState {
-    book: LiveBook,
-    /// `Some((digest, canonical_shard_json))` while no mutation has
-    /// touched the book since the digest was computed.
-    digest: Option<(u64, String)>,
-}
 
 /// Runs the worker loop over arbitrary reader/writer pairs (the stdio
 /// binary passes locked stdin/stdout; tests pass in-memory pipes).
@@ -58,7 +32,7 @@ struct WorkerState {
 /// acknowledged. I/O errors on the reply channel propagate — with a dead
 /// supervisor there is nobody left to serve.
 pub fn run_worker<R: BufRead, W: Write>(input: R, mut output: W) -> io::Result<()> {
-    let mut state: Option<WorkerState> = None;
+    let mut book: Option<LiveBook> = None;
     for line in input.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -72,7 +46,7 @@ pub fn run_worker<R: BufRead, W: Write>(input: R, mut output: W) -> io::Result<(
                 continue;
             }
         };
-        let reply = match handle(&mut state, request) {
+        let reply = match handle(&mut book, request) {
             Ok(Some(payload)) => ok_line_raw(id, &payload),
             Ok(None) => {
                 writeln!(output, "{}", ok_line_raw(id, "true"))?;
@@ -91,76 +65,60 @@ pub fn run_worker<R: BufRead, W: Write>(input: R, mut output: W) -> io::Result<(
 /// JSON of the reply's `ok` payload. `Ok(None)` means `shutdown` —
 /// acknowledge and exit.
 fn handle(
-    state: &mut Option<WorkerState>,
+    book: &mut Option<LiveBook>,
     request: WorkerRequest,
 ) -> Result<Option<String>, (&'static str, String)> {
     let ok = || Ok(Some("true".to_owned()));
-    fn live(state: &mut Option<WorkerState>) -> Result<&mut WorkerState, (&'static str, String)> {
-        state.as_mut().ok_or_else(no_book)
+    let bad_event = |e: flexoffers_serving::LiveError| ("bad_event", e.to_string());
+    fn live(book: &mut Option<LiveBook>) -> Result<&mut LiveBook, (&'static str, String)> {
+        book.as_mut().ok_or_else(no_book)
     }
     match request {
         WorkerRequest::Init { threads } => {
             let budget =
                 Budget::with_threads(threads).map_err(|e| ("bad_request", e.to_string()))?;
             // The config shapes query *answers*, and answers happen at the
-            // supervisor merge, so the default serves.
-            let book = LiveBook::new(ServeConfig::default(), 1, Engine::new(budget))
-                .expect("one shard is valid");
-            *state = Some(WorkerState { book, digest: None });
+            // supervisor's merged book, so the default serves.
+            *book = Some(
+                LiveBook::new(ServeConfig::default(), 1, Engine::new(budget))
+                    .expect("one shard is valid"),
+            );
             ok()
         }
         WorkerRequest::Add { offer_id, offer } => {
-            let st = live(state)?;
-            st.book
-                .add_at(offer_id, offer)
-                .map_err(|e| ("bad_event", e.to_string()))?;
-            st.digest = None;
+            live(book)?.add_at(offer_id, offer).map_err(bad_event)?;
             ok()
         }
         WorkerRequest::Update { offer_id, offer } => {
-            let st = live(state)?;
-            st.book
-                .update(offer_id, offer)
-                .map_err(|e| ("bad_event", e.to_string()))?;
-            st.digest = None;
+            live(book)?.update(offer_id, offer).map_err(bad_event)?;
             ok()
         }
         WorkerRequest::Remove { offer_id } => {
-            let st = live(state)?;
-            st.book
-                .remove(offer_id)
-                .map_err(|e| ("bad_event", e.to_string()))?;
-            st.digest = None;
+            live(book)?.remove(offer_id).map_err(bad_event)?;
             ok()
         }
-        WorkerRequest::Export { if_digest } => {
-            let st = live(state)?;
-            // Warm the caches first so the supervisor's merged book
-            // re-evaluates nothing — the evaluation work happens here, in
-            // parallel across workers.
-            st.book.refresh();
-            if st.digest.is_none() {
-                let shard = st.book.export_shard(0);
-                let body =
-                    serde_json::to_string(&shard_to_value(&shard)).expect("shard values serialize");
-                st.digest = Some((fnv1a64(body.as_bytes()), body));
-            }
-            let (digest, body) = st.digest.as_ref().expect("computed above");
-            if if_digest == Some(*digest) {
-                Ok(Some(not_modified_payload(*digest)))
-            } else {
-                Ok(Some(full_export_payload(*digest, body)))
-            }
+        WorkerRequest::Confirm => {
+            let book = live(book)?;
+            Ok(Some(confirm_payload(Confirmed {
+                len: book.len() as u64,
+                key_digest: book.key_digests()[0],
+            })))
+        }
+        WorkerRequest::Export => {
+            let book = live(book)?;
+            book.refresh();
+            let shard = shard_to_value(&book.export_shard(0));
+            Ok(Some(
+                serde_json::to_string(&shard).expect("shard values serialize"),
+            ))
         }
         WorkerRequest::Load { next_id, shard } => {
-            let st = live(state)?;
+            let book = live(book)?;
             // The book's one shard is replaced wholesale; a failed import
             // leaves it untouched.
-            st.book.reserve_ids(next_id);
-            st.book
-                .import_shard(0, shard)
+            book.reserve_ids(next_id);
+            book.import_shard(0, shard)
                 .map_err(|e| ("bad_book", e.to_string()))?;
-            st.digest = None;
             ok()
         }
         WorkerRequest::Shutdown => Ok(None),
@@ -185,9 +143,7 @@ pub fn run_stdio_worker() -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{
-        parse_export_payload, parse_reply, request_line, ExportPayload, WorkerReply,
-    };
+    use crate::wire::{parse_confirm, parse_reply, request_line, WorkerReply};
     use flexoffers_model::{FlexOffer, Slice};
     use flexoffers_serving::ShardExport;
 
@@ -218,14 +174,19 @@ mod tests {
             .collect()
     }
 
-    fn full_shard(reply: &WorkerReply) -> (u64, ShardExport) {
-        let WorkerReply::Ok(payload) = reply else {
-            panic!("export failed: {reply:?}");
-        };
-        match parse_export_payload(payload).expect("export payload parses") {
-            ExportPayload::Full { digest, shard } => (digest, shard),
-            other => panic!("expected a digest-wrapped full export, got {other:?}"),
+    fn payload(reply: &WorkerReply) -> &serde::Value {
+        match reply {
+            WorkerReply::Ok(payload) => payload,
+            WorkerReply::Err { .. } => panic!("request failed: {reply:?}"),
         }
+    }
+
+    fn shard(reply: &WorkerReply) -> ShardExport {
+        flexoffers_storage::value_to_shard(payload(reply)).expect("export payload is a shard")
+    }
+
+    fn confirmed(reply: &WorkerReply) -> Confirmed {
+        parse_confirm(payload(reply)).expect("confirm payload parses")
     }
 
     #[test]
@@ -255,16 +216,16 @@ mod tests {
         let mut script = vec![init()];
         script.extend(routed.iter().cloned());
         script.extend([
-            WorkerRequest::Export { if_digest: None },
+            WorkerRequest::Export,
             WorkerRequest::Remove { offer_id: first },
-            WorkerRequest::Export { if_digest: None },
+            WorkerRequest::Export,
         ]);
         let replies = drive(&script);
         assert_eq!(replies.len(), 7);
-        let (digest, shard) = full_shard(&replies[4]);
-        assert_eq!(shard.ids, vec![first, second]);
+        let exported = shard(&replies[4]);
+        assert_eq!(exported.ids, vec![first, second]);
         assert!(
-            shard.cache.is_some(),
+            exported.cache.is_some(),
             "export refreshes before shipping, so the shard arrives warm"
         );
         // The shipped shard is byte-equal to the routed shard of an
@@ -282,86 +243,72 @@ mod tests {
             }
         }
         reference.refresh();
-        assert_eq!(shard, reference.export_shard(home));
-        // The shipped digest is the canonical one the supervisor could
-        // recompute from the shard body.
-        assert_eq!(digest, flexoffers_storage::shard_digest(&shard));
-        let (after_digest, shard) = full_shard(&replies[6]);
-        assert_eq!(shard.ids, vec![second]);
-        assert_ne!(digest, after_digest, "the remove changed the state");
+        assert_eq!(exported, reference.export_shard(home));
+        let after = shard(&replies[6]);
+        assert_eq!(after.ids, vec![second]);
 
-        // A fresh worker loaded with the shipped shard ships it back with
-        // the same digest — the respawn path.
+        // A fresh worker loaded with the shipped shard ships it back
+        // unchanged — the respawn path.
         let reloaded = drive(&[
             init(),
             WorkerRequest::Load {
                 next_id: second + 1,
-                shard,
+                shard: after.clone(),
             },
-            WorkerRequest::Export { if_digest: None },
+            WorkerRequest::Export,
         ]);
-        assert_eq!(full_shard(&reloaded[2]).0, after_digest);
+        assert_eq!(shard(&reloaded[2]), after);
     }
 
     #[test]
-    fn conditional_exports_gate_on_state_not_on_mutation_count() {
+    fn confirm_reports_the_live_count_and_key_digest() {
         let replies = drive(&[
             init(),
+            WorkerRequest::Confirm,
             WorkerRequest::Add {
                 offer_id: 1,
                 offer: offer(0),
             },
-            WorkerRequest::Export { if_digest: None },
-            // A stale digest misses…
-            WorkerRequest::Export {
-                if_digest: Some(0xbad),
+            WorkerRequest::Add {
+                offer_id: 5,
+                offer: offer(2),
             },
-            // …an update that *replaces the offer with identical content*
-            // still digests equal — the digest gates on state, so the next
-            // conditional export is a hit…
-            WorkerRequest::Update {
-                offer_id: 1,
-                offer: offer(0),
-            },
-            WorkerRequest::Export { if_digest: None },
-            // …and a content-changing update misses again.
+            WorkerRequest::Confirm,
+            // A key-changing update moves the digest, not the count…
             WorkerRequest::Update {
                 offer_id: 1,
                 offer: offer(7),
             },
-            WorkerRequest::Export { if_digest: None },
+            WorkerRequest::Confirm,
+            // …and a remove moves both.
+            WorkerRequest::Remove { offer_id: 5 },
+            WorkerRequest::Confirm,
         ]);
-        let (digest, _) = full_shard(&replies[2]);
-        let (missed, _) = full_shard(&replies[3]);
-        assert_eq!(digest, missed, "a miss reships the same state");
-        let (after_noop_update, _) = full_shard(&replies[5]);
-        assert_eq!(after_noop_update, digest);
-        let (changed, _) = full_shard(&replies[7]);
-        assert_ne!(changed, digest);
-
-        // Now drive the actual hit: export, then conditional export with
-        // the digest just received, with no mutation between.
-        let replies = drive(&[
-            init(),
-            WorkerRequest::Add {
-                offer_id: 1,
-                offer: offer(0),
-            },
-            WorkerRequest::Export { if_digest: None },
-            WorkerRequest::Export {
-                if_digest: Some(digest),
-            },
-        ]);
-        let (again, _) = full_shard(&replies[2]);
-        assert_eq!(again, digest, "same history, same digest");
-        let WorkerReply::Ok(payload) = &replies[3] else {
-            panic!("conditional export failed: {:?}", replies[3]);
+        // Each confirm reads what the same mutations leave in a one-shard
+        // book, so a supervisor applying them to its own copy agrees.
+        let mut reference = LiveBook::new(ServeConfig::default(), 1, Engine::sequential()).unwrap();
+        let expect = |book: &LiveBook| Confirmed {
+            len: book.len() as u64,
+            key_digest: book.key_digests()[0],
         };
-        assert_eq!(
-            parse_export_payload(payload).unwrap(),
-            ExportPayload::NotModified { digest },
-            "matching digest ships nothing"
-        );
+        let empty = confirmed(&replies[1]);
+        assert_eq!(empty, expect(&reference));
+        assert_eq!(empty.len, 0);
+        reference.add_at(1, offer(0)).unwrap();
+        reference.add_at(5, offer(2)).unwrap();
+        let two = confirmed(&replies[4]);
+        assert_eq!(two, expect(&reference));
+        assert_eq!(two.len, 2);
+        reference.update(1, offer(7)).unwrap();
+        let updated = confirmed(&replies[6]);
+        assert_eq!(updated, expect(&reference));
+        assert_eq!(updated.len, 2);
+        assert_ne!(updated.key_digest, two.key_digest);
+        reference.remove(5).unwrap();
+        let removed = confirmed(&replies[8]);
+        assert_eq!(removed, expect(&reference));
+        assert_eq!(removed.len, 1);
+        assert_ne!(removed.key_digest, updated.key_digest);
     }
 
     #[test]
@@ -390,7 +337,7 @@ mod tests {
                 },
             ),
             request_line(5, &WorkerRequest::Remove { offer_id: 9 }),
-            request_line(6, &WorkerRequest::Export { if_digest: None }),
+            request_line(6, &WorkerRequest::Export),
         ]
         .join("\n");
         run_worker(script.as_bytes(), &mut out).unwrap();
@@ -420,7 +367,7 @@ mod tests {
         let script = [
             request_line(0, &init()),
             request_line(1, &WorkerRequest::Shutdown),
-            request_line(2, &WorkerRequest::Export { if_digest: None }),
+            request_line(2, &WorkerRequest::Export),
         ]
         .join("\n");
         let mut out = Vec::new();

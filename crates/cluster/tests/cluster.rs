@@ -205,15 +205,13 @@ proptest! {
         cluster.shutdown();
     }
 
-    /// The delta-gather contract: at every query in a random
-    /// interleaving, the delta answer byte-matches both the full-gather
-    /// oracle ([`ClusterBook::answer_full`]) and the in-process
-    /// reference — including when a worker is SIGKILLed at a random
-    /// event. Afterwards, the caching behaviour itself is pinned: a
-    /// back-to-back clean query confirms every shard by digest (zero
-    /// dirty), and a kill forces exactly the respawned victim to ship a
-    /// full export again (respawn invalidates the digest; the gather
-    /// repairs the merge book).
+    /// The confirm-gather contract: at every query in a random
+    /// interleaving, the answer byte-matches both the full-gather oracle
+    /// ([`ClusterBook::answer_full`]) and the in-process reference —
+    /// including when a worker is SIGKILLed at a random event. No query
+    /// ships a shard, even after a kill: a back-to-back query confirms
+    /// every worker, and a SIGKILL before a query is repaired by exactly
+    /// one respawn from the merged book while the other workers confirm.
     #[test]
     fn delta_gathers_match_the_full_gather_oracle_and_cache_clean_shards(
         ops in arb_ops(),
@@ -237,7 +235,7 @@ proptest! {
             }
             if let Event::Query(kind) = event {
                 let full = cluster.answer_full(kind).expect("full-gather oracle answers");
-                let delta = cluster.answer(kind).expect("delta gather answers");
+                let delta = cluster.answer(kind).expect("confirm gather answers");
                 let want = reference.answer(kind);
                 prop_assert_eq!(&delta, &full, "event {}: delta vs full-gather oracle", i);
                 prop_assert_eq!(&delta, &want, "event {}: delta vs in-process", i);
@@ -247,8 +245,9 @@ proptest! {
             }
         }
 
-        // Settle the merge book, then pin the cache behaviour: with no
-        // mutations in between, the next gather confirms every shard.
+        // Settle: a worker the loop killed and never touched again is
+        // repaired here. Then, with no mutations in between, the next
+        // gather confirms every shard.
         prop_assert_eq!(
             cluster.answer(QueryKind::Measure).unwrap(),
             reference.answer(QueryKind::Measure)
@@ -259,23 +258,23 @@ proptest! {
             reference.answer(QueryKind::Measure)
         );
         let clean = cluster.gather_stats();
-        prop_assert_eq!(clean.dirty_shards - before.dirty_shards, 0,
-            "a clean back-to-back gather ships nothing");
         prop_assert_eq!(clean.cached_shards - before.cached_shards, workers as u64,
-            "every shard confirms by digest");
+            "every shard confirms");
 
-        // A SIGKILL invalidates exactly the victim's digest: the respawn
-        // replays its shard and the next gather pulls one full export.
+        // A SIGKILL is repaired by one respawn from the merged book; the
+        // untouched workers still confirm.
+        let respawns = cluster.respawns();
         cluster.kill_worker(victim);
         prop_assert_eq!(
             cluster.answer(QueryKind::Aggregate).unwrap(),
             reference.answer(QueryKind::Aggregate)
         );
         let repaired = cluster.gather_stats();
-        prop_assert_eq!(repaired.dirty_shards - clean.dirty_shards, 1,
-            "the respawned worker must report a digest miss");
+        prop_assert_eq!(cluster.respawns() - respawns, 1, "the kill is repaired by one respawn");
         prop_assert_eq!(repaired.cached_shards - clean.cached_shards, (workers - 1) as u64,
-            "untouched workers stay cached through a peer's respawn");
+            "untouched workers stay confirmed through a peer's respawn");
+        prop_assert_eq!(repaired.dirty_shards, 0, "no query ever ships a shard");
+        prop_assert_eq!(repaired.dirty_bytes, 0, "no query ever ships a shard");
         cluster.shutdown();
     }
 }
@@ -379,6 +378,103 @@ fn the_serving_loop_drives_a_cluster_sink() {
     reference.add(offer(1));
     reference.remove(0).unwrap();
     assert_eq!(answer, reference.answer(QueryKind::Aggregate));
+}
+
+/// A query after mutations moves no shard bytes: each gather confirms
+/// every worker, and the answers still equal the full-gather oracle and
+/// the in-process book.
+#[test]
+fn a_query_after_mutations_moves_no_shard_bytes() {
+    let config = ServeConfig::default();
+    let mut cluster =
+        ClusterBook::spawn(config.clone(), Budget::sequential(), 2, worker_spec()).unwrap();
+    let mut reference = LiveBook::new(config, 2, Engine::sequential()).unwrap();
+    for round in 0..3 {
+        let mut events: Vec<Event> = (0..6).map(|i| Event::Add(offer(round * 6 + i))).collect();
+        let first = reference.next_id();
+        events.push(Event::Update {
+            id: first,
+            offer: offer(20),
+        });
+        events.push(Event::Remove { id: first + 1 });
+        for event in events {
+            cluster.apply(event.clone()).unwrap();
+            reference.apply(event).unwrap();
+        }
+        let before = cluster.gather_stats();
+        for kind in QueryKind::all() {
+            let full = cluster.answer_full(kind).unwrap();
+            let got = cluster.answer(kind).unwrap();
+            assert_eq!(got, reference.answer(kind), "round {round}: {kind}");
+            assert_eq!(got, full, "round {round}: {kind} vs the full-gather oracle");
+        }
+        let after = cluster.gather_stats();
+        assert_eq!(after.dirty_bytes - before.dirty_bytes, 0, "round {round}");
+        assert_eq!(after.dirty_shards - before.dirty_shards, 0, "round {round}");
+        assert_eq!(after.gathers - before.gathers, 4);
+        assert_eq!(after.cached_shards - before.cached_shards, 2 * 4);
+    }
+    assert_eq!(cluster.respawns(), 0);
+    cluster.shutdown();
+}
+
+/// A worker killed after a mutation is acknowledged, and before the next
+/// query, is respawned from the merged book's current shard: the query
+/// answers correctly without shipping a shard, and the full-gather
+/// oracle — which reads the respawned worker — agrees.
+#[test]
+fn a_worker_killed_after_an_acked_mutation_respawns_from_the_current_merged_shard() {
+    let config = ServeConfig::default();
+    let mut cluster =
+        ClusterBook::spawn(config.clone(), Budget::sequential(), 2, worker_spec()).unwrap();
+    let mut reference = LiveBook::new(config, 2, Engine::sequential()).unwrap();
+    for i in 0..8 {
+        cluster.add(offer(i)).unwrap();
+        reference.add(offer(i));
+    }
+    assert_eq!(
+        cluster.answer(QueryKind::Measure).unwrap(),
+        reference.answer(QueryKind::Measure)
+    );
+    let victim = flexoffers_engine::stable_shard(3, 2);
+    cluster.update(3, offer(11)).unwrap();
+    reference.update(3, offer(11)).unwrap();
+    let added = cluster.add(offer(5)).unwrap();
+    reference.add(offer(5));
+    cluster.kill_worker(victim);
+
+    let before = cluster.gather_stats();
+    assert_eq!(
+        cluster.answer(QueryKind::Trade).unwrap(),
+        reference.answer(QueryKind::Trade)
+    );
+    let after = cluster.gather_stats();
+    assert_eq!(cluster.respawns(), 1, "the confirm found the dead pipe");
+    assert_eq!(
+        after.cached_shards - before.cached_shards,
+        1,
+        "the peer confirmed"
+    );
+    assert_eq!(after.dirty_bytes, 0, "the respawn shipped nothing back");
+    for kind in QueryKind::all() {
+        assert_eq!(
+            cluster.answer_full(kind).unwrap(),
+            reference.answer(kind),
+            "{kind}: the respawned worker holds the acked mutations"
+        );
+    }
+    cluster.remove(added).unwrap();
+    reference.remove(added).unwrap();
+    assert_eq!(
+        cluster.answer(QueryKind::Schedule).unwrap(),
+        reference.answer(QueryKind::Schedule)
+    );
+    assert_eq!(
+        cluster.respawns(),
+        1,
+        "the respawned worker confirms from then on"
+    );
+    cluster.shutdown();
 }
 
 /// Failure conditions are structured, named errors — never hangs or

@@ -350,9 +350,9 @@ impl LiveBook {
     /// grouping inputs did not change. In process the warm-cache decision
     /// uses the exact old-vs-new key comparison (see
     /// [`update`](Self::update)); the digests are the shard-level summary
-    /// of the same fact — what tests observe, and what a cross-process
-    /// shard would ship to prove its key multiset unchanged without
-    /// resending the keys.
+    /// of the same fact. The cluster tier's query gather compares them,
+    /// with [`shard_sizes`](Self::shard_sizes), against each worker's
+    /// `confirm` reply: O(1) on both sides, and no key is resent.
     pub fn key_digests(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.key_digest).collect()
     }
@@ -441,18 +441,17 @@ impl LiveBook {
     }
 
     /// Advances the id counter to at least `next_id` (it never rewinds).
-    /// The delta-gather supervisor owns the global counter and raises its
-    /// merged book's before importing shards, so
-    /// [`import_shard`](Self::import_shard)'s `StaleNextId` check is
-    /// against the *global* horizon, not whatever this book last saw.
+    /// A respawned shard worker raises its counter to the cluster's before
+    /// loading its shard, so [`import_shard`](Self::import_shard)'s
+    /// `StaleNextId` check is against the *global* horizon, not whatever
+    /// this book last saw.
     pub fn reserve_ids(&mut self, next_id: u64) {
         self.next_id = self.next_id.max(next_id);
     }
 
-    /// Replaces shard `s` wholesale with an exported image — the delta
-    /// gather's merge step: a persistent merged book swaps in only the
-    /// shards whose digests changed, instead of
-    /// [`from_export`](Self::from_export) rebuilding all of them.
+    /// Replaces shard `s` wholesale with an exported image — how
+    /// [`from_export`](Self::from_export) rebuilds a book shard by shard,
+    /// and how a respawned shard worker loads its shard.
     ///
     /// Revalidates the shard (stable placement, no repeated ids, an id
     /// counter that clears every imported id, a key digest matching the
@@ -643,9 +642,8 @@ impl LiveBook {
     /// Recomputes the baseline partial of every dirty shard and bumps
     /// those shards' evaluation counters; clean shards are not touched —
     /// the "one shard per single-offer update" contract. Trade queries
-    /// refresh first; a cross-process shard worker refreshes before
-    /// shipping its state, so the supervisor's merge gathers only clean
-    /// partials and recomputes nothing.
+    /// refresh first; the cluster supervisor refreshes its merged book on
+    /// every gather, so a trade query finds the partials warm.
     pub fn refresh(&mut self) {
         let engine = self.engine;
         for shard in self.shards.iter_mut().filter(|s| s.baseline.is_none()) {

@@ -81,8 +81,7 @@ fn scratch_dir(tag: &str) -> ScratchDir {
     ScratchDir(dir)
 }
 
-/// A small city script with churn and all four query kinds — workers
-/// re-gather the whole book per query, so this stays modest for a
+/// A small city script with churn and all four query kinds, modest for a
 /// debug-build test (CI's cluster smoke replays a larger one).
 fn script() -> String {
     stdout_of(
@@ -124,20 +123,29 @@ fn cluster_replay_is_byte_equal_to_batch_at_any_worker_count() {
             !stderr.contains("respawned"),
             "no worker died during a clean replay: {stderr}"
         );
+        let workers: usize = workers.parse().unwrap();
+        let totals = format!(
+            "cluster gather totals: 6 gathers, {} confirmed, 0 shipped, 0 respawns\n",
+            6 * workers
+        );
         assert_eq!(
-            stderr.matches("cluster gather: ").count(),
-            6,
-            "one delta-gather counter line per query: {stderr}"
+            stderr.matches("cluster gather").count(),
+            1,
+            "one totals line, at shutdown: {stderr}"
+        );
+        assert!(
+            stderr.ends_with(&totals),
+            "each of the 6 queries confirmed all {workers} shards and shipped none: {stderr}"
         );
     }
 }
 
 #[test]
 fn back_to_back_queries_confirm_every_shard_by_digest() {
-    // Two queries with no mutation in between: the first gather pulls
-    // both shards in full (first contact), the second must confirm both
-    // by state digest and ship nothing — the counter line the CI smoke
-    // also greps for.
+    // Two queries with no mutation in between after a run of
+    // mutations: both gathers confirm both shards by live count and key
+    // digest and ship nothing — the totals line the CI smoke also greps
+    // for.
     let mut script = stdout_of(
         &["events", "--city", "40", "--churn", "5", "--queries", "0"],
         None,
@@ -146,12 +154,8 @@ fn back_to_back_queries_confirm_every_shard_by_digest() {
     script.push_str(QUERY);
     let (_, stderr) = run_ok(&["serve", "--script", "-", "--workers", "2"], Some(&script));
     assert!(
-        stderr.contains("cluster gather: 2 dirty / 0 cached"),
-        "first contact ships both shards in full: {stderr}"
-    );
-    assert!(
-        stderr.contains("cluster gather: 0 dirty / 2 cached"),
-        "an unchanged book gathers entirely from the digest cache: {stderr}"
+        stderr.contains("cluster gather totals: 2 gathers, 4 confirmed, 0 shipped, 0 respawns\n"),
+        "every gather confirms both shards, even right after mutations: {stderr}"
     );
 }
 
