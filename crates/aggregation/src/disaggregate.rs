@@ -25,7 +25,7 @@
 //! phenomenon quantified in the loss experiments and demonstrated in the
 //! tests below.
 
-use flexoffers_model::{Assignment, Energy};
+use flexoffers_model::{Assignment, Energy, TimeSlot};
 
 use crate::error::DisaggregationError;
 use crate::flow::FlowNetwork;
@@ -73,7 +73,8 @@ impl Aggregate {
             .map_err(DisaggregationError::InvalidAggregateAssignment)
     }
 
-    /// One pass over columns. For member `i` at its slice `j`:
+    /// One pass over columns, each visiting only the members that cover
+    /// it. For member `i` at its slice `j`:
     /// `L = max(amin_j, cmin_i - assigned - suffix_max)` and
     /// `U = min(amax_j, cmax_i - assigned - suffix_min)` keep the member's
     /// own completion feasible; the column then needs
@@ -83,41 +84,62 @@ impl Aggregate {
         let members = self.members();
         let offsets = self.offsets();
         let start = assignment.start();
+        let n_cols = assignment.len();
         let mut values: Vec<Vec<Energy>> = members
             .iter()
             .map(|m| Vec::with_capacity(m.slice_count()))
             .collect();
         let mut assigned: Vec<Energy> = vec![0; members.len()];
 
-        // Suffix sums of slice bounds per member: reachable range of the
-        // *remaining* slices after position j.
-        let suffix: Vec<Vec<(Energy, Energy)>> = members
-            .iter()
-            .map(|m| {
-                let s = m.slice_count();
-                let mut acc = vec![(0, 0); s + 1];
-                for j in (0..s).rev() {
-                    let sl = &m.slices()[j];
-                    acc[j] = (acc[j + 1].0 + sl.min(), acc[j + 1].1 + sl.max());
-                }
-                acc
-            })
-            .collect();
+        // Participants per column, in member order, as one flat list:
+        // column k's members are `participants[first[k]..first[k + 1]]`.
+        let cols = |i: usize| {
+            let clip = |t: TimeSlot| t.clamp(0, n_cols as TimeSlot) as usize;
+            clip(offsets[i])..clip(offsets[i] + members[i].slice_count() as TimeSlot)
+        };
+        let mut first = vec![0usize; n_cols + 1];
+        for i in 0..members.len() {
+            for k in cols(i) {
+                first[k + 1] += 1;
+            }
+        }
+        for k in 0..n_cols {
+            first[k + 1] += first[k];
+        }
+        let mut participants = vec![0usize; first[n_cols]];
+        let mut fill = first.clone();
+        for i in 0..members.len() {
+            for k in cols(i) {
+                participants[fill[k]] = i;
+                fill[k] += 1;
+            }
+        }
 
+        // Suffix sums of slice bounds per member, flat: the reachable range
+        // of member `i`'s slices from position j on is
+        // `suffix[base[i] + j]`, with a zero entry one past its last slice.
+        let mut base = Vec::with_capacity(members.len());
+        let mut suffix: Vec<(Energy, Energy)> = Vec::new();
+        for m in members {
+            base.push(suffix.len());
+            let from = suffix.len();
+            suffix.resize(from + m.slice_count() + 1, (0, 0));
+            for (j, sl) in m.slices().iter().enumerate().rev() {
+                let (lo, hi) = suffix[from + j + 1];
+                suffix[from + j] = (lo + sl.min(), hi + sl.max());
+            }
+        }
+
+        let mut bounds: Vec<(usize, Energy, Energy)> = Vec::new();
         for (k, &v) in assignment.values().iter().enumerate() {
-            let k = k as i64;
-            // Participants: members whose profile covers column k.
-            let mut bounds: Vec<(usize, Energy, Energy)> = Vec::new();
+            bounds.clear();
             let mut sum_lo = 0;
             let mut sum_hi = 0;
-            for (i, m) in members.iter().enumerate() {
-                let j = k - offsets[i];
-                if j < 0 || j >= m.slice_count() as i64 {
-                    continue;
-                }
-                let j = j as usize;
+            for &i in &participants[first[k]..first[k + 1]] {
+                let m = &members[i];
+                let j = (k as i64 - offsets[i]) as usize;
                 let sl = &m.slices()[j];
-                let (suf_min, suf_max) = suffix[i][j + 1];
+                let (suf_min, suf_max) = suffix[base[i] + j + 1];
                 let lo = sl.min().max(m.total_min() - assigned[i] - suf_max);
                 let hi = sl.max().min(m.total_max() - assigned[i] - suf_min);
                 if lo > hi {
@@ -141,11 +163,10 @@ impl Aggregate {
             }
             debug_assert_eq!(surplus, 0, "surplus fits because v <= sum_hi");
         }
-        let parts: Vec<Assignment> = members
-            .iter()
-            .zip(&values)
+        let parts: Vec<Assignment> = values
+            .into_iter()
             .zip(offsets)
-            .map(|((_, vals), off)| Assignment::new(start + off, vals.clone()))
+            .map(|(vals, off)| Assignment::new(start + off, vals))
             .collect();
         // Final validity check: totals may be violated only through a bug;
         // keep the guard cheap and unconditional.

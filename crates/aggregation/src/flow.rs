@@ -12,15 +12,44 @@
 #[derive(Debug)]
 pub struct FlowNetwork {
     /// Forward/backward edge pairs: edge `2k` is forward, `2k+1` its
-    /// residual twin.
+    /// residual twin, so edge `e` leaves node `to[e ^ 1]`.
     to: Vec<usize>,
     cap: Vec<i64>,
-    adj: Vec<Vec<usize>>,
-    /// Node excess induced by the lower-bound transformation.
+    /// Node excess induced by the lower-bound transformation; one entry
+    /// per node.
     excess: Vec<i64>,
     /// For each original (caller-visible) edge: internal index and lower
     /// bound, to reconstruct flows.
     originals: Vec<(usize, i64)>,
+}
+
+/// The residual graph's adjacency, flat: node `u`'s edges, in the order
+/// they were added, are `edges[first[u]..first[u + 1]]`.
+struct Adjacency {
+    first: Vec<usize>,
+    edges: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Groups the edge ids of `to` by source node, each node's list in
+    /// ascending id order — the order the edges were pushed in.
+    fn of(to: &[usize], nodes: usize) -> Self {
+        let mut first = vec![0usize; nodes + 1];
+        for e in 0..to.len() {
+            first[to[e ^ 1] + 1] += 1;
+        }
+        for u in 0..nodes {
+            first[u + 1] += first[u];
+        }
+        let mut fill = first.clone();
+        let mut edges = vec![0usize; to.len()];
+        for e in 0..to.len() {
+            let u = to[e ^ 1];
+            edges[fill[u]] = e;
+            fill[u] += 1;
+        }
+        Self { first, edges }
+    }
 }
 
 impl FlowNetwork {
@@ -29,7 +58,6 @@ impl FlowNetwork {
         Self {
             to: Vec::new(),
             cap: Vec::new(),
-            adj: vec![Vec::new(); n],
             excess: vec![0; n],
             originals: Vec::new(),
         }
@@ -39,10 +67,8 @@ impl FlowNetwork {
         let idx = self.to.len();
         self.to.push(v);
         self.cap.push(cap);
-        self.adj[u].push(idx);
         self.to.push(u);
         self.cap.push(0);
-        self.adj[v].push(idx + 1);
         idx
     }
 
@@ -55,7 +81,7 @@ impl FlowNetwork {
     pub fn add_edge(&mut self, u: usize, v: usize, lower: i64, upper: i64) -> usize {
         assert!(lower <= upper, "edge bounds inverted: [{lower}, {upper}]");
         assert!(
-            u < self.adj.len() && v < self.adj.len(),
+            u < self.excess.len() && v < self.excess.len(),
             "node out of range"
         );
         let idx = self.push_edge(u, v, upper - lower);
@@ -69,13 +95,9 @@ impl FlowNetwork {
     /// Finds a feasible `s -> t` flow respecting all bounds. Returns the
     /// per-original-edge flows, or `None` if no feasible flow exists.
     pub fn solve(mut self, s: usize, t: usize) -> Option<Vec<i64>> {
-        let n = self.adj.len();
+        let n = self.excess.len();
         let super_source = n;
         let super_sink = n + 1;
-        self.adj.push(Vec::new());
-        self.adj.push(Vec::new());
-        self.excess.push(0);
-        self.excess.push(0);
 
         // Close the circulation in both directions: production-side
         // networks carry *negative* lower bounds, whose transformed demands
@@ -95,7 +117,8 @@ impl FlowNetwork {
         }
 
         let initial_caps = self.cap.clone();
-        let pushed = self.dinic(super_source, super_sink);
+        let adjacency = Adjacency::of(&self.to, n + 2);
+        let pushed = self.dinic(&adjacency, super_source, super_sink);
         if pushed != required {
             return None;
         }
@@ -107,16 +130,23 @@ impl FlowNetwork {
         )
     }
 
-    fn dinic(&mut self, s: usize, t: usize) -> i64 {
-        let n = self.adj.len();
+    /// Dinic's max flow from `s` to `t`. The level, iterator and queue
+    /// buffers are allocated once and reset each phase; `iter[u]` is a
+    /// position in `adj.edges`, starting each phase at `adj.first[u]`.
+    fn dinic(&mut self, adj: &Adjacency, s: usize, t: usize) -> i64 {
+        let n = adj.first.len() - 1;
         let mut total = 0;
+        let mut level = vec![usize::MAX; n];
+        let mut iter = vec![0usize; n];
+        let mut queue = std::collections::VecDeque::with_capacity(n);
         loop {
             // BFS level graph.
-            let mut level = vec![usize::MAX; n];
+            level.fill(usize::MAX);
             level[s] = 0;
-            let mut queue = std::collections::VecDeque::from([s]);
+            queue.clear();
+            queue.push_back(s);
             while let Some(u) = queue.pop_front() {
-                for &e in &self.adj[u] {
+                for &e in &adj.edges[adj.first[u]..adj.first[u + 1]] {
                     let v = self.to[e];
                     if self.cap[e] > 0 && level[v] == usize::MAX {
                         level[v] = level[u] + 1;
@@ -128,9 +158,9 @@ impl FlowNetwork {
                 return total;
             }
             // DFS blocking flow with iteration pointers.
-            let mut iter = vec![0usize; n];
+            iter.copy_from_slice(&adj.first[..n]);
             loop {
-                let pushed = self.dfs(s, t, i64::MAX / 4, &level, &mut iter);
+                let pushed = self.dfs(adj, s, t, i64::MAX / 4, &level, &mut iter);
                 if pushed == 0 {
                     break;
                 }
@@ -139,15 +169,23 @@ impl FlowNetwork {
         }
     }
 
-    fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[usize], iter: &mut [usize]) -> i64 {
+    fn dfs(
+        &mut self,
+        adj: &Adjacency,
+        u: usize,
+        t: usize,
+        limit: i64,
+        level: &[usize],
+        iter: &mut [usize],
+    ) -> i64 {
         if u == t {
             return limit;
         }
-        while iter[u] < self.adj[u].len() {
-            let e = self.adj[u][iter[u]];
+        while iter[u] < adj.first[u + 1] {
+            let e = adj.edges[iter[u]];
             let v = self.to[e];
             if self.cap[e] > 0 && level[v] == level[u] + 1 {
-                let pushed = self.dfs(v, t, limit.min(self.cap[e]), level, iter);
+                let pushed = self.dfs(adj, v, t, limit.min(self.cap[e]), level, iter);
                 if pushed > 0 {
                     self.cap[e] -= pushed;
                     self.cap[e ^ 1] += pushed;

@@ -312,10 +312,12 @@ fn prepared_rows(
 fn assert_kernels_identical(engine: &Engine, offers: &[FlexOffer]) {
     let measures = all_measures();
     let scalar_rows = prepared_rows(offers, &measures);
-    let engine_rows = engine.per_offer_rows(offers, &measures);
-    assert_eq!(scalar_rows.len(), engine_rows.len());
-    for (i, (s_row, e_row)) in scalar_rows.iter().zip(&engine_rows).enumerate() {
-        for (m, (s, e)) in s_row.iter().zip(e_row).enumerate() {
+    let engine_columns = engine.per_offer_columns(offers, &measures);
+    assert_eq!(engine_columns.len(), measures.len());
+    for (m, e_column) in engine_columns.iter().enumerate() {
+        assert_eq!(scalar_rows.len(), e_column.len());
+        for (i, (s_row, e)) in scalar_rows.iter().zip(e_column).enumerate() {
+            let s = &s_row[m];
             let same = match (s, e) {
                 (Ok(a), Ok(b)) => a.to_bits() == b.to_bits(),
                 (Err(a), Err(b)) => a == b,

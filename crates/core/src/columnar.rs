@@ -52,15 +52,12 @@ use crate::error::MeasureError;
 use crate::measure::Measure;
 use crate::prepared::PreparedOffer;
 
-/// One per-offer row of measure values, in measure order.
-type Row = Vec<Result<f64, MeasureError>>;
-
 /// The columnar kernel evaluating one measure as a single pass over a
 /// [`ColumnarBatch`]'s columns. A measure advertises its kernel through
 /// [`Measure::columnar_kernel`]; measures without one (the constrained
 /// assignment count, wrappers like the weighted combination) fall back to
 /// the scalar [`Measure::of_prepared`] path inside
-/// [`ColumnarBatch::rows`].
+/// [`ColumnarBatch::columns`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ColumnarKernel {
     /// Time flexibility `tls - tes`.
@@ -129,8 +126,7 @@ impl MonoDeque {
 /// all buffers retain capacity across loads.
 ///
 /// The portfolio engine's only evaluation route: every measure pass
-/// ([`columns`](ColumnarBatch::columns), [`rows`](ColumnarBatch::rows))
-/// and every baseline pass
+/// ([`columns`](ColumnarBatch::columns)) and every baseline pass
 /// ([`baseline_partial`](ColumnarBatch::baseline_partial)) runs through a
 /// batch, with kernel-less measures evaluated per offer inside it.
 ///
@@ -351,7 +347,7 @@ impl ColumnarBatch {
 
     /// Materialises offer `i`'s full [`UnionArea`] (per-column extents,
     /// not just the size) from the batch's columns — what
-    /// [`ColumnarBatch::rows`] injects into fallback [`PreparedOffer`]s
+    /// [`ColumnarBatch::columns`] injects into fallback [`PreparedOffer`]s
     /// via [`PreparedOffer::with_union`], so scalar-path measures in a
     /// mixed measure set never re-run the sweep.
     pub fn union_area_of(&mut self, i: usize) -> UnionArea {
@@ -541,21 +537,6 @@ impl ColumnarBatch {
         columns
     }
 
-    /// Per-offer rows of `measures` over `offers` —
-    /// [`columns`](ColumnarBatch::columns) transposed back to the offer ×
-    /// measure layout of the scalar prepared-offer loop, bitwise
-    /// identical to it.
-    pub fn rows<O: Borrow<FlexOffer>>(
-        &mut self,
-        offers: &[O],
-        measures: &[Box<dyn Measure>],
-    ) -> Vec<Row> {
-        let columns = self.columns(offers, measures);
-        (0..offers.len())
-            .map(|i| columns.iter().map(|column| column[i].clone()).collect())
-            .collect()
-    }
-
     /// The no-flexibility baseline load of `offers` — the columnar mirror
     /// of the market crate's earliest-start midpoint baseline
     /// (`baseline_load`): per offer, slice midpoints fitted to the total
@@ -697,11 +678,11 @@ mod tests {
     fn rows_match_the_prepared_offer_loop_bitwise() {
         let offers = vec![figure1(), mixed()];
         let measures = all_measures();
-        let rows = ColumnarBatch::new().rows(&offers, &measures);
-        for (fo, row) in offers.iter().zip(&rows) {
+        let columns = ColumnarBatch::new().columns(&offers, &measures);
+        for (i, fo) in offers.iter().enumerate() {
             let prepared = PreparedOffer::new(fo);
-            for (m, got) in measures.iter().zip(row) {
-                assert_eq!(*got, m.of_prepared(&prepared), "{}", m.name());
+            for (m, column) in measures.iter().zip(&columns) {
+                assert_eq!(column[i], m.of_prepared(&prepared), "{}", m.name());
             }
         }
     }
@@ -717,16 +698,17 @@ mod tests {
             Box::new(crate::assignments::AssignmentFlexibility::exact()),
         ];
         assert!(measures[1].columnar_kernel().is_none());
-        let rows = ColumnarBatch::new().rows(&offers, &measures);
+        let columns = ColumnarBatch::new().columns(&offers, &measures);
         let prepared = PreparedOffer::new(&offers[0]);
-        assert_eq!(rows[0][0], measures[0].of_prepared(&prepared));
-        assert_eq!(rows[0][1], measures[1].of_prepared(&prepared));
+        assert_eq!(columns[0][0], measures[0].of_prepared(&prepared));
+        assert_eq!(columns[1][0], measures[1].of_prepared(&prepared));
     }
 
     #[test]
     fn empty_batch_yields_no_rows_and_an_empty_baseline() {
         let mut batch = ColumnarBatch::new();
-        assert!(batch.rows::<FlexOffer>(&[], &all_measures()).is_empty());
+        let columns = batch.columns::<FlexOffer>(&[], &all_measures());
+        assert!(columns.iter().all(Vec::is_empty));
         assert!(batch.baseline_partial::<FlexOffer>(&[]).is_empty());
     }
 

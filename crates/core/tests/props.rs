@@ -242,13 +242,14 @@ proptest! {
         fos in prop::collection::vec(arb_flexoffer(), 0..12),
     ) {
         let measures = kernel_suite();
-        let rows = ColumnarBatch::new().rows(&fos, &measures);
-        prop_assert_eq!(rows.len(), fos.len());
+        let columns = ColumnarBatch::new().columns(&fos, &measures);
+        prop_assert_eq!(columns.len(), measures.len());
         for (i, fo) in fos.iter().enumerate() {
             let prepared = PreparedOffer::new(fo);
             for (j, m) in measures.iter().enumerate() {
+                prop_assert_eq!(columns[j].len(), fos.len());
                 let scalar = m.of_prepared(&prepared);
-                match (&rows[i][j], &scalar) {
+                match (&columns[j][i], &scalar) {
                     (Ok(a), Ok(b)) => prop_assert_eq!(
                         a.to_bits(), b.to_bits(),
                         "{} on {}: {} vs {}", m.name(), fo, a, b
@@ -274,10 +275,14 @@ proptest! {
         let measures = kernel_suite();
         let split = split.min(fos.len());
         let mut arena = ColumnarBatch::new();
-        let mut reused = arena.rows(&fos[..split], &measures);
-        reused.extend(arena.rows(&fos[split..], &measures));
-        let mut fresh = ColumnarBatch::new().rows(&fos[..split], &measures);
-        fresh.extend(ColumnarBatch::new().rows(&fos[split..], &measures));
+        let reused = [
+            arena.columns(&fos[..split], &measures),
+            arena.columns(&fos[split..], &measures),
+        ];
+        let fresh = [
+            ColumnarBatch::new().columns(&fos[..split], &measures),
+            ColumnarBatch::new().columns(&fos[split..], &measures),
+        ];
         prop_assert_eq!(reused, fresh);
     }
 }

@@ -78,15 +78,9 @@ impl Engine {
     ) -> PortfolioReport {
         let started = Instant::now();
         let chunk_size = self.budget.chunk_size_for(offers.len());
-        // Workers hand back measure-major columns per chunk and each
-        // measure's fold walks the chunks in range order — the per-offer
-        // value sequence of the sequential loop, without ever
-        // materialising a row.
-        let ranges = chunk_ranges(offers.len(), chunk_size);
-        let chunked: Vec<Vec<Vec<Result<f64, MeasureError>>>> =
-            parallel_map(&ranges, self.budget.threads(), |range| {
-                ColumnarBatch::new().columns(&offers[range.clone()], measures)
-            });
+        // Each measure's fold walks the chunks' columns in range order —
+        // the per-offer value sequence of the sequential loop.
+        let chunked = self.chunk_columns(offers, measures);
         let summaries = measures
             .iter()
             .enumerate()
@@ -116,26 +110,44 @@ impl Engine {
         self.measure_portfolio(offers, &all_measures())
     }
 
-    /// Per-offer values of `measures` over `offers` — each chunk evaluated
-    /// as one [`ColumnarBatch`] pass across workers, rows merged in
-    /// portfolio order. Each value is bitwise identical to the measure's
-    /// [`Measure::of_prepared`] on that offer; nothing is reduced off the
-    /// calling thread.
+    /// Per-offer values of `measures` over `offers`, measure-major:
+    /// `columns[j][i]` is measure `j` on offer `i`, bitwise identical to
+    /// the measure's [`Measure::of_prepared`] on that offer. Each chunk is
+    /// evaluated as one [`ColumnarBatch`] pass across workers and the
+    /// chunks' columns are joined in portfolio order; nothing is reduced
+    /// off the calling thread.
     ///
-    /// The Scenario 1 correlations read these rows
+    /// The Scenario 1 correlations read these columns
     /// ([`Engine::simulate_grouped`]), over an owned portfolio or a
     /// borrowed view alike.
-    pub fn per_offer_rows<O: Borrow<FlexOffer> + Sync>(
+    pub fn per_offer_columns<O: Borrow<FlexOffer> + Sync>(
         &self,
         offers: &[O],
         measures: &[Box<dyn Measure>],
     ) -> Vec<Vec<Result<f64, MeasureError>>> {
-        let chunk_size = self.budget.chunk_size_for(offers.len());
-        let ranges = chunk_ranges(offers.len(), chunk_size);
-        let chunks = parallel_map(&ranges, self.budget.threads(), |range| {
-            ColumnarBatch::new().rows(&offers[range.clone()], measures)
-        });
-        chunks.into_iter().flatten().collect()
+        let mut columns: Vec<Vec<Result<f64, MeasureError>>> = measures
+            .iter()
+            .map(|_| Vec::with_capacity(offers.len()))
+            .collect();
+        for chunk in self.chunk_columns(offers, measures) {
+            for (column, part) in columns.iter_mut().zip(chunk) {
+                column.extend(part);
+            }
+        }
+        columns
+    }
+
+    /// The measure-major [`ColumnarBatch::columns`] of every budget chunk
+    /// of `offers`, evaluated across workers, in chunk order.
+    fn chunk_columns<O: Borrow<FlexOffer> + Sync>(
+        &self,
+        offers: &[O],
+        measures: &[Box<dyn Measure>],
+    ) -> Vec<Vec<Vec<Result<f64, MeasureError>>>> {
+        let ranges = chunk_ranges(offers.len(), self.budget.chunk_size_for(offers.len()));
+        parallel_map(&ranges, self.budget.threads(), |range| {
+            ColumnarBatch::new().columns(&offers[range.clone()], measures)
+        })
     }
 
     /// Start-alignment-aggregates each of `groups` (index lists into

@@ -26,8 +26,7 @@ use flexoffers_market::{baseline_load, Aggregator, LotDecision, SpotMarket};
 use flexoffers_measures::{all_measures, PreparedOffer};
 use flexoffers_model::{FlexOffer, Portfolio};
 use flexoffers_scheduling::{
-    earliest_start_assignment, GreedyScheduler, HillClimbScheduler, Schedule, Scheduler,
-    SchedulingError,
+    GreedyScheduler, HillClimbScheduler, Imbalance, Scheduler, SchedulingError,
 };
 use flexoffers_timeseries::Series;
 use flexoffers_workloads::city;
@@ -273,11 +272,13 @@ impl Engine {
     /// tolerances, with `baseline` giving the portfolio's no-flexibility
     /// load — the one scenario pipeline behind the CLI, the batch oracle
     /// and the live book, which differ only in how they supply the
-    /// grouping and the baseline. `baseline` is called only by Scenario 2.
+    /// grouping and the baseline. `baseline` is called once by either
+    /// scenario: Scenario 1 measures the imbalance before scheduling on
+    /// it (the earliest-start schedule's load), Scenario 2 prices it.
     ///
     /// * [`ScenarioKind::Schedule`]: aggregate each group, schedule the
     ///   aggregates toward the target, realize the plans at member level,
-    ///   compare against the earliest-start baseline, and correlate each
+    ///   compare against the baseline load, and correlate each
     ///   measure's per-offer value with the start shift the schedule
     ///   realized. The outcome is bitwise identical to
     ///   [`Engine::schedule_portfolio`].
@@ -314,20 +315,13 @@ impl Engine {
                     &target,
                     scheduler.as_ref(),
                 )?;
-                let earliest = Schedule::new(
-                    offers
-                        .iter()
-                        .map(|fo| earliest_start_assignment(fo.borrow()))
-                        .collect(),
-                );
-
                 // Which measure predicted how much an offer's flexibility
-                // got used? Per-offer measure values (parallel, merged in
+                // got used? Per-offer measure values (parallel, joined in
                 // portfolio order) against the realized start shift.
-                let rows: Vec<Vec<Option<f64>>> = self
-                    .per_offer_rows(offers, &all_measures())
+                let columns: Vec<Vec<Option<f64>>> = self
+                    .per_offer_columns(offers, &all_measures())
                     .into_iter()
-                    .map(|row| row.into_iter().map(Result::ok).collect())
+                    .map(|column| column.into_iter().map(Result::ok).collect())
                     .collect();
                 let shifts: Vec<f64> = outcome
                     .schedule
@@ -339,10 +333,11 @@ impl Engine {
                 let summary = ScheduleSummary {
                     scheduler: scenario.scheduler.name(),
                     unrealizable_plans: outcome.unrealizable_plans,
-                    imbalance_before: earliest.imbalance(&target),
+                    // The earliest-start schedule's load is the baseline.
+                    imbalance_before: Imbalance::between(&baseline(), &target),
                     imbalance_after: outcome.schedule.imbalance(&target),
                 };
-                (Some(summary), None, correlate(&rows, &shifts))
+                (Some(summary), None, correlate(&columns, &shifts))
             }
             ScenarioKind::Market => {
                 let market = scenario.spot_market();
@@ -378,8 +373,15 @@ impl Engine {
 
                 // Correlate per-aggregate measure values with realized
                 // savings.
-                let (rows, savings): (Vec<_>, Vec<_>) = admitted.into_iter().flatten().unzip();
-                let correlations = correlate(&rows, &savings);
+                let mut columns: Vec<Vec<Option<f64>>> = vec![Vec::new(); measures.len()];
+                let mut savings = Vec::new();
+                for (values, saved) in admitted.into_iter().flatten() {
+                    for (column, value) in columns.iter_mut().zip(values) {
+                        column.push(value);
+                    }
+                    savings.push(saved);
+                }
+                let correlations = correlate(&columns, &savings);
 
                 let summary = MarketSummary {
                     orders: outcome.orders.len(),
@@ -409,19 +411,20 @@ impl Engine {
     }
 }
 
-/// Pearson correlation of each measure's column in `rows` against `ys`,
-/// skipping rows where the measure errored or either side is non-finite.
-/// Both scenarios' correlation tables come from here; public so tests can
-/// build a sequential reference table.
-pub fn correlate(rows: &[Vec<Option<f64>>], ys: &[f64]) -> Vec<CorrelationSummary> {
+/// Pearson correlation of each measure's column in `columns` (one per
+/// measure of [`all_measures`], `columns[j][i]` pairing with `ys[i]`)
+/// against `ys`, skipping entries where the measure errored or either
+/// side is non-finite. Both scenarios' correlation tables come from here;
+/// public so tests can build a sequential reference table.
+pub fn correlate(columns: &[Vec<Option<f64>>], ys: &[f64]) -> Vec<CorrelationSummary> {
     all_measures()
         .iter()
-        .enumerate()
-        .map(|(j, m)| {
+        .zip(columns)
+        .map(|(m, column)| {
             let mut xs = Vec::new();
             let mut matched = Vec::new();
-            for (row, y) in rows.iter().zip(ys) {
-                if let Some(v) = row[j] {
+            for (value, y) in column.iter().zip(ys) {
+                if let Some(v) = *value {
                     if v.is_finite() && y.is_finite() {
                         xs.push(v);
                         matched.push(*y);

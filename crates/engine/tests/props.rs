@@ -18,7 +18,8 @@ use flexoffers_measures::{
 };
 use flexoffers_model::{FlexOffer, Portfolio, Slice};
 use flexoffers_scheduling::{
-    schedule_via_aggregation, EarliestStartScheduler, GreedyScheduler, Scheduler, SchedulingProblem,
+    earliest_start_assignment, schedule_via_aggregation, EarliestStartScheduler, GreedyScheduler,
+    Schedule, Scheduler, SchedulingProblem,
 };
 use flexoffers_timeseries::Series;
 use proptest::prelude::*;
@@ -48,6 +49,37 @@ fn arb_portfolio() -> impl Strategy<Value = Vec<FlexOffer>> {
     prop::collection::vec(arb_flexoffer(), 0..33)
 }
 
+/// Production offers whose slices all sit at or below zero with odd
+/// widths, where the midpoint rounds toward the minimum (away from zero),
+/// mixed into an [`arb_portfolio`].
+fn arb_baseline_portfolio() -> impl Strategy<Value = Vec<FlexOffer>> {
+    let production = (
+        0i64..4,
+        0i64..5,
+        prop::collection::vec((0i64..4, 0i64..4), 1..5),
+        0.0f64..1.0,
+        0.0f64..1.0,
+    )
+        .prop_map(|(tes, window, raw, cmin_pos, cmax_pos)| {
+            let slices: Vec<Slice> = raw
+                .into_iter()
+                .map(|(top, half)| Slice::new(-top - 2 * half - 1, -top).unwrap())
+                .collect();
+            let pmin: i64 = slices.iter().map(Slice::min).sum();
+            let pmax: i64 = slices.iter().map(Slice::max).sum();
+            let cmin = pmin + ((pmax - pmin) as f64 * cmin_pos) as i64;
+            let cmax = cmin + ((pmax - cmin) as f64 * cmax_pos) as i64;
+            FlexOffer::with_totals(tes, tes + window, slices, cmin, cmax).unwrap()
+        });
+    (arb_portfolio(), prop::collection::vec(production, 0..12)).prop_map(|(mut fos, prod)| {
+        for (k, fo) in prod.into_iter().enumerate() {
+            let at = (k * 7) % (fos.len() + 1);
+            fos.insert(at, fo);
+        }
+        fos
+    })
+}
+
 fn arb_target() -> impl Strategy<Value = Series<i64>> {
     prop::collection::vec(-6i64..12, 1..10).prop_map(|values| Series::new(0, values))
 }
@@ -75,17 +107,21 @@ fn mixed_measures() -> Vec<Box<dyn Measure>> {
 }
 
 /// The scalar reference: one `PreparedOffer` per offer, every measure
-/// through `of_prepared`, on the calling thread.
-fn prepared_rows(
+/// through `of_prepared`, on the calling thread; measure-major, so
+/// `columns[j][i]` is measure `j` on offer `i`.
+fn prepared_columns(
     fos: &[FlexOffer],
     measures: &[Box<dyn Measure>],
 ) -> Vec<Vec<Result<f64, MeasureError>>> {
-    fos.iter()
-        .map(|fo| {
-            let prepared = PreparedOffer::new(fo);
-            measures.iter().map(|m| m.of_prepared(&prepared)).collect()
-        })
-        .collect()
+    let mut columns: Vec<Vec<Result<f64, MeasureError>>> =
+        measures.iter().map(|_| Vec::new()).collect();
+    for fo in fos {
+        let prepared = PreparedOffer::new(fo);
+        for (column, m) in columns.iter_mut().zip(measures) {
+            column.push(m.of_prepared(&prepared));
+        }
+    }
+    columns
 }
 
 /// A realistic seeded workload (not just the proptest shapes): regenerating
@@ -165,12 +201,12 @@ proptest! {
             Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap(),
         );
         for measures in [all_measures(), mixed_measures()] {
-            let reference = prepared_rows(&fos, &measures);
-            let rows = engine.per_offer_rows(&fos, &measures);
-            prop_assert_eq!(rows.len(), fos.len());
-            for (i, (r_row, e_row)) in reference.iter().zip(&rows).enumerate() {
-                prop_assert_eq!(r_row.len(), e_row.len());
-                for (j, (r, e)) in r_row.iter().zip(e_row).enumerate() {
+            let reference = prepared_columns(&fos, &measures);
+            let columns = engine.per_offer_columns(&fos, &measures);
+            prop_assert_eq!(columns.len(), measures.len());
+            for (j, (r_column, e_column)) in reference.iter().zip(&columns).enumerate() {
+                prop_assert_eq!(r_column.len(), e_column.len());
+                for (i, (r, e)) in r_column.iter().zip(e_column).enumerate() {
                     match (r, e) {
                         (Ok(a), Ok(b)) => prop_assert_eq!(
                             a.to_bits(), b.to_bits(),
@@ -204,6 +240,30 @@ proptest! {
         );
     }
 
+    /// Scenario 1 reads its "before" load off the baseline that Scenario 2
+    /// prices, so three copies of the earliest-start midpoint fit must
+    /// agree: the scheduling crate's `earliest_start_assignment` summed by
+    /// `Schedule::load`, the market crate's `baseline_load`, and the
+    /// engine's columnar `baseline_load_parallel` at any threads × chunk
+    /// budget — as series and in their stored anchor and span.
+    #[test]
+    fn earliest_start_load_is_the_market_and_columnar_baseline(
+        fos in arb_baseline_portfolio(),
+        threads in 1usize..5,
+        chunk in 1usize..40,
+    ) {
+        let engine = Engine::new(
+            Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap(),
+        );
+        let load = Schedule::new(fos.iter().map(earliest_start_assignment).collect()).load();
+        let market = baseline_load(&fos);
+        let columnar = engine.baseline_load_parallel(&fos);
+        prop_assert_eq!(&load, &market);
+        prop_assert_eq!(&market, &columnar);
+        prop_assert_eq!(load.into_parts(), market.clone().into_parts());
+        prop_assert_eq!(market.into_parts(), columnar.into_parts());
+    }
+
     /// A mixed measure set — columnar kernels and per-offer fallbacks in
     /// one batch — measures exactly like the sequential loops at any
     /// threads × chunk budget: each value equals `of_set`, and
@@ -218,10 +278,10 @@ proptest! {
         let budget = Budget::with_threads(threads).unwrap().with_chunk_size(chunk).unwrap();
         let report = Engine::new(budget).measure_portfolio(&fos, &measures);
         prop_assert_eq!(report.offers, fos.len());
-        let rows = prepared_rows(&fos, &measures);
+        let columns = prepared_columns(&fos, &measures);
         for (j, (summary, m)) in report.summaries.iter().zip(&measures).enumerate() {
             prop_assert_eq!(&summary.value, &m.of_set(&fos), "{}", summary.measure);
-            let values: Vec<f64> = rows.iter().filter_map(|row| row[j].clone().ok()).collect();
+            let values: Vec<f64> = columns[j].iter().filter_map(|v| v.clone().ok()).collect();
             prop_assert_eq!(summary.evaluated, values.len());
             prop_assert_eq!(summary.failed, fos.len() - values.len());
             let min = values.iter().copied().reduce(f64::min);
@@ -362,9 +422,9 @@ proptest! {
                     prop_assert_eq!(summary.unrealizable_plans, outcome.unrealizable_plans);
                     prop_assert_eq!(summary.imbalance_after, outcome.schedule.imbalance(&target));
                     prop_assert_eq!(summary.imbalance_before, earliest.imbalance(&target));
-                    let rows: Vec<Vec<Option<f64>>> = prepared_rows(&fos, &all_measures())
+                    let columns: Vec<Vec<Option<f64>>> = prepared_columns(&fos, &all_measures())
                         .into_iter()
-                        .map(|row| row.into_iter().map(Result::ok).collect())
+                        .map(|column| column.into_iter().map(Result::ok).collect())
                         .collect();
                     let shifts: Vec<f64> = outcome
                         .schedule
@@ -375,7 +435,7 @@ proptest! {
                         .collect();
                     prop_assert_eq!(
                         format!("{:?}", report.correlations),
-                        format!("{:?}", correlate(&rows, &shifts))
+                        format!("{:?}", correlate(&columns, &shifts))
                     );
                 }
                 ScenarioKind::Market => {

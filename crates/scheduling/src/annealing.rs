@@ -57,7 +57,7 @@ impl Scheduler for AnnealingScheduler {
         let mut assignments = initial.assignments().to_vec();
         let mut residual = problem.target().clone();
         for a in &assignments {
-            residual = &residual - &a.as_series();
+            residual.sub_span(a.start(), a.values());
         }
         // Track the running and best costs via the residual's square sum.
         let cost_of = |r: &flexoffers_timeseries::Series<i64>| -> f64 {
@@ -71,7 +71,9 @@ impl Scheduler for AnnealingScheduler {
         for _ in 0..self.iterations {
             let i = rng.gen_range(0..offers.len());
             let fo = &offers[i];
-            let without = &residual + &assignments[i].as_series();
+            // The residual without offer i, updated in place; a rejected
+            // proposal is undone below (integer addition is exact).
+            residual.add_span(assignments[i].start(), assignments[i].values());
 
             // Proposal: pin a random start, water-fill the amounts there.
             let start = rng.gen_range(fo.earliest_start()..=fo.latest_start());
@@ -83,20 +85,22 @@ impl Scheduler for AnnealingScheduler {
                 fo.total_max(),
             )
             .expect("pinning a start inside the window preserves invariants");
-            let (proposal, _) = best_fit_assignment(&pinned, &without);
+            let (proposal, _) = best_fit_assignment(&pinned, &residual);
             let proposal = Assignment::new(start, proposal.values().to_vec());
 
-            let next_residual = &without - &proposal.as_series();
-            let next_cost = cost_of(&next_residual);
+            residual.sub_span(proposal.start(), proposal.values());
+            let next_cost = cost_of(&residual);
             let accept = next_cost <= cost
                 || rng.gen::<f64>() < ((cost - next_cost) / temperature.max(1e-9)).exp();
             if accept {
                 assignments[i] = proposal;
-                residual = next_residual;
                 cost = next_cost;
                 if cost < best.0 {
                     best = (cost, assignments.clone());
                 }
+            } else {
+                residual.add_span(proposal.start(), proposal.values());
+                residual.sub_span(assignments[i].start(), assignments[i].values());
             }
             temperature *= self.cooling;
         }

@@ -53,8 +53,8 @@ impl Scheduler for ExhaustiveScheduler {
         let mut best: Option<(f64, Vec<Assignment>)> = None;
         let mut current: Vec<Assignment> = Vec::with_capacity(problem.offers().len());
         // Residual starts as the target; leaves evaluate its L2 norm.
-        let residual = problem.target().clone();
-        search(problem, 0, residual, &mut current, &mut best);
+        let mut residual = problem.target().clone();
+        search(problem, 0, &mut residual, &mut current, &mut best);
         let (_, assignments) = best.expect("space is non-empty: every offer has assignments");
         Ok(Schedule::new(assignments))
     }
@@ -63,22 +63,25 @@ impl Scheduler for ExhaustiveScheduler {
 fn search(
     problem: &SchedulingProblem,
     depth: usize,
-    residual: Series<i64>,
+    residual: &mut Series<i64>,
     current: &mut Vec<Assignment>,
     best: &mut Option<(f64, Vec<Assignment>)>,
 ) {
     if depth == problem.offers().len() {
-        let cost = Norm::L2.of(&residual);
+        let cost = Norm::L2.of(residual);
         if best.as_ref().is_none_or(|(b, _)| cost < *b) {
             *best = Some((cost, current.clone()));
         }
         return;
     }
     for a in problem.offers()[depth].assignments() {
-        let next = &residual - &a.as_series();
+        // The residual is updated in place and restored on the way back
+        // (integer addition is exact).
+        residual.sub_span(a.start(), a.values());
         current.push(a);
-        search(problem, depth + 1, next, current, best);
-        current.pop();
+        search(problem, depth + 1, residual, current, best);
+        let a = current.pop().expect("pushed above");
+        residual.add_span(a.start(), a.values());
     }
 }
 

@@ -54,15 +54,15 @@ impl Scheduler for HillClimbScheduler {
         let mut assignments = initial.assignments().to_vec();
         let mut residual = problem.target().clone();
         for a in &assignments {
-            residual = &residual - &a.as_series();
+            residual.sub_span(a.start(), a.values());
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
         for _ in 0..self.iterations {
             let i = rng.gen_range(0..offers.len());
             // Lift offer i out, re-fit against the refreshed residual.
-            let without = &residual + &assignments[i].as_series();
-            let (refit, _) = best_fit_assignment(&offers[i], &without);
-            residual = &without - &refit.as_series();
+            residual.add_span(assignments[i].start(), assignments[i].values());
+            let (refit, _) = best_fit_assignment(&offers[i], &residual);
+            residual.sub_span(refit.start(), refit.values());
             assignments[i] = refit;
         }
         Ok(Schedule::new(assignments))

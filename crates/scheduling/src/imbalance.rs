@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use flexoffers_model::Assignment;
-use flexoffers_timeseries::ops::{pointwise_min, sum_series};
+use flexoffers_timeseries::ops::{pointwise_min, sum_spans};
 use flexoffers_timeseries::{Norm, Series};
 
 /// One assignment per flex-offer of a
@@ -24,10 +24,10 @@ impl Schedule {
         &self.assignments
     }
 
-    /// The summed load series of all assignments.
+    /// The summed load series of all assignments, accumulated in one pass
+    /// into one buffer over the hull of their profiles.
     pub fn load(&self) -> Series<i64> {
-        let series: Vec<Series<i64>> = self.assignments.iter().map(Assignment::as_series).collect();
-        sum_series(series.iter())
+        sum_spans(self.assignments.iter().map(|a| (a.start(), a.values())))
     }
 
     /// Imbalance of this schedule's load against `target`.

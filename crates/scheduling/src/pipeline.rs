@@ -121,7 +121,7 @@ pub fn realize_aggregate(agg: &Aggregate, assignment: &Assignment) -> (Vec<Assig
                 .iter()
                 .map(|member| {
                     let (fit, _) = crate::greedy::best_fit_assignment(member, &residual);
-                    residual = &residual - &fit.as_series();
+                    residual.sub_span(fit.start(), fit.values());
                     fit
                 })
                 .collect();

@@ -15,7 +15,8 @@
 //!   the offers in place through one id-ordered borrowed view and answer
 //!   through the same query path as the batch oracle.
 //!   Each shard caches only its integer **baseline partial**, guarded by
-//!   a dirty bit, so a trade query recomputes dirtied shards only. A
+//!   a dirty bit, so a schedule or trade query recomputes dirtied shards
+//!   only. A
 //!   per-shard **group-key digest** spots updates that leave the `(tes,
 //!   tf)` key multiset unchanged, keeping the grouping cache warm; when
 //!   keys do change, re-grouping is one in-order sweep of the ordered

@@ -27,7 +27,7 @@
 //!   folding partials equals the flat [`Engine::baseline_load_parallel`]
 //!   bit for bit. A single-offer update recomputes exactly one shard's
 //!   partial (asserted by the per-shard evaluation counters,
-//!   [`LiveBook::evaluations`]) on the next trade query or
+//!   [`LiveBook::evaluations`]) on the next schedule or trade query or
 //!   [`LiveBook::refresh`].
 //! * **Group-key state** — an ordered
 //!   [`flexoffers_aggregation::KeyIndex`] maintained in `O(log n)` per
@@ -339,7 +339,7 @@ impl LiveBook {
     /// How many times each shard's baseline partial has been recomputed —
     /// the observable the incremental contract is asserted on: after a
     /// [`refresh`](Self::refresh), a single-offer update followed by
-    /// another refresh (or a trade query) bumps exactly one shard's
+    /// another refresh (or a schedule or trade query) bumps exactly one shard's
     /// counter.
     pub fn evaluations(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.evaluations).collect()
@@ -611,11 +611,12 @@ impl LiveBook {
     /// logical portfolio ([`crate::batch::answer`]). Both run the same
     /// query path; this book supplies its id-ordered view, its cached
     /// grouping (every kind but measure) and its folded shard partials
-    /// (trade).
+    /// (schedule and trade, so the one refreshed after a mutation serves
+    /// both kinds).
     pub fn answer(&mut self, kind: QueryKind) -> String {
-        // An empty book refuses a trade before it reads a partial, so it
-        // leaves the partials as they are.
-        if kind == QueryKind::Trade && !self.is_empty() {
+        // An empty book refuses a scenario before it reads a partial, so
+        // it leaves the partials as they are.
+        if matches!(kind, QueryKind::Schedule | QueryKind::Trade) && !self.is_empty() {
             self.refresh();
         }
         if kind != QueryKind::Measure {
@@ -641,9 +642,9 @@ impl LiveBook {
 
     /// Recomputes the baseline partial of every dirty shard and bumps
     /// those shards' evaluation counters; clean shards are not touched —
-    /// the "one shard per single-offer update" contract. Trade queries
-    /// refresh first; the cluster supervisor refreshes its merged book on
-    /// every gather, so a trade query finds the partials warm.
+    /// the "one shard per single-offer update" contract. Schedule and
+    /// trade queries refresh first; the cluster supervisor refreshes its
+    /// merged book on every gather, so a query finds the partials warm.
     pub fn refresh(&mut self) {
         let engine = self.engine;
         for shard in self.shards.iter_mut().filter(|s| s.baseline.is_none()) {
@@ -765,21 +766,27 @@ mod tests {
         let warm = book.evaluations();
         assert!(warm.iter().all(|&e| e == 1), "first refresh evaluates all");
 
+        // Either scenario query refreshes the one dirty shard first.
         let victim = ids[7];
         let &(victim_shard, _) = book.owners.get(&victim).unwrap();
-        book.update(victim, offer(9, 1, 1)).unwrap();
-        book.answer(QueryKind::Trade);
-        let after = book.evaluations();
-        for (s, (&w, &a)) in warm.iter().zip(&after).enumerate() {
-            if s == victim_shard {
-                assert_eq!(a, w + 1, "dirty shard re-evaluates");
-            } else {
-                assert_eq!(a, w, "clean shard {s} must not re-evaluate");
+        let mut warm = warm;
+        for (kind, lo) in [(QueryKind::Schedule, 1), (QueryKind::Trade, 2)] {
+            book.update(victim, offer(9, 1, lo)).unwrap();
+            book.answer(kind);
+            let after = book.evaluations();
+            for (s, (&w, &a)) in warm.iter().zip(&after).enumerate() {
+                if s == victim_shard {
+                    assert_eq!(a, w + 1, "{kind:?}: dirty shard re-evaluates");
+                } else {
+                    assert_eq!(a, w, "{kind:?}: clean shard {s} must not re-evaluate");
+                }
             }
+            warm = after;
         }
+        let after = warm;
 
-        // A trade query with nothing dirty evaluates nothing, and the
-        // other kinds never touch the partials.
+        // A schedule or trade query with nothing dirty evaluates nothing,
+        // and the other kinds never touch the partials.
         for kind in QueryKind::all() {
             book.answer(kind);
         }

@@ -28,7 +28,7 @@ use crate::event::QueryKind;
 /// only its view of the offers and two lazy inputs, each asked for only
 /// by the kinds that read it: `groups`, the tolerance grouping under
 /// `config.grouping` as positions into `offers` (aggregate, schedule and
-/// trade), and `baseline`, the no-flexibility load (trade).
+/// trade), and `baseline`, the no-flexibility load (schedule and trade).
 pub(crate) fn answer<O, G>(
     engine: &Engine,
     config: &ServeConfig,

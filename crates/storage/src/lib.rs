@@ -51,6 +51,6 @@ pub use error::StorageError;
 pub use journal::{read_journal, Journal, JournalContents};
 pub use recover::{recover, RecoveryReport};
 pub use snapshot::{
-    export_to_value, fnv1a64, load_snapshot, save_snapshot, shard_digest, shard_to_value,
-    value_to_export, value_to_shard, Snapshot, SNAPSHOT_FORMAT,
+    export_to_value, fnv1a64, load_snapshot, save_snapshot, shard_to_value, value_to_export,
+    value_to_shard, Snapshot, SNAPSHOT_FORMAT,
 };

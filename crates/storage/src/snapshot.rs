@@ -50,9 +50,9 @@ pub struct Snapshot {
 }
 
 /// FNV-1a 64 over the body bytes — dependency-free and plenty to catch
-/// torn or tampered snapshot files. Public because the cluster tier's
-/// conditional gather uses the same hash over the same canonical bytes
-/// for its shard state digests ([`shard_digest`]).
+/// torn or tampered snapshot files. Public so a caller can write a
+/// snapshot header whose checksum matches a body of its own choosing (the
+/// recovery tests forge old-format snapshots this way).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -81,8 +81,7 @@ pub fn export_to_value(export: &BookExport) -> Value {
 
 /// Encodes one [`ShardExport`] exactly as it appears inside
 /// [`export_to_value`]'s `shards` array. Public so a shard worker can
-/// serialize the one shard it holds and so [`shard_digest`] has a
-/// canonical body to hash.
+/// serialize the one shard it holds.
 pub fn shard_to_value(shard: &ShardExport) -> Value {
     let cache = match &shard.cache {
         None => Value::Null,
@@ -100,18 +99,6 @@ pub fn shard_to_value(shard: &ShardExport) -> Value {
         ("key_digest", Value::U64(shard.key_digest)),
         ("cache", cache),
     ])
-}
-
-/// The shard **state digest** the conditional gather protocol compares:
-/// FNV-1a 64 over the canonical single-line JSON of [`shard_to_value`].
-/// Because the body embeds the offers, the cached baseline, *and*
-/// the commutative `key_digest`, two shards with equal digests answer
-/// every query identically (up to the 2⁻⁶⁴ collision odds any content
-/// hash accepts). The worker ships it with every full export of its own
-/// shard; the supervisor caches what the worker confirmed.
-pub fn shard_digest(shard: &ShardExport) -> u64 {
-    let body = serde_json::to_string(&shard_to_value(shard)).expect("shard values serialize");
-    fnv1a64(body.as_bytes())
 }
 
 fn snapshot_to_value(snapshot: &Snapshot) -> Value {
@@ -325,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_values_are_exactly_the_export_entries_and_digests_track_content() {
+    fn shard_values_are_exactly_the_export_entries() {
         let export = warm_export();
         let Value::Array(entries) = field(&export_to_value(&export), "shards").unwrap().clone()
         else {
@@ -334,19 +321,6 @@ mod tests {
         for (shard, entry) in export.shards.iter().zip(&entries) {
             assert_eq!(&shard_to_value(shard), entry, "one codec, two entry points");
         }
-        // The digest is a pure function of the shard body: identical for
-        // clones, different once any member changes.
-        for shard in &export.shards {
-            assert_eq!(shard_digest(shard), shard_digest(&shard.clone()));
-        }
-        let populated = export
-            .shards
-            .iter()
-            .find(|s| !s.ids.is_empty())
-            .expect("warm export has offers");
-        let mut tweaked = populated.clone();
-        tweaked.ids[0] += 1_000_000;
-        assert_ne!(shard_digest(populated), shard_digest(&tweaked));
     }
 
     #[test]

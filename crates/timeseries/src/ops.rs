@@ -8,6 +8,7 @@ use std::ops::{Add, Neg, Sub};
 
 use crate::series::Series;
 use crate::value::SeriesValue;
+use crate::Slot;
 
 impl<T: SeriesValue> Add for &Series<T> {
     type Output = Series<T>;
@@ -33,11 +34,43 @@ impl<T: SeriesValue> Neg for &Series<T> {
     }
 }
 
-/// Sums an iterator of series over the union of all their domains.
+/// Sums an iterator of series over the union of all their domains: the
+/// left fold `acc + s` from [`Series::empty`], stored over the same span
+/// (the hull of the non-empty operands), in one pass into one buffer.
 pub fn sum_series<'a, T: SeriesValue + 'a>(
     iter: impl IntoIterator<Item = &'a Series<T>>,
 ) -> Series<T> {
-    iter.into_iter().fold(Series::empty(), |acc, s| &acc + s)
+    let parts: Vec<&Series<T>> = iter.into_iter().collect();
+    sum_spans(parts.iter().map(|s| (s.start(), s.values())))
+}
+
+/// Sums value spans, each `(start, values)` standing for the series
+/// `Series::new(start, values)`, exactly as [`sum_series`] sums those
+/// series: the result is stored over the hull of the non-empty spans
+/// (the empty series when there is none). `spans` is walked twice, once
+/// for the hull and once to accumulate, so the cost is linear in the
+/// span count, the values and the hull.
+pub fn sum_spans<'a, T: SeriesValue + 'a>(
+    spans: impl IntoIterator<Item = (Slot, &'a [T])> + Clone,
+) -> Series<T> {
+    let hull = spans
+        .clone()
+        .into_iter()
+        .filter(|(_, values)| !values.is_empty())
+        .map(|(start, values)| (start, start + values.len() as Slot))
+        .reduce(|(lo, hi), (s, e)| (lo.min(s), hi.max(e)));
+    let Some((lo, hi)) = hull else {
+        return Series::empty();
+    };
+    let mut acc = vec![T::ZERO; (hi - lo) as usize];
+    // An empty span stores nothing, wherever it is anchored.
+    for (start, values) in spans.into_iter().filter(|(_, values)| !values.is_empty()) {
+        let offset = (start - lo) as usize;
+        for (slot, &v) in acc[offset..].iter_mut().zip(values) {
+            *slot = *slot + v;
+        }
+    }
+    Series::new(lo, acc)
 }
 
 /// Pointwise minimum over the union domain.
@@ -101,6 +134,22 @@ mod tests {
         ];
         let total = sum_series(xs.iter());
         assert_eq!(total, Series::new(0, vec![1i64, 5]));
+    }
+
+    #[test]
+    fn sum_ignores_the_anchor_of_empty_operands() {
+        // `Series::empty()` is anchored at 0, outside this hull.
+        let xs = [
+            Series::new(5, vec![1i64, 2]),
+            Series::empty(),
+            Series::new(9, Vec::new()),
+            Series::new(6, vec![3i64]),
+        ];
+        assert_eq!(
+            sum_series(xs.iter()).into_parts(),
+            (5, vec![1i64, 5]),
+            "the hull of the non-empty operands"
+        );
     }
 
     #[test]

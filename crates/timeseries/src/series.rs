@@ -202,6 +202,48 @@ impl<T: SeriesValue> Series<T> {
         self.values[idx] = self.values[idx] + value;
     }
 
+    /// Adds `values`, anchored at slot `start`, into this series in place:
+    /// the result is `&self + &Series::new(start, values)`, stored over the
+    /// same union domain, without building either operand. For `f64`
+    /// series a stored `-0.0` outside the span stays `-0.0`, where the
+    /// operator would give `+0.0`; integer series agree exactly.
+    pub fn add_span(&mut self, start: Slot, values: &[T]) {
+        self.combine_span(start, values, |a, b| a + b);
+    }
+
+    /// Subtracts `values`, anchored at slot `start`, from this series in
+    /// place: `&self - &Series::new(start, values)` as
+    /// [`add_span`](Series::add_span) is the sum.
+    pub fn sub_span(&mut self, start: Slot, values: &[T]) {
+        self.combine_span(start, values, |a, b| a - b);
+    }
+
+    fn combine_span(&mut self, start: Slot, values: &[T], f: impl Fn(T, T) -> T) {
+        if values.is_empty() {
+            return;
+        }
+        let end = start + values.len() as Slot;
+        if self.is_empty() {
+            self.start = start;
+            self.values.clear();
+            self.values.resize(values.len(), T::ZERO);
+        } else {
+            if start < self.start {
+                let pad = (self.start - start) as usize;
+                self.values.splice(0..0, std::iter::repeat_n(T::ZERO, pad));
+                self.start = start;
+            }
+            if end > self.end() {
+                let len = (end - self.start) as usize;
+                self.values.resize(len, T::ZERO);
+            }
+        }
+        let offset = (start - self.start) as usize;
+        for (slot, &v) in self.values[offset..].iter_mut().zip(values) {
+            *slot = f(*slot, v);
+        }
+    }
+
     fn ensure_contains(&mut self, slot: Slot) {
         if self.is_empty() {
             self.start = slot;
