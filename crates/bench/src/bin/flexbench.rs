@@ -337,9 +337,12 @@ fn assert_kernels_identical(engine: &Engine, offers: &[FlexOffer]) {
 /// aggregate → schedule → realize) and `Engine::trade_portfolio` (group →
 /// plan → settle) — at each thread count (gated), against the sequential
 /// library paths (references). Knobs come from the `Scenario` defaults
-/// `flexctl simulate` uses.
+/// `flexctl simulate` uses. At the largest size, each pipeline's
+/// engine-over-library ratio is the median of [`RATIO_ROUNDS`] alternated
+/// 1-thread rounds.
 fn scenarios(host_cpus: usize, quick: bool) -> Bench {
     let sizes: &[usize] = if quick { &[1_000] } else { &[1_000, 10_000] };
+    let largest = *sizes.last().expect("at least one size");
     let mut bench = Bench::new(
         "scenarios",
         format!("workloads::city(seed {SEED}), truncated per size, Scenario defaults"),
@@ -357,43 +360,59 @@ fn scenarios(host_cpus: usize, quick: bool) -> Bench {
         let market = scenario.spot_market();
         let aggregator = scenario.aggregator();
 
-        bench.time(run("schedule library", true, size, 1), size, || {
+        let schedule_library = || {
             black_box(schedule_via_aggregation(&problem, &scenario.grouping, &scheduler).unwrap());
-        });
-        for &t in &threads {
-            let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
-            bench.time(run("schedule engine", false, size, t), size, || {
-                black_box(
-                    engine
-                        .schedule_portfolio(&problem, &scenario.grouping, &scheduler)
-                        .unwrap(),
-                );
-            });
-        }
-        bench.time(run("market library", true, size, 1), size, || {
+        };
+        let schedule_engine = |engine: &Engine| {
+            black_box(
+                engine
+                    .schedule_portfolio(&problem, &scenario.grouping, &scheduler)
+                    .unwrap(),
+            );
+        };
+        let market_library = || {
             black_box(aggregator.run(&portfolio, &market));
-        });
-        for &t in &threads {
-            let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
-            bench.time(run("market engine", false, size, t), size, || {
-                black_box(engine.trade_portfolio(&portfolio, &aggregator, &market));
-            });
+        };
+        let market_engine = |engine: &Engine| {
+            black_box(engine.trade_portfolio(&portfolio, &aggregator, &market));
+        };
+        // Each pipeline's library pass and its engine pass at a budget.
+        type Pipeline<'a> = (&'a str, &'a str, &'a dyn Fn(), &'a dyn Fn(&Engine));
+        let pipelines: [Pipeline<'_>; 2] = [
+            (
+                "schedule",
+                "schedule_engine_speedup_vs_library",
+                &schedule_library,
+                &schedule_engine,
+            ),
+            (
+                "market",
+                "market_engine_speedup_vs_library",
+                &market_library,
+                &market_engine,
+            ),
+        ];
+        for (pipeline, ratio, library, engine_run) in pipelines {
+            bench.time(
+                run(&format!("{pipeline} library"), true, size, 1),
+                size,
+                library,
+            );
+            for &t in &threads {
+                let engine = Engine::new(Budget::with_threads(t).expect("non-zero"));
+                let path = format!("{pipeline} engine");
+                bench.time(run(&path, false, size, t), size, || engine_run(&engine));
+            }
+            if size == largest {
+                let engine = Engine::sequential();
+                let value = median_ratio(RATIO_ROUNDS, library, || engine_run(&engine));
+                let about = format!(
+                    "{pipeline} library over {pipeline} engine at 1 thread, seconds, {size} \
+                     offers, median of {RATIO_ROUNDS} alternated rounds"
+                );
+                bench.ratio(ratio, value, about);
+            }
         }
-    }
-    let largest = *sizes.last().expect("at least one size");
-    for (name, slow, fast) in [
-        (
-            "schedule_engine_speedup_vs_library",
-            "schedule library",
-            "schedule engine",
-        ),
-        (
-            "market_engine_speedup_vs_library",
-            "market library",
-            "market engine",
-        ),
-    ] {
-        bench.speedup(name, largest, (slow, 1), (fast, 1));
     }
     bench
 }

@@ -38,7 +38,7 @@
 //! Respawn attempts are bounded; exhaustion surfaces as the structured
 //! [`ClusterError::WorkerLost`], never a panic or a hang. A coded worker
 //! error is deterministic, so it is returned as [`ClusterError::Worker`]
-//! and leaves the id [`Sequencer`] and the merged book untouched.
+//! and leaves the merged book — and with it the id history — untouched.
 
 use std::error::Error;
 use std::fmt;
@@ -49,7 +49,7 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use flexoffers_engine::{stable_shard, Budget, Engine};
 use flexoffers_model::FlexOffer;
 use flexoffers_serving::{
-    BookExport, Checked, Event, EventSink, ImportError, LiveBook, QueryKind, Sequencer, ServeConfig,
+    BookExport, Event, EventSink, ImportError, LiveBook, QueryKind, Sequencer, ServeConfig,
 };
 use flexoffers_storage::{value_to_shard, Book};
 
@@ -353,9 +353,9 @@ pub struct ClusterBook {
     conns: Vec<WorkerConn>,
     /// Every shard, current with every acknowledged mutation, behind the
     /// same engine the in-process tier answers with. Doubles as the
-    /// respawn store: worker `w` rehydrates from `merged.export_shard(w)`.
+    /// respawn store — worker `w` rehydrates from `merged.export_shard(w)`
+    /// — and as the id history: its owner table says which ids are live.
     merged: LiveBook,
-    ids: Sequencer,
     respawns: u64,
     stats: GatherStats,
 }
@@ -389,7 +389,6 @@ impl ClusterBook {
             spec,
             conns,
             merged,
-            ids: Sequencer::default(),
             respawns: 0,
             stats: GatherStats::default(),
         })
@@ -402,22 +401,22 @@ impl ClusterBook {
 
     /// The number of live offers.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.merged.len()
     }
 
     /// Whether no offers are live.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.merged.is_empty()
     }
 
     /// Every live id, ascending.
     pub fn live_ids(&self) -> Vec<u64> {
-        self.ids.live_ids()
+        self.merged.live_ids()
     }
 
     /// The next id [`add`](ClusterBook::add) will assign.
     pub fn next_id(&self) -> u64 {
-        self.ids.next_id()
+        self.merged.next_id()
     }
 
     /// How many worker respawns the supervisor has performed.
@@ -486,14 +485,14 @@ impl ClusterBook {
             WorkerRequest::Remove { offer_id } => self.merged.remove(offer_id),
             other => unreachable!("only mutations are routed, not {other:?}"),
         }
-        .expect("the sequencer admitted the mutation, and the merged book holds its ids");
+        .expect("the merged book admitted the mutation before it was routed");
         Ok(())
     }
 
     /// Inserts an offer under a caller-assigned id (the journal-replay
     /// seeding path); the id must be fresh.
     pub fn add_at(&mut self, id: u64, offer: FlexOffer) -> Result<(), ClusterError> {
-        if self.ids.is_live(id) {
+        if self.merged.is_live(id) {
             return Err(ClusterError::IdTaken { id });
         }
         self.route(
@@ -502,14 +501,12 @@ impl ClusterBook {
                 offer_id: id,
                 offer,
             },
-        )?;
-        self.ids.commit(Checked::Add(id));
-        Ok(())
+        )
     }
 
     /// Inserts an offer and returns its assigned id.
     pub fn add(&mut self, offer: FlexOffer) -> Result<u64, ClusterError> {
-        let id = self.ids.next_id();
+        let id = self.merged.next_id();
         self.apply(Event::Add(offer))?;
         Ok(id)
     }
@@ -579,7 +576,6 @@ impl ClusterBook {
     /// seeding path, where ids past the last live offer (removed tail
     /// ids) must not be reassigned.
     pub fn reserve_ids(&mut self, next_id: u64) {
-        self.ids.reserve(next_id);
         self.merged.reserve_ids(next_id);
     }
 
@@ -618,7 +614,7 @@ impl ClusterBook {
             shards.push(value_to_shard(&reply).map_err(|e| fault(w, "bad_export".to_owned(), e))?);
         }
         let export = BookExport {
-            next_id: self.ids.next_id(),
+            next_id: self.merged.next_id(),
             shards,
         };
         let mut book = LiveBook::from_export(
@@ -633,17 +629,16 @@ impl ClusterBook {
     /// Applies one event — the cluster-side mirror of
     /// [`LiveBook::apply`]: mutations answer `Ok(None)`, queries
     /// `Ok(Some(answer_line))`. An update or remove of an id that is not
-    /// live is [`ClusterError::UnknownId`], checked through the
-    /// supervisor's [`Sequencer`] before anything is routed.
+    /// live is [`ClusterError::UnknownId`], checked against the merged
+    /// book before anything is routed.
     pub fn apply(&mut self, event: Event) -> Result<Option<String>, ClusterError> {
-        let checked = self
-            .ids
-            .check(&event)
-            .map_err(|unknown| ClusterError::UnknownId { id: unknown.id })?;
         let (offer_id, request) = match event {
             Event::Add(offer) => {
-                let offer_id = self.ids.next_id();
+                let offer_id = self.merged.next_id();
                 (offer_id, WorkerRequest::Add { offer_id, offer })
+            }
+            Event::Update { id, .. } | Event::Remove { id } if !self.merged.is_live(id) => {
+                return Err(ClusterError::UnknownId { id })
             }
             Event::Update {
                 id: offer_id,
@@ -652,9 +647,7 @@ impl ClusterBook {
             Event::Remove { id: offer_id } => (offer_id, WorkerRequest::Remove { offer_id }),
             Event::Query(kind) => return self.answer(kind).map(Some),
         };
-        self.route(offer_id, request)?;
-        self.ids.commit(checked);
-        Ok(None)
+        self.route(offer_id, request).map(|()| None)
     }
 
     /// Shuts every worker down gracefully (best effort — a worker that is
@@ -693,7 +686,7 @@ impl EventSink for ClusterBook {
     }
 
     fn sequencer(&self) -> Sequencer {
-        self.ids.clone()
+        self.merged.sequencer()
     }
 }
 

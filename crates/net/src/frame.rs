@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use flexoffers_serving::event::strict_id;
 use flexoffers_serving::Event;
 use serde::Value;
 
@@ -143,32 +144,8 @@ pub fn parse(line: &str) -> Result<Frame, FrameRejection> {
             ));
         }
     }
-    let id = match value.get("id") {
-        None => return Err(bad(None, ErrorCode::BadFrame, "missing `id`".to_owned())),
-        Some(Value::U64(n)) => *n,
-        Some(Value::I64(n)) if *n >= 0 => *n as u64,
-        Some(Value::I64(n)) => {
-            return Err(bad(
-                None,
-                ErrorCode::BadFrame,
-                format!("bad `id`: request id must be non-negative, got {n}"),
-            ))
-        }
-        Some(Value::F64(f)) => {
-            return Err(bad(
-                None,
-                ErrorCode::BadFrame,
-                format!("bad `id`: request id must be an integer, got {f:?}"),
-            ))
-        }
-        Some(other) => {
-            return Err(bad(
-                None,
-                ErrorCode::BadFrame,
-                format!("bad `id`: expected integer, found {}", other.kind()),
-            ))
-        }
-    };
+    let id = strict_id(value.get("id"), "request id")
+        .map_err(|message| bad(None, ErrorCode::BadFrame, message))?;
     let event_value = value
         .get("event")
         .ok_or_else(|| bad(Some(id), ErrorCode::BadFrame, "missing `event`".to_owned()))?;

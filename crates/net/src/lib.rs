@@ -2,7 +2,8 @@
 //!
 //! The serving crate's [`LiveHandle`](flexoffers_serving::LiveHandle) is an
 //! in-process channel; this crate puts it on a socket. A [`NetServer`] is a
-//! [`std::net::TcpListener`] plus a fixed worker pool speaking the
+//! [`std::net::TcpListener`] over a sink's serving loop, plus a fixed
+//! worker pool speaking the
 //! `flexoffers-jsonl/1` script protocol framed one request per line:
 //!
 //! ```text
@@ -25,7 +26,8 @@
 //!   through `flexctl serve --script --batch` reproduces each answered
 //!   query byte-for-byte. The gate is held only to check, enqueue and
 //!   record; a query's answer is awaited outside it, so mutations on other
-//!   connections are acknowledged while a query runs.
+//!   connections are acknowledged while a query runs. The serving loop
+//!   writes the answer stream, as it does for `flexctl serve --script`.
 //! * **Deadlines** — [`NetConfig::deadline`] bounds each query's answer
 //!   wait; an expired wait returns a structured `deadline` error instead of
 //!   hanging the connection. The query itself still runs and keeps its
@@ -45,10 +47,10 @@
 //! use flexoffers_engine::Engine;
 //! use flexoffers_model::{FlexOffer, Slice};
 //! use flexoffers_net::{NetClient, NetConfig, NetServer, Reply};
-//! use flexoffers_serving::{Event, LiveServer, QueryKind, Sequencer, ServeConfig};
+//! use flexoffers_serving::{Event, LiveBook, QueryKind, ServeConfig};
 //!
-//! let handle = LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential())?;
-//! let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), handle, Sequencer::default())?;
+//! let book = LiveBook::new(ServeConfig::default(), 2, Engine::sequential())?;
+//! let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), book)?;
 //! let addr = server.local_addr();
 //! let stop = Arc::new(AtomicBool::new(false));
 //! let serving = {

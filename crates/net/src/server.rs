@@ -1,26 +1,25 @@
 //! The framed TCP server over one serving loop.
 //!
-//! A fixed pool of [`NetConfig::max_conns`] worker threads pulls accepted
-//! connections off a queue; each worker owns one connection at a time and
-//! reads `{"id":…,"event":…}` frames line by line. Every request — from
-//! any connection — passes through one mutex-guarded gate that holds the
-//! [`LiveHandle`], the live-id set and the record writer. The gate covers
-//! only what ordering needs: the [`Sequencer`] check and commit, the
-//! enqueue onto the serving loop, and the `--record` line. So the order
-//! the server acknowledges is exactly the order the book applies and the
-//! order the record file shows.
+//! A fixed pool of [`NetConfig::max_conns`] worker threads accepts
+//! connections off the shared listener; each worker owns one connection at
+//! a time and reads `{"id":…,"event":…}` frames line by line. Every
+//! request — from any connection — passes through one mutex-guarded gate
+//! that holds the [`LiveHandle`], the live-id set and the record writer.
+//! The gate covers only what ordering needs: the [`Sequencer`] check and
+//! commit, the `--record` line, and the enqueue onto the serving loop. So
+//! the order the server acknowledges is exactly the order the book applies
+//! and the order the record file shows.
 //!
+//! The serving loop writes the answer stream: the sink runs inside an
+//! [`AnswerStream`], which appends each query's answer line in loop order.
 //! The gate does not cover a query's answer wait. Inside the gate a query
-//! is enqueued and handed to the one answer stage; the gate is then
-//! released, and the connection waits for its answer (bounded by
-//! `--deadline-ms`) while other connections' mutations are acknowledged.
-//! The answer stage takes the answers in loop order, appends each to the
-//! answer stream and hands it to its connection. A query whose wait
-//! expired still ran: it keeps its record line and its answer line, so
-//! replaying the recorded log through `flexctl serve --script --batch`
-//! reproduces the answer stream byte for byte. Only a zero deadline
-//! refuses a query before it is enqueued; that query is neither recorded
-//! nor answered.
+//! is recorded and enqueued; the gate is then released, and the connection
+//! waits for its answer (bounded by `--deadline-ms`) while other
+//! connections' mutations are acknowledged. A query whose wait expired
+//! still ran: it keeps its record line and its answer line, so replaying
+//! the recorded log through `flexctl serve --script --batch` reproduces
+//! the answer stream byte for byte. Only a zero deadline refuses a query
+//! before it is enqueued; that query is neither recorded nor answered.
 //!
 //! An acknowledgement means "queued in serialization order": for a
 //! `--journal` server it still precedes the journal append (the commit
@@ -38,30 +37,30 @@ use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use flexoffers_serving::{Event, LiveHandle, PendingAnswer, QueryKind, Sequencer};
+use flexoffers_serving::{
+    AnswerStream, Event, EventSink, LiveHandle, LiveServer, QueryKind, Sequencer, ServeError,
+    StreamError,
+};
 
 use crate::conn::{Line, LineReader};
 use crate::frame::{self, ErrorCode};
 
-/// How long the accept loop sleeps when no connection is pending.
+/// How long an idle worker sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(15);
 /// Socket read timeout — bounds how long a drain waits on an idle reader.
 const READ_POLL: Duration = Duration::from_millis(50);
-/// How long an idle worker waits for the next queued connection.
-const DISPATCH_POLL: Duration = Duration::from_millis(25);
 /// Why a request is refused once a record or answer write has failed.
 const HALTING: &str = "an earlier record/answer write failed; the server is halting";
-/// Why a query is refused if the answer stage died (it only panics).
-const STAGE_GONE: &str = "the answer stage stopped";
 
 /// Tunables of a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Fixed worker-pool size, at least 1; connections beyond it queue
-    /// until a worker frees up (`flexctl serve --max-conns`).
+    /// Fixed worker-pool size, at least 1; connections beyond it wait in
+    /// the listen backlog until a worker frees up (`flexctl serve
+    /// --max-conns`).
     pub max_conns: usize,
     /// Per-query bound on the answer wait (`--deadline-ms`). `None` waits
     /// indefinitely; an expired wait still leaves the query recorded and
@@ -160,15 +159,15 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The serialization point: a request holds it only to validate, enqueue
-/// and record, so acknowledged order == applied order == recorded order.
-/// A query is also handed to the answer stage inside it, which is what
-/// keeps the answer stream in loop order; the answer itself is awaited
-/// after the gate is released.
+/// The serialization point: a request holds it only to validate, record
+/// and enqueue, so acknowledged order == applied order == recorded order
+/// == answered order. A query's answer is awaited after the gate is
+/// released.
 struct Gate<E> {
     handle: LiveHandle<E>,
     ids: Sequencer,
     record: Option<BufWriter<File>>,
+    /// The first hard accept error or record write failure.
     io_failure: Option<io::Error>,
 }
 
@@ -181,14 +180,6 @@ impl<E> Gate<E> {
     }
 }
 
-/// A query enqueued under the gate, on its way to the answer stage. The
-/// stage replies with the answer line, or with the `server_error` message
-/// the connection should send instead.
-struct Waiting {
-    answer: PendingAnswer,
-    reply: mpsc::Sender<Result<String, String>>,
-}
-
 /// What every connection worker shares.
 struct Front<'a, E> {
     gate: Mutex<Gate<E>>,
@@ -198,37 +189,32 @@ struct Front<'a, E> {
     /// Whether a `--record` file is open: record lines are encoded only
     /// then, and before the gate is taken.
     recording: bool,
-    /// A record or answer write failed; every later request is refused.
+    /// A record write failed; every later request is refused.
     halted: AtomicBool,
+    /// An answer write failed ([`AnswerStream::failed`]); every later
+    /// request is refused.
+    answers_failed: Arc<AtomicBool>,
 }
 
-/// The TCP front: a listener plus the state [`run`](Self::run) turns into
-/// a worker pool.
-pub struct NetServer<E: Send + 'static> {
+/// The TCP front: a listener plus the sink [`run`](Self::run) serves
+/// through a worker pool.
+pub struct NetServer<S> {
     listener: TcpListener,
     addr: SocketAddr,
     config: NetConfig,
-    handle: LiveHandle<E>,
-    ids: Sequencer,
+    sink: S,
     record: Option<BufWriter<File>>,
 }
 
-impl<E: Send + 'static> NetServer<E> {
-    /// Creates the record file (if any), then binds the listener and wires
-    /// it to a serving loop's handle — so a record path that cannot be
-    /// created fails here, before the server has an address to announce.
+impl<S: EventSink> NetServer<S> {
+    /// Creates the record file (if any), then binds the listener for
+    /// `sink` — so a record path that cannot be created fails here, before
+    /// the server has an address to announce.
     ///
-    /// `ids` is the sink's id history ([`EventSink::sequencer`], possibly
-    /// journal-recovered) — server-side validation continues it. A
+    /// Server-side validation continues the sink's id history
+    /// ([`EventSink::sequencer`], possibly journal-recovered). A
     /// `max_conns` of 0 is an [`io::ErrorKind::InvalidInput`] error.
-    ///
-    /// [`EventSink::sequencer`]: flexoffers_serving::EventSink::sequencer
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        config: NetConfig,
-        handle: LiveHandle<E>,
-        ids: Sequencer,
-    ) -> io::Result<Self> {
+    pub fn bind<A: ToSocketAddrs>(addr: A, config: NetConfig, sink: S) -> io::Result<Self> {
         if config.max_conns == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -245,13 +231,13 @@ impl<E: Send + 'static> NetServer<E> {
             None => None,
         };
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Self {
             listener,
             addr,
             config,
-            handle,
-            ids,
+            sink,
             record,
         })
     }
@@ -261,30 +247,33 @@ impl<E: Send + 'static> NetServer<E> {
         self.addr
     }
 
-    /// Serves until `stop` flips: stops accepting, drains requests already
-    /// received, joins the workers and then the answer stage, flushes, and
-    /// shuts the serving loop down — running the sink's `finish()` (journal
-    /// sync + shutdown snapshot for a durable sink). Every enqueued query's
-    /// answer line streams to `answers` in serialization order — the same
-    /// bytes `serve --script` would print for the recorded log.
-    pub fn run<W: Write + Send>(
+    /// Serves until `stop` flips: spawns the serving loop over the sink
+    /// and the connection workers, stops accepting, drains requests
+    /// already received, joins the workers, flushes the record, and shuts
+    /// the serving loop down — running the sink's `finish()` (journal
+    /// sync + shutdown snapshot for a durable sink). The loop writes every
+    /// enqueued query's answer line to `answers` in serialization order —
+    /// the same bytes `serve --script` would print for the recorded log.
+    /// A failed answer write halts the server and is its error.
+    pub fn run<W: Write + Send + 'static>(
         self,
         stop: &AtomicBool,
         answers: W,
-    ) -> Result<NetSummary, NetError<E>> {
+    ) -> Result<NetSummary, NetError<S::Error>> {
         let NetServer {
             listener,
             addr: _,
             config,
-            handle,
-            ids,
+            sink,
             record,
         } = self;
-        listener.set_nonblocking(true).map_err(NetError::Io)?;
+        let ids = sink.sequencer();
+        let stream = AnswerStream::new(sink, answers);
         let front = Front {
             recording: record.is_some(),
+            answers_failed: stream.failed(),
             gate: Mutex::new(Gate {
-                handle,
+                handle: LiveServer::spawn_sink(stream),
                 ids,
                 record,
                 io_failure: None,
@@ -294,112 +283,40 @@ impl<E: Send + 'static> NetServer<E> {
             deadline: config.deadline,
             halted: AtomicBool::new(false),
         };
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Mutex::new(conn_rx);
-        let (feed_tx, feed_rx) = mpsc::channel::<Waiting>();
 
-        let (accept_error, staged) = std::thread::scope(|scope| {
-            let (front, conn_rx) = (&front, &conn_rx);
-            let stage = scope.spawn(move || answer_stage(feed_rx, answers, front));
-            // Each worker feeds the stage through its own sender, only
-            // ever under the gate; the stage ends once every worker has
-            // exited and dropped it.
+        std::thread::scope(|scope| {
             for _ in 0..config.max_conns {
-                let feed = feed_tx.clone();
-                scope.spawn(move || front.worker(conn_rx, &feed));
+                scope.spawn(|| front.worker(&listener));
             }
-            drop(feed_tx);
-            let mut accept_error = None;
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
+            // The calling thread only watches the answer stream: a failed
+            // answer write stops the server even when no connection is
+            // waiting on the query it failed on.
+            while !stop.load(Ordering::SeqCst) {
+                if front.answers_failed.load(Ordering::SeqCst) {
+                    stop.store(true, Ordering::SeqCst);
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        bump(&front.counters.connections);
-                        let _ = stream.set_nodelay(true);
-                        if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-                            continue;
-                        }
-                        if conn_tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        stop.store(true, Ordering::SeqCst);
-                        accept_error = Some(e);
-                        break;
-                    }
-                }
+                std::thread::sleep(ACCEPT_POLL);
             }
-            // Dropping the sender is what lets idle workers exit; busy
-            // ones finish their drain first. The stage drains every
-            // answer they enqueued before it returns the writer.
-            drop(conn_tx);
-            let staged = stage
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (accept_error, staged)
         });
 
-        let (mut answers, answer_failure) = staged;
         let Front { gate, counters, .. } = front;
         let mut gate = gate
             .into_inner()
             .unwrap_or_else(|poison| poison.into_inner());
         let flush_failure = match gate.record.as_mut() {
-            Some(record) => record.flush().and_then(|()| answers.flush()),
-            None => answers.flush(),
-        }
-        .err();
-        gate.handle.shutdown().map_err(NetError::Sink)?;
-        if let Some(e) = accept_error
-            .or(gate.io_failure)
-            .or(answer_failure)
-            .or(flush_failure)
-        {
+            Some(record) => record.flush().err(),
+            None => None,
+        };
+        let answer_failure = match gate.handle.shutdown() {
+            Ok(()) => None,
+            Err(StreamError::Sink(e)) => return Err(NetError::Sink(e)),
+            Err(StreamError::Write(e)) => Some(e),
+        };
+        if let Some(e) = gate.io_failure.or(answer_failure).or(flush_failure) {
             return Err(NetError::Io(e));
         }
         Ok(counters.summary())
     }
-}
-
-/// The answer stage: takes each enqueued query in gate order, waits for
-/// its answer, appends it to the `answers` stream and hands it to the
-/// waiting connection. A connection whose deadline expired no longer
-/// listens, but its answer is still written, so the stream and the
-/// `--record` log keep every query the gate enqueued.
-fn answer_stage<E, W: Write>(
-    feed: mpsc::Receiver<Waiting>,
-    mut answers: W,
-    front: &Front<'_, E>,
-) -> (W, Option<io::Error>) {
-    let mut failure = None;
-    for Waiting { answer, reply } in feed {
-        let outcome = match answer.wait(None) {
-            Err(err) => {
-                front.stop.store(true, Ordering::SeqCst);
-                Err(err.to_string())
-            }
-            Ok(_) if failure.is_some() => Err(HALTING.to_owned()),
-            Ok(line) => match writeln!(answers, "{line}").and_then(|()| answers.flush()) {
-                Ok(()) => Ok(line),
-                Err(e) => {
-                    failure = Some(e);
-                    front.halt();
-                    Err("writing the answered query failed; the server is halting".to_owned())
-                }
-            },
-        };
-        // Explicitly ignored: the connection stopped listening when its
-        // deadline expired.
-        let _ = reply.send(outcome);
-    }
-    (answers, failure)
 }
 
 impl<E> Front<'_, E> {
@@ -408,21 +325,32 @@ impl<E> Front<'_, E> {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    fn worker(&self, conn_rx: &Mutex<mpsc::Receiver<TcpStream>>, feed: &mpsc::Sender<Waiting>) {
-        loop {
-            let next = {
-                let rx = conn_rx.lock().unwrap_or_else(|poison| poison.into_inner());
-                rx.recv_timeout(DISPATCH_POLL)
-            };
-            match next {
-                Ok(stream) => self.handle_conn(stream, feed),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
+    /// Accepts and serves connections one at a time until `stop` flips. A
+    /// hard accept error stops the server and becomes its error.
+    fn worker(&self, listener: &TcpListener) {
+        while !self.stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    bump(&self.counters.connections);
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_read_timeout(Some(READ_POLL)).is_ok() {
+                        self.handle_conn(stream);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(ACCEPT_POLL);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    let mut gate = self.gate.lock().unwrap_or_else(|p| p.into_inner());
+                    gate.io_failure.get_or_insert(e);
+                    self.stop.store(true, Ordering::SeqCst);
+                }
             }
         }
     }
 
-    fn handle_conn(&self, stream: TcpStream, feed: &mpsc::Sender<Waiting>) {
+    fn handle_conn(&self, stream: TcpStream) {
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
@@ -452,7 +380,7 @@ impl<E> Front<'_, E> {
                 continue;
             }
             bump(&self.counters.requests);
-            let (reply, error) = self.respond(feed, &line, &mut last_id);
+            let (reply, error) = self.respond(&line, &mut last_id);
             if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
                 return;
             }
@@ -462,12 +390,7 @@ impl<E> Front<'_, E> {
         }
     }
 
-    fn respond(
-        &self,
-        feed: &mpsc::Sender<Waiting>,
-        line: &str,
-        last_id: &mut Option<u64>,
-    ) -> (String, Option<ErrorCode>) {
+    fn respond(&self, line: &str, last_id: &mut Option<u64>) -> (String, Option<ErrorCode>) {
         let frame = match frame::parse(line) {
             Err(rejection) => {
                 bump(&self.counters.errors);
@@ -494,7 +417,7 @@ impl<E> Front<'_, E> {
         }
         *last_id = Some(frame.id);
         match frame.event {
-            Event::Query(kind) => self.query(feed, frame.id, kind),
+            Event::Query(kind) => self.query(frame.id, kind),
             mutation => self.mutate(frame.id, mutation),
         }
     }
@@ -516,20 +439,15 @@ impl<E> Front<'_, E> {
             .gate
             .lock()
             .unwrap_or_else(|poison| poison.into_inner());
-        if self.halted.load(Ordering::SeqCst) {
+        if self.halted.load(Ordering::SeqCst) || self.answers_failed.load(Ordering::SeqCst) {
             return Err(self.fail(request_id, ErrorCode::ServerError, HALTING));
         }
         Ok(gate)
     }
 
-    /// Enqueues the query and registers it with the answer stage under
-    /// the gate, then waits for the answer outside it.
-    fn query(
-        &self,
-        feed: &mpsc::Sender<Waiting>,
-        request_id: u64,
-        kind: QueryKind,
-    ) -> (String, Option<ErrorCode>) {
+    /// Records and enqueues the query under the gate, then waits for its
+    /// answer outside it.
+    fn query(&self, request_id: u64, kind: QueryKind) -> (String, Option<ErrorCode>) {
         let expired = || {
             bump(&self.counters.deadline_expired);
             self.fail(
@@ -542,22 +460,15 @@ impl<E> Front<'_, E> {
             return expired();
         }
         let line = self.recording.then(|| Event::Query(kind).to_json_line());
-        let (reply, answered) = mpsc::channel();
-        {
+        let answer = {
             let mut gate = match self.lock_gate(request_id) {
                 Ok(gate) => gate,
                 Err(refused) => return refused,
             };
-            let answer = match gate.handle.enqueue_query(kind) {
-                Ok(answer) => answer,
-                Err(err) => {
-                    self.stop.store(true, Ordering::SeqCst);
-                    return self.fail(request_id, ErrorCode::ServerError, &err.to_string());
-                }
-            };
+            // Recorded before it is enqueued: the loop streams the answer
+            // of every query it takes, so a query that failed to record
+            // must never reach it.
             if let Err(e) = gate.record_line(line) {
-                // The pending answer drops here: the query is neither
-                // recorded nor streamed.
                 gate.io_failure = Some(e);
                 self.halt();
                 return self.fail(
@@ -566,26 +477,28 @@ impl<E> Front<'_, E> {
                     "recording the query failed; the server is halting",
                 );
             }
-            if feed.send(Waiting { answer, reply }).is_err() {
-                self.stop.store(true, Ordering::SeqCst);
-                return self.fail(request_id, ErrorCode::ServerError, STAGE_GONE);
+            match gate.handle.enqueue_query(kind) {
+                Ok(answer) => answer,
+                Err(err) => {
+                    self.stop.store(true, Ordering::SeqCst);
+                    return self.fail(request_id, ErrorCode::ServerError, &err.to_string());
+                }
             }
-        }
-        let answered = match self.deadline {
-            Some(d) => answered.recv_timeout(d),
-            None => answered
-                .recv()
-                .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
         };
-        match answered {
-            Ok(Ok(answer)) => {
+        match answer.wait(self.deadline) {
+            Ok(_) if self.answers_failed.load(Ordering::SeqCst) => self.fail(
+                request_id,
+                ErrorCode::ServerError,
+                "writing the answered query failed; the server is halting",
+            ),
+            Ok(answer) => {
                 bump(&self.counters.queries);
                 (frame::ok_answer(request_id, &answer), None)
             }
-            Ok(Err(message)) => self.fail(request_id, ErrorCode::ServerError, &message),
-            Err(mpsc::RecvTimeoutError::Timeout) => expired(),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.fail(request_id, ErrorCode::ServerError, STAGE_GONE)
+            Err(ServeError::DeadlineExceeded) => expired(),
+            Err(err) => {
+                self.stop.store(true, Ordering::SeqCst);
+                self.fail(request_id, ErrorCode::ServerError, &err.to_string())
             }
         }
     }
@@ -633,9 +546,7 @@ mod tests {
     use flexoffers_engine::Engine;
     use flexoffers_model::{FlexOffer, Slice};
     use flexoffers_serving::batch::BatchBook;
-    use flexoffers_serving::{
-        parse_script, EventSink, LiveBook, LiveError, LiveServer, QueryKind, ServeConfig,
-    };
+    use flexoffers_serving::{parse_script, LiveBook, LiveError, ServeConfig};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -661,24 +572,16 @@ mod tests {
         addr: SocketAddr,
         stop: Arc<AtomicBool>,
         answers: Captured,
-        thread: Option<
-            std::thread::JoinHandle<Result<NetSummary, NetError<flexoffers_serving::LiveError>>>,
-        >,
+        thread: Option<std::thread::JoinHandle<Result<NetSummary, NetError<LiveError>>>>,
     }
 
     impl Running {
         fn start(config: NetConfig) -> Self {
-            let handle =
-                LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential()).unwrap();
-            Self::serve(handle, Sequencer::default(), config)
+            Self::serve(book(), config)
         }
 
-        fn serve(
-            handle: LiveHandle<flexoffers_serving::LiveError>,
-            ids: Sequencer,
-            config: NetConfig,
-        ) -> Self {
-            let server = NetServer::bind("127.0.0.1:0", config, handle, ids).unwrap();
+        fn serve<S: EventSink<Error = LiveError>>(sink: S, config: NetConfig) -> Self {
+            let server = NetServer::bind("127.0.0.1:0", config, sink).unwrap();
             let addr = server.local_addr();
             let stop = Arc::new(AtomicBool::new(false));
             let run_stop = Arc::clone(&stop);
@@ -708,6 +611,10 @@ mod tests {
         }
     }
 
+    fn book() -> LiveBook {
+        LiveBook::new(ServeConfig::default(), 2, Engine::sequential()).unwrap()
+    }
+
     /// A live book whose queries each take `delay`, counting the queries
     /// it has started and finished.
     struct SlowBook {
@@ -718,15 +625,15 @@ mod tests {
     }
 
     impl SlowBook {
-        fn spawn(delay: Duration) -> (LiveHandle<LiveError>, Arc<AtomicU64>, Arc<AtomicU64>) {
+        fn new(delay: Duration) -> (Self, Arc<AtomicU64>, Arc<AtomicU64>) {
             let sink = SlowBook {
-                book: LiveBook::new(ServeConfig::default(), 2, Engine::sequential()).unwrap(),
+                book: book(),
                 delay,
                 started: Arc::default(),
                 finished: Arc::default(),
             };
-            let counts = (Arc::clone(&sink.started), Arc::clone(&sink.finished));
-            (LiveServer::spawn_sink(sink), counts.0, counts.1)
+            let (started, finished) = (Arc::clone(&sink.started), Arc::clone(&sink.finished));
+            (sink, started, finished)
         }
     }
 
@@ -751,12 +658,11 @@ mod tests {
 
     #[test]
     fn a_pool_of_zero_connections_is_refused_at_bind() {
-        let handle = LiveServer::spawn(ServeConfig::default(), 1, Engine::sequential()).unwrap();
         let config = NetConfig {
             max_conns: 0,
             ..NetConfig::default()
         };
-        let err = NetServer::bind("127.0.0.1:0", config, handle, Sequencer::default())
+        let err = NetServer::bind("127.0.0.1:0", config, book())
             .err()
             .expect("zero connection slots");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
@@ -870,15 +776,12 @@ mod tests {
         // being pinned: N such expiries must not leave workers wedged —
         // the pool keeps serving mutations and fresh connections.
         struct SlowSink;
-        impl flexoffers_serving::EventSink for SlowSink {
-            type Error = flexoffers_serving::LiveError;
+        impl EventSink for SlowSink {
+            type Error = LiveError;
             fn sequencer(&self) -> Sequencer {
                 Sequencer::default()
             }
-            fn apply(
-                &mut self,
-                event: Event,
-            ) -> Result<Option<String>, flexoffers_serving::LiveError> {
+            fn apply(&mut self, event: Event) -> Result<Option<String>, LiveError> {
                 Ok(match event {
                     Event::Query(_) => {
                         std::thread::sleep(Duration::from_millis(15));
@@ -889,13 +792,12 @@ mod tests {
             }
         }
 
-        let handle = LiveServer::spawn_sink(SlowSink);
         let config = NetConfig {
             max_conns: 2,
             deadline: Some(Duration::from_millis(1)),
             record: None,
         };
-        let server = Running::serve(handle, Sequencer::default(), config);
+        let server = Running::serve(SlowSink, config);
 
         let n = 6;
         let mut client = NetClient::connect(server.addr).unwrap();
@@ -959,14 +861,14 @@ mod tests {
     fn seeded_validation_continues_a_recovered_history() {
         // Ids 0 and 2 live, next add owns 4 — the state a recovered
         // journal would hand over.
-        let handle = LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential()).unwrap();
+        let mut book = book();
         for tes in 0..4 {
-            handle.add(offer(tes)).unwrap();
+            book.add(offer(tes));
         }
-        handle.remove(1).unwrap();
-        handle.remove(3).unwrap();
-        let ids = Sequencer::seeded([0, 2], 4);
-        let server = Running::serve(handle, ids, NetConfig::default());
+        book.remove(1).unwrap();
+        book.remove(3).unwrap();
+        assert_eq!(book.sequencer(), Sequencer::seeded([0, 2], 4));
+        let server = Running::serve(book, NetConfig::default());
 
         let mut client = NetClient::connect(server.addr).unwrap();
         assert!(client
@@ -999,14 +901,7 @@ mod tests {
             }
         }
 
-        let handle = LiveServer::spawn(ServeConfig::default(), 2, Engine::sequential()).unwrap();
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            NetConfig::default(),
-            handle,
-            Sequencer::default(),
-        )
-        .unwrap();
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default(), book()).unwrap();
         let addr = server.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
         let run_stop = Arc::clone(&stop);
@@ -1032,8 +927,8 @@ mod tests {
     #[test]
     fn a_mutation_is_acked_while_another_connections_query_runs() {
         const SLOW: Duration = Duration::from_millis(300);
-        let (handle, started, finished) = SlowBook::spawn(SLOW);
-        let server = Running::serve(handle, Sequencer::default(), NetConfig::default());
+        let (sink, started, finished) = SlowBook::new(SLOW);
+        let server = Running::serve(sink, NetConfig::default());
         let mut device = NetClient::connect(server.addr).unwrap();
         assert!(device.send_event(&Event::Add(offer(0))).unwrap().is_ok());
 
@@ -1090,10 +985,9 @@ mod tests {
         ));
         // Every query sleeps 20 ms in the loop against a 1 ms deadline, so
         // every wait expires while the query still runs.
-        let (handle, _, _) = SlowBook::spawn(Duration::from_millis(20));
+        let (sink, _, _) = SlowBook::new(Duration::from_millis(20));
         let server = Running::serve(
-            handle,
-            Sequencer::default(),
+            sink,
             NetConfig {
                 max_conns: 2,
                 deadline: Some(Duration::from_millis(1)),

@@ -16,6 +16,8 @@ use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
 use crate::live::LiveError;
 use crate::report;
+use crate::sequencer::Sequencer;
+use crate::server::EventSink;
 
 /// Answers one query over `offers` (the logical portfolio, in id order) by
 /// running the flat engine from scratch — the batch-restart cost the
@@ -96,6 +98,20 @@ impl BatchBook {
                 Ok(Some(answer(&self.engine, &self.config, &view, kind)))
             }
         }
+    }
+}
+
+/// The batch oracle runs on the serving loop like any book, so `flexctl
+/// serve --script --batch` streams its answers through the same writer.
+impl EventSink for BatchBook {
+    type Error = LiveError;
+
+    fn apply(&mut self, event: Event) -> Result<Option<String>, LiveError> {
+        BatchBook::apply(self, event)
+    }
+
+    fn sequencer(&self) -> Sequencer {
+        Sequencer::seeded(self.offers.keys().copied(), self.next_id)
     }
 }
 

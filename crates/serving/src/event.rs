@@ -169,23 +169,7 @@ impl Event {
             .get("event")
             .and_then(Value::as_str)
             .ok_or("event object needs a string `event` tag")?;
-        // Ids are strictly non-negative integers. The float and negative
-        // cases are named explicitly rather than left to the generic
-        // deserializer: the journal replays untrusted files, and
-        // `{"id":3.0}` must fail loudly instead of coercing through the
-        // vendored `Value`'s numeric tower.
-        let id = |value: &Value| -> Result<u64, String> {
-            match value.get("id").ok_or("missing `id`")? {
-                Value::U64(n) => Ok(*n),
-                Value::I64(n) if *n >= 0 => Ok(*n as u64),
-                Value::I64(n) => Err(format!("bad `id`: id must be non-negative, got {n}")),
-                Value::F64(f) => Err(format!("bad `id`: id must be an integer, got {f:?}")),
-                other => Err(format!(
-                    "bad `id`: expected integer, found {}",
-                    other.kind()
-                )),
-            }
-        };
+        let id = |value: &Value| strict_id(value.get("id"), "id");
         let offer = |value: &Value| -> Result<FlexOffer, String> {
             let raw = value.get("offer").ok_or("missing `offer`")?;
             use serde::Deserialize;
@@ -209,6 +193,25 @@ impl Event {
             }
             other => Err(format!("unknown event `{other}`")),
         }
+    }
+}
+
+/// Decodes a strictly non-negative integer id — an event's `id` and a
+/// request frame's `id` alike; `what` names it in the messages. The float
+/// and negative cases are named explicitly rather than left to the
+/// generic deserializer: the journal replays untrusted files, and
+/// `{"id":3.0}` must fail loudly instead of coercing through the vendored
+/// `Value`'s numeric tower.
+pub fn strict_id(value: Option<&Value>, what: &str) -> Result<u64, String> {
+    match value.ok_or("missing `id`")? {
+        Value::U64(n) => Ok(*n),
+        Value::I64(n) if *n >= 0 => Ok(*n as u64),
+        Value::I64(n) => Err(format!("bad `id`: {what} must be non-negative, got {n}")),
+        Value::F64(f) => Err(format!("bad `id`: {what} must be an integer, got {f:?}")),
+        other => Err(format!(
+            "bad `id`: expected integer, found {}",
+            other.kind()
+        )),
     }
 }
 

@@ -25,12 +25,16 @@
 //! * [`LiveServer`] / [`LiveHandle`] — the mpsc event loop:
 //!   [`Event`]`::{Add, Update, Remove, Query}` messages drain into a
 //!   `LiveBook` on a dedicated thread, queries reply with one JSON line.
+//!   [`AnswerStream`] lets that loop also write every answer line to an
+//!   output stream, in loop order — the one writer of `flexctl serve`'s
+//!   answers.
 //! * [`Event`] / script parsing ([`parse_script`]) — the JSONL wire format
 //!   `flexctl serve --script` replays, statically validated (line-numbered
 //!   errors, unknown-id references, empty scripts).
-//! * [`Sequencer`] — the one live-id check: script parsing, the TCP
-//!   front and the cluster supervisor all decide through it which ids an
-//!   update or remove may name and which id an add owns.
+//! * [`Sequencer`] — the one live-id check: script parsing and the TCP
+//!   front decide through it which ids an update or remove may name and
+//!   which id an add owns (the cluster supervisor reads the same facts
+//!   off its merged [`LiveBook`]).
 //! * [`batch`] — the from-scratch oracle: the same queries answered by
 //!   rebuilding the portfolio and running the flat engine.
 //!
@@ -58,7 +62,7 @@
 //!
 //! let mut book = LiveBook::new(ServeConfig::default(), 4, Engine::sequential())?;
 //! for event in event_stream(7, 30, 0.1) {
-//!     book.apply_offer_event(event)?;
+//!     book.apply(event.into())?;
 //! }
 //! let answer = book.answer(QueryKind::Measure);
 //! assert!(answer.starts_with("{\"query\":\"measure\""));
@@ -81,4 +85,6 @@ pub use event::{parse_script, parse_script_from, Event, QueryKind, ScriptError};
 pub use live::{BookExport, ImportError, LiveBook, LiveError, ShardExport};
 pub use report::{AggregateReportJson, AggregateSummaryJson};
 pub use sequencer::{Checked, Sequencer, UnknownId};
-pub use server::{EventSink, LiveHandle, LiveServer, PendingAnswer, ServeError};
+pub use server::{
+    AnswerStream, EventSink, LiveHandle, LiveServer, PendingAnswer, ServeError, StreamError,
+};

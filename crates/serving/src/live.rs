@@ -55,7 +55,6 @@ use flexoffers_engine::{splitmix64, stable_shard, Budget, Engine, EngineError};
 use flexoffers_model::{FlexOffer, Portfolio};
 use flexoffers_timeseries::ops::sum_series;
 use flexoffers_timeseries::Series;
-use flexoffers_workloads::OfferEvent;
 
 use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
@@ -368,6 +367,11 @@ impl LiveBook {
         self.owners.keys().copied().collect()
     }
 
+    /// Whether offer `id` is live.
+    pub fn is_live(&self, id: u64) -> bool {
+        self.owners.contains_key(&id)
+    }
+
     /// The id the next add will receive. Together with
     /// [`live_ids`](Self::live_ids) this is the book's
     /// [`Sequencer`](crate::Sequencer) — what a script that *continues*
@@ -518,13 +522,6 @@ impl LiveBook {
             Event::Remove { id } => self.remove(id).map(|()| None),
             Event::Query(kind) => Ok(Some(self.answer(kind))),
         }
-    }
-
-    /// Applies one workload mutation ([`flexoffers_workloads::OfferEvent`]).
-    pub fn apply_offer_event(&mut self, event: OfferEvent) -> Result<(), LiveError> {
-        self.apply(event.into()).map(|answer| {
-            debug_assert!(answer.is_none(), "offer events are never queries");
-        })
     }
 
     /// Adds an offer, assigning and returning the next logical id. Routes

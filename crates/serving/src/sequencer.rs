@@ -2,9 +2,10 @@
 //!
 //! The `k`-th add owns logical id `k` (counting from a seeded history),
 //! updates and removes must name a live id, and a removed id stays dead.
-//! Script parsing ([`parse_script_from`](crate::parse_script_from)), the
-//! TCP front's gate, and the cluster supervisor all validate through a
-//! [`Sequencer`]: [`check`](Sequencer::check) refuses an event without
+//! Script parsing ([`parse_script_from`](crate::parse_script_from)) and
+//! the TCP front's gate validate through a [`Sequencer`] (the cluster
+//! supervisor checks the same rule against its merged book's owner
+//! table): [`check`](Sequencer::check) refuses an event without
 //! touching the history, and [`commit`](Sequencer::commit) records it once
 //! the sink took it, so a refused or failed mutation leaves the sequencer
 //! unchanged.

@@ -10,11 +10,15 @@
 //! place in that order and returns a [`PendingAnswer`] at once;
 //! [`PendingAnswer::wait`] then blocks the *caller* — never the loop —
 //! until the answer line comes back, with an optional deadline.
-//! [`LiveHandle::query`] and [`LiveHandle::query_deadline`] are the two
-//! in one call. Splitting them is what lets the TCP front release its
-//! ordering gate before a query's answer is awaited. Because one thread
-//! owns all state, answers are linearisable: a query observes exactly the
-//! mutations sent before it.
+//! [`LiveHandle::query`] is the two in one call. Splitting them is what
+//! lets the TCP front release its ordering gate before a query's answer
+//! is awaited. Because one thread owns all state, answers are
+//! linearisable: a query observes exactly the mutations sent before it.
+//!
+//! The loop also writes the answer stream. [`AnswerStream`] wraps a sink
+//! and writes each query's answer line to a [`Write`] as the loop answers
+//! it, so every `flexctl serve` mode — a script, the batch oracle, the
+//! TCP front — streams its answers in loop order through the same writer.
 //!
 //! A sent mutation is queued, not yet applied or journaled: the loop (and
 //! a durable sink's journal append) runs after `send` returns.
@@ -28,7 +32,9 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::mpsc;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -107,6 +113,84 @@ impl EventSink for LiveBook {
     }
 }
 
+/// An [`EventSink`] that writes each query's answer line to `out`, in the
+/// order the loop answers them.
+///
+/// The first failed write stops the stream, not the loop: later answers
+/// still reach their callers, [`failed`](Self::failed) reads `true`, and
+/// [`finish`](EventSink::finish) reports the write error once the inner
+/// sink's own `finish` has run — so a journaling sink still syncs and
+/// snapshots.
+pub struct AnswerStream<S, W> {
+    sink: S,
+    out: W,
+    failure: Option<io::Error>,
+    failed: Arc<AtomicBool>,
+}
+
+impl<S, W> AnswerStream<S, W> {
+    /// Streams `sink`'s answers to `out`.
+    pub fn new(sink: S, out: W) -> Self {
+        Self {
+            sink,
+            out,
+            failure: None,
+            failed: Arc::default(),
+        }
+    }
+
+    /// The flag a front reads to learn that an answer write failed.
+    pub fn failed(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.failed)
+    }
+}
+
+/// Why an [`AnswerStream`]'s loop stopped or finished badly.
+#[derive(Debug)]
+pub enum StreamError<E> {
+    /// The inner sink failed.
+    Sink(E),
+    /// Writing an answer line failed.
+    Write(io::Error),
+}
+
+impl<E: fmt::Display> fmt::Display for StreamError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamError::Sink(e) => e.fmt(f),
+            StreamError::Write(e) => write!(f, "writing the answer stream: {e}"),
+        }
+    }
+}
+
+impl<E: fmt::Debug + fmt::Display> Error for StreamError<E> {}
+
+impl<S: EventSink, W: Write + Send + 'static> EventSink for AnswerStream<S, W> {
+    type Error = StreamError<S::Error>;
+
+    fn apply(&mut self, event: Event) -> Result<Option<String>, Self::Error> {
+        let answer = self.sink.apply(event).map_err(StreamError::Sink)?;
+        if let (Some(line), None) = (&answer, &self.failure) {
+            if let Err(e) = writeln!(self.out, "{line}").and_then(|()| self.out.flush()) {
+                self.failure = Some(e);
+                self.failed.store(true, Ordering::SeqCst);
+            }
+        }
+        Ok(answer)
+    }
+
+    fn finish(&mut self) -> Result<(), Self::Error> {
+        self.sink.finish().map_err(StreamError::Sink)?;
+        self.failure
+            .take()
+            .map_or(Ok(()), |e| Err(StreamError::Write(e)))
+    }
+
+    fn sequencer(&self) -> Sequencer {
+        self.sink.sequencer()
+    }
+}
+
 enum Request {
     Mutate(Event),
     Query(QueryKind, mpsc::Sender<String>),
@@ -142,11 +226,11 @@ impl LiveServer {
                             .apply(Event::Query(kind))?
                             .expect("queries always answer");
                         // Explicitly ignored: the receiver is gone when a
-                        // `query_deadline` wait already expired (or the
-                        // caller hung up). `send` into a dropped channel
-                        // returns `Err` — it cannot panic — and the loop
-                        // carries on, so an abandoned answer never wedges
-                        // the worker that served it.
+                        // deadline wait already expired (or the caller hung
+                        // up, or never waited). `send` into a dropped
+                        // channel returns `Err` — it cannot panic — and the
+                        // loop carries on, so an abandoned answer never
+                        // wedges the worker that served it.
                         let _ = reply.send(answer);
                     }
                 }
@@ -204,20 +288,6 @@ impl<E> LiveHandle<E> {
     /// and blocks until its one-line JSON answer arrives.
     pub fn query(&self, kind: QueryKind) -> Result<String, ServeError> {
         self.enqueue_query(kind)?.wait(None)
-    }
-
-    /// [`query`](Self::query), but waits at most `deadline` for the
-    /// answer. On [`ServeError::DeadlineExceeded`] the query itself still
-    /// runs (it was already enqueued in serialization order; dropping the
-    /// reply receiver just discards the answer) — because queries never
-    /// mutate the book, an abandoned answer leaves the event history
-    /// exactly as if the query had been answered.
-    pub fn query_deadline(
-        &self,
-        kind: QueryKind,
-        deadline: Duration,
-    ) -> Result<String, ServeError> {
-        self.enqueue_query(kind)?.wait(Some(deadline))
     }
 
     /// Enqueues a query behind every previously sent event and returns at
@@ -432,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn query_deadline_abandons_slow_answers_but_not_fast_ones() {
+    fn a_deadline_wait_abandons_slow_answers_but_not_fast_ones() {
         use std::time::Duration;
 
         struct SlowSink;
@@ -454,14 +524,18 @@ mod tests {
 
         let mut slow = LiveServer::spawn_sink(SlowSink);
         assert_eq!(
-            slow.query_deadline(QueryKind::Measure, Duration::from_millis(1))
+            slow.enqueue_query(QueryKind::Measure)
+                .unwrap()
+                .wait(Some(Duration::from_millis(1)))
                 .unwrap_err(),
             ServeError::DeadlineExceeded
         );
         // The abandoned query still ran; the loop survives and later
         // queries with room to breathe succeed.
         assert_eq!(
-            slow.query_deadline(QueryKind::Measure, Duration::from_secs(30))
+            slow.enqueue_query(QueryKind::Measure)
+                .unwrap()
+                .wait(Some(Duration::from_secs(30)))
                 .unwrap(),
             "slow answer"
         );
@@ -473,14 +547,14 @@ mod tests {
         let mut handle = spawn();
         handle.add(offer(0)).unwrap();
         let timed = handle
-            .query_deadline(QueryKind::Measure, Duration::from_secs(30))
+            .enqueue_query(QueryKind::Measure)
+            .unwrap()
+            .wait(Some(Duration::from_secs(30)))
             .unwrap();
         assert_eq!(timed, handle.query(QueryKind::Measure).unwrap());
         handle.shutdown().unwrap();
         assert_eq!(
-            handle
-                .query_deadline(QueryKind::Measure, Duration::from_secs(1))
-                .unwrap_err(),
+            handle.enqueue_query(QueryKind::Measure).unwrap_err(),
             ServeError::Closed
         );
     }
@@ -512,7 +586,9 @@ mod tests {
         let mut slow = LiveServer::spawn_sink(SlowSink);
         for i in 0..8 {
             assert_eq!(
-                slow.query_deadline(QueryKind::Measure, Duration::from_millis(1))
+                slow.enqueue_query(QueryKind::Measure)
+                    .unwrap()
+                    .wait(Some(Duration::from_millis(1)))
                     .unwrap_err(),
                 ServeError::DeadlineExceeded,
                 "expiry #{i}"
@@ -520,11 +596,65 @@ mod tests {
         }
         // The loop drained all eight abandoned queries and still answers.
         assert_eq!(
-            slow.query_deadline(QueryKind::Measure, Duration::from_secs(30))
+            slow.enqueue_query(QueryKind::Measure)
+                .unwrap()
+                .wait(Some(Duration::from_secs(30)))
                 .unwrap(),
             "slow answer"
         );
         slow.shutdown().unwrap();
+    }
+
+    #[test]
+    fn an_answer_stream_writes_in_loop_order_and_reports_a_failed_write_after_finish() {
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct Shared(Arc<Mutex<Vec<u8>>>);
+        impl Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let book = LiveBook::new(ServeConfig::default(), 2, Engine::sequential()).unwrap();
+        let out = Shared::default();
+        let mut handle = LiveServer::spawn_sink(AnswerStream::new(book, out.clone()));
+        handle.add(offer(0)).unwrap();
+        drop(handle.enqueue_query(QueryKind::Measure).unwrap());
+        let aggregate = handle.query(QueryKind::Aggregate).unwrap();
+        handle.shutdown().unwrap();
+        let streamed = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = streamed.lines().collect();
+        assert_eq!(lines.len(), 2, "{streamed}");
+        assert!(lines[0].starts_with("{\"query\":\"measure\""), "{streamed}");
+        assert_eq!(lines[1], aggregate);
+
+        // A failed write leaves the loop answering; finish runs the inner
+        // sink's finish, then reports the write error.
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let book = LiveBook::new(ServeConfig::default(), 2, Engine::sequential()).unwrap();
+        let stream = AnswerStream::new(book, Closed);
+        let failed = stream.failed();
+        let mut handle = LiveServer::spawn_sink(stream);
+        assert!(handle.query(QueryKind::Measure).is_ok());
+        assert!(failed.load(Ordering::SeqCst));
+        assert!(handle.query(QueryKind::Trade).is_ok(), "the loop survives");
+        match handle.shutdown() {
+            Err(StreamError::Write(e)) => assert_eq!(e.kind(), io::ErrorKind::BrokenPipe),
+            other => panic!("the write failure is reported: {other:?}"),
+        }
     }
 
     #[test]

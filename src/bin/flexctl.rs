@@ -112,8 +112,8 @@ use flexoffers::measures::{all_measures, available_names, measure_by_name, Measu
 use flexoffers::net::{percentile, signal, NetClient, NetConfig, NetServer, Reply};
 use flexoffers::serving::batch::BatchBook;
 use flexoffers::serving::{
-    parse_script, parse_script_from, DurabilityConfig, Event, EventSink, LiveBook, LiveHandle,
-    LiveServer, QueryKind, Sequencer, ServeConfig,
+    parse_script_from, AnswerStream, DurabilityConfig, Event, EventSink, LiveBook, LiveServer,
+    QueryKind, ServeConfig, StreamError,
 };
 use flexoffers::storage::{recover as recover_book, Durable, RecoveryReport};
 use flexoffers::workloads::{city_stream, district, event_stream, event_stream_len, EvCharger};
@@ -437,9 +437,9 @@ fn simulate(rest: &[String]) -> Outcome {
 }
 
 /// The `serve` path: parse and statically validate a JSONL event script,
-/// then replay it — through the live mpsc serving loop (default), or
-/// through the from-scratch batch oracle (`--batch`). Every query prints
-/// one JSON line; the two modes are byte-identical.
+/// then replay it on the serving loop — through the live book (default),
+/// or through the from-scratch batch oracle (`--batch`). The loop writes
+/// one JSON line per query; the two modes are byte-identical.
 fn serve(rest: &[String]) -> Outcome {
     let mut script: Option<String> = None;
     let mut listen: Option<String> = None;
@@ -568,14 +568,11 @@ fn serve(rest: &[String]) -> Outcome {
                 record: record.map(std::path::PathBuf::from),
             },
         ),
-        (None, script) => {
-            let text = read_input(&script.expect("checked above"))?;
-            if batch {
-                return serve_batch(&text, BatchBook::new(config, engine));
-            }
-            Front::Script(text)
-        }
+        (None, script) => Front::Script(read_input(&script.expect("checked above"))?),
     };
+    if batch {
+        return serve_sink(BatchBook::new(config, engine), front);
+    }
 
     // Build the sink — in process or a worker fleet, memory-only or
     // journaled — then drive it through the front. A journaled sink
@@ -614,35 +611,38 @@ enum Front {
     Listen(String, NetConfig),
 }
 
-/// `serve --script --batch`: the from-scratch oracle, one answer line per
-/// query.
-fn serve_batch(text: &str, mut book: BatchBook) -> Outcome {
-    for event in parse_script(text).map_err(|e| e.to_string())? {
-        // Unreachable for a validated script; kept as a guard.
-        if let Some(line) = book.apply(event).map_err(|e| e.to_string())? {
-            println!("{line}");
-        }
-    }
-    Ok(())
-}
-
-/// Drives a built sink through `front` on the serving loop. Both fronts
-/// validate ids against the sink's own [`Sequencer`]. A script that fails
-/// validation drops the sink unserved (a fleet's workers are killed and
-/// reaped with it).
+/// Drives a built sink — a live book, a worker fleet, or the batch
+/// oracle — through `front` on the serving loop, which writes one answer
+/// line per query to stdout. Both fronts validate ids against the sink's
+/// own id history. A script that fails validation drops the sink unserved
+/// (a fleet's workers are killed and reaped with it); a script's events
+/// are only enqueued, and a reader that closed stdout early ends the
+/// command cleanly, as in [`with_stdout`].
 fn serve_sink<S: EventSink>(sink: S, front: Front) -> Outcome
 where
     S::Error: std::fmt::Debug + std::fmt::Display,
 {
-    let ids = sink.sequencer();
-    match front {
-        Front::Script(text) => {
-            let events = parse_script_from(&text, ids).map_err(|e| e.to_string())?;
-            drive(LiveServer::spawn_sink(sink), events)
+    let text = match front {
+        Front::Script(text) => text,
+        Front::Listen(addr, config) => return listen_serve(&addr, config, sink),
+    };
+    let events = parse_script_from(&text, sink.sequencer()).map_err(|e| e.to_string())?;
+    let mut handle = LiveServer::spawn_sink(AnswerStream::new(sink, std::io::stdout()));
+    for event in events {
+        let sent = match event {
+            Event::Query(kind) => handle.enqueue_query(kind).map(drop),
+            mutation => handle.send(mutation).map(drop),
+        };
+        if sent.is_err() {
+            break; // the loop died; shutdown() reports why
         }
-        Front::Listen(addr, config) => {
-            listen_serve(&addr, config, LiveServer::spawn_sink(sink), ids)
+    }
+    match handle.shutdown() {
+        Err(StreamError::Write(e)) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("writing stdout: {e}"))
         }
+        Err(StreamError::Sink(e)) => Err(e.to_string()),
+        _ => Ok(()),
     }
 }
 
@@ -672,32 +672,17 @@ fn resumed<S>((sink, report): (S, RecoveryReport)) -> S {
     sink
 }
 
-/// Feeds a parsed script through a spawned serving loop, printing one line
-/// per query, and reports how the loop shut down.
-fn drive<E: std::fmt::Display>(mut handle: LiveHandle<E>, events: Vec<Event>) -> Outcome {
-    for event in events {
-        match handle.send(event) {
-            Ok(Some(line)) => println!("{line}"),
-            Ok(None) => {}
-            Err(_) => break, // the loop died; shutdown() reports why
-        }
-    }
-    handle.shutdown().map_err(|e| e.to_string())
-}
-
-/// The `serve --listen` path: bind the TCP front over a spawned serving
-/// loop, install the SIGINT/SIGTERM latch, and serve until a signal fires.
-/// Answer lines stream to stdout in serialization order (the bytes a
-/// `--record` replay through `--script` reproduces); the bound address,
+/// The `serve --listen` path: bind the TCP front over the sink, install
+/// the SIGINT/SIGTERM latch, and serve until a signal fires. The serving
+/// loop streams answer lines to stdout in serialization order (the bytes
+/// a `--record` replay through `--script` reproduces); the bound address,
 /// lifecycle notes and the final summary go to stderr.
-fn listen_serve<E: std::fmt::Debug + std::fmt::Display + Send + 'static>(
-    addr: &str,
-    config: NetConfig,
-    handle: LiveHandle<E>,
-    ids: Sequencer,
-) -> Outcome {
-    let server = NetServer::bind(addr, config, handle, ids)
-        .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
+fn listen_serve<S: EventSink>(addr: &str, config: NetConfig, sink: S) -> Outcome
+where
+    S::Error: std::fmt::Debug + std::fmt::Display,
+{
+    let server =
+        NetServer::bind(addr, config, sink).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     // Flushed line-by-line so a harness can scrape the bound port even
     // when --listen 127.0.0.1:0 picked it.
     eprintln!("listening on {}", server.local_addr());
@@ -1039,8 +1024,8 @@ fn count(fo: &FlexOffer) -> Outcome {
 /// Runs `write` against a buffered stdout and flushes it. A reader that
 /// closes early (`flexctl names | head -1`, `flexctl events ... | head`)
 /// is a normal way to stop consuming output, so `BrokenPipe` ends the
-/// command cleanly instead of panicking the way `println!` does; any
-/// other write error fails the command.
+/// command cleanly instead of panicking; any other write error fails the
+/// command. `serve`'s answer stream follows the same rule.
 fn with_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Outcome {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());

@@ -433,6 +433,51 @@ fn a_resumed_listen_journal_continues_the_id_history() {
     }
 }
 
+/// The serving loop writes the answer stream. A `--listen --journal`
+/// server whose stdout reader is gone answers its first query with
+/// `server_error`, halts on its own with one `error:` line, and still runs
+/// the durable sink's `finish`: the shutdown snapshot covers the journal,
+/// so `recover` replays nothing.
+#[test]
+fn a_closed_answer_stream_halts_the_server_after_a_durable_finish() {
+    let dir = scratch_dir("closed_stdout");
+    let journal = dir.join("events.journal");
+    let mut server = Server::spawn(&["--journal", path_str(&journal)]);
+    let child = server.child.as_mut().expect("running");
+    drop(child.stdout.take().expect("stdout piped"));
+
+    let mut client = NetClient::connect(server.addr.as_str()).expect("client connects");
+    for offer in city_stream(3, 2).take(3) {
+        expect_ok(client.send_event(&Event::Add(offer)).expect("add"), "add");
+    }
+    let reply = client
+        .send_event(&Event::Query(QueryKind::Measure))
+        .expect("the query is answered");
+    assert_eq!(error_code(&reply), Some("server_error"), "{reply:?}");
+    drop(client);
+
+    let out = server
+        .child
+        .take()
+        .expect("running")
+        .wait_with_output()
+        .expect("the server halts on its own");
+    let mut stderr = std::mem::take(&mut server.preamble);
+    server
+        .stderr
+        .read_to_string(&mut stderr)
+        .expect("stderr drains");
+    assert!(!out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+    assert_eq!(errors, 1, "{stderr}");
+
+    let recovered = flexctl(&["recover", "--journal", path_str(&journal)], None);
+    let report = String::from_utf8_lossy(&recovered.stderr);
+    assert!(recovered.status.success(), "{report}");
+    assert!(report.contains("replayed 0"), "{report}");
+}
+
 /// `flexctl bomb` drives a live server end to end and reports latency
 /// percentiles per request class; the server survives it and drains
 /// cleanly.

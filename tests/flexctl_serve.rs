@@ -227,6 +227,44 @@ fn events_survives_a_truncating_consumer() {
 }
 
 #[test]
+fn serve_survives_a_truncating_consumer_live_and_batch() {
+    // `flexctl serve --script ev.jsonl | head -c 10`: the answer stream's
+    // reader closes early, and the serving loop's writer must end the run
+    // cleanly instead of panicking on EPIPE. 200 queries answer ~160 KB,
+    // more than a pipe buffers, so writes are still pending when the
+    // reader goes.
+    use std::io::Read;
+    let dir = std::env::temp_dir().join(format!("flexctl_serve_epipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("events.jsonl");
+    let events = stdout_of(&["events", "--city", "20", "--queries", "200"], None);
+    std::fs::write(&path, events).expect("write script");
+    let path = path.to_str().expect("UTF-8 path");
+    for mode in [&[][..], &["--batch"][..]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_flexctl"))
+            .args(["serve", "--script", path])
+            .args(mode)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .stdin(Stdio::null())
+            .spawn()
+            .expect("flexctl spawns");
+        let mut stdout = child.stdout.take().expect("stdout piped");
+        let mut buf = [0u8; 10];
+        stdout.read_exact(&mut buf).expect("some output");
+        drop(stdout);
+        let out = child.wait_with_output().expect("flexctl terminates");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{mode:?}: a closed pipe must not fail serve; stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{mode:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn events_flag_errors_are_named() {
     let stderr = stderr_of_failure(&["events"], None);
     assert!(stderr.contains("events needs --city"), "stderr: {stderr}");
